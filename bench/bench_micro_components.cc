@@ -13,7 +13,6 @@
 #include "baselines/lsh.h"
 #include "baselines/prefix_filter.h"
 #include "core/kernels/bitmap_filter.h"
-#include "core/kernels/flat_set.h"
 #include "core/kernels/hash_kernels.h"
 #include "core/kernels/intersect.h"
 #include "core/partenum.h"
@@ -225,8 +224,8 @@ BENCHMARK(BM_AmsSketchAdd);
 // --- Kernel layer (src/core/kernels/, DESIGN.md Section 11) ----------
 // These pin the wins the kernel layer claims: the SIMD/galloping
 // intersection vs the scalar merge, the bitmap pre-filter check cost,
-// the batched hash transforms vs their scalar chains, and the flat
-// dedup table vs sort+unique. Emitted into BENCH_kernels.json (see
+// the batched hash transforms vs their scalar chains, and bucketed
+// candidate dedup. Emitted into BENCH_kernels.json (see
 // main below) for the perf trajectory.
 
 std::pair<std::vector<uint32_t>, std::vector<uint32_t>> MakeSortedPair(
@@ -342,21 +341,9 @@ void BM_MixBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_MixBatch)->Arg(64)->Arg(1024);
 
-void BM_DedupFlatSet(benchmark::State& state) {
-  // Candidate-dedup workload: many duplicate packed pairs.
-  Rng rng(9);
-  std::vector<uint64_t> keys(static_cast<size_t>(state.range(0)));
-  for (auto& k : keys) k = rng.Uniform(static_cast<uint32_t>(keys.size() / 4));
-  for (auto _ : state) {
-    kernels::FlatU64Set table(keys.size() / 4);
-    for (uint64_t k : keys) table.Insert(k);
-    benchmark::DoNotOptimize(table.ExtractSorted());
-  }
-  state.SetItemsProcessed(state.iterations() * keys.size());
-}
-BENCHMARK(BM_DedupFlatSet)->Arg(4096)->Arg(65536);
-
 void BM_DedupSortUnique(benchmark::State& state) {
+  // Candidate dedup: the 4096-pair case is one in-cache bucket of
+  // core/kernels/posting_groups.
   Rng rng(9);
   std::vector<uint64_t> keys(static_cast<size_t>(state.range(0)));
   for (auto& k : keys) k = rng.Uniform(static_cast<uint32_t>(keys.size() / 4));

@@ -13,9 +13,7 @@
 #include <string_view>
 #include <utility>
 
-#include "core/kernels/flat_set.h"
 #include "obs/explain.h"
-#include "util/hashing.h"
 
 namespace ssjoin::detail {
 
@@ -141,160 +139,6 @@ void GenerateSorted(const SignatureScheme& scheme,
                  scratch->end());
 }
 
-// Shard assignment for candidate generation. All postings of one
-// signature land in one shard, so a signature group never straddles
-// shards: per-shard collision counts sum to exactly the serial total,
-// and the Section 4 / Theorem 2 accounting is preserved.
-size_t ShardOf(Signature sig, size_t shards) {
-  return shards == 1 ? 0 : static_cast<size_t>(Mix64(sig) % shards);
-}
-
-namespace {
-
-// Occurrence-count cutoff for the flat dedup table. Below it the table
-// (sized for every insertion up front, so it never rehashes) stays
-// cache-resident and one Mix64 probe per occurrence beats sort+unique
-// handily; above it every probe is a cache miss into a multi-MiB table
-// and the sequential sort wins back. Both paths produce the identical
-// sorted duplicate-free vector, so the switch is invisible in output.
-constexpr uint64_t kFlatDedupMaxInsertions = 1ull << 17;
-
-// Dedup sink for the candidate shards: flat table or occurrence vector
-// chosen once per shard from the exact insertion count.
-class CandidateDedup {
- public:
-  explicit CandidateDedup(uint64_t expected_insertions, size_t reserve) {
-    use_flat_ = expected_insertions <= kFlatDedupMaxInsertions;
-    if (use_flat_) {
-      flat_.Reserve(std::max<size_t>(
-          reserve, static_cast<size_t>(expected_insertions)));
-    } else {
-      occurrences_.reserve(static_cast<size_t>(expected_insertions));
-    }
-  }
-
-  void Insert(uint64_t key) {
-    if (use_flat_) {
-      flat_.Insert(key);
-    } else {
-      occurrences_.push_back(key);
-    }
-  }
-
-  std::vector<uint64_t> ExtractSorted() {
-    if (use_flat_) return flat_.ExtractSorted();
-    std::sort(occurrences_.begin(), occurrences_.end());
-    occurrences_.erase(
-        std::unique(occurrences_.begin(), occurrences_.end()),
-        occurrences_.end());
-    return std::move(occurrences_);
-  }
-
- private:
-  bool use_flat_ = true;
-  kernels::FlatU64Set flat_;
-  std::vector<uint64_t> occurrences_;
-};
-
-}  // namespace
-
-// Self-join candidate generation over one shard's sorted postings.
-// Within a signature group the (sig, id) postings are unique and sorted,
-// so ids ascend: a < b already yields first < second.
-ShardCandidates SelfJoinShard(const std::vector<Posting>& postings,
-                              size_t reserve,
-                              const std::function<bool()>& stop) {
-  ShardCandidates out;
-  // Pre-scan the signature groups for the exact insertion count
-  // (== collisions >= distinct candidates): one sequential pass picks
-  // the dedup strategy and sizes it in a single allocation.
-  uint64_t expected = 0;
-  for (size_t g = 0; g < postings.size();) {
-    size_t h = g;
-    while (h < postings.size() && postings[h].first == postings[g].first) {
-      ++h;
-    }
-    uint64_t group = h - g;
-    expected += group * (group - 1) / 2;
-    g = h;
-  }
-  CandidateDedup dedup(expected, reserve);
-  size_t i = 0;
-  uint64_t groups = 0;
-  while (i < postings.size()) {
-    if (stop && (groups++ & 63u) == 0 && stop()) break;
-    size_t j = i;
-    while (j < postings.size() && postings[j].first == postings[i].first) {
-      ++j;
-    }
-    uint64_t group = j - i;
-    out.collisions += group * (group - 1) / 2;
-    for (size_t a = i; a < j; ++a) {
-      for (size_t b = a + 1; b < j; ++b) {
-        dedup.Insert(PackPair(postings[a].second, postings[b].second));
-      }
-    }
-    i = j;
-  }
-  out.packed = dedup.ExtractSorted();
-  return out;
-}
-
-// Binary-join candidate generation: merge-join of the two shard slices.
-ShardCandidates BinaryJoinShard(const std::vector<Posting>& postings_r,
-                                const std::vector<Posting>& postings_s,
-                                size_t reserve,
-                                const std::function<bool()>& stop) {
-  ShardCandidates out;
-  // Same exact-insertion-count pre-scan as SelfJoinShard, via a dry
-  // merge over the two posting lists.
-  uint64_t expected = 0;
-  for (size_t gi = 0, gj = 0;
-       gi < postings_r.size() && gj < postings_s.size();) {
-    Signature sr = postings_r[gi].first;
-    Signature ss = postings_s[gj].first;
-    if (sr < ss) {
-      ++gi;
-    } else if (ss < sr) {
-      ++gj;
-    } else {
-      size_t ei = gi, ej = gj;
-      while (ei < postings_r.size() && postings_r[ei].first == sr) ++ei;
-      while (ej < postings_s.size() && postings_s[ej].first == sr) ++ej;
-      expected += static_cast<uint64_t>(ei - gi) * (ej - gj);
-      gi = ei;
-      gj = ej;
-    }
-  }
-  CandidateDedup dedup(expected, reserve);
-  size_t i = 0, j = 0;
-  uint64_t iters = 0;
-  while (i < postings_r.size() && j < postings_s.size()) {
-    if (stop && (iters++ & 1023u) == 0 && stop()) break;
-    Signature sig_r = postings_r[i].first;
-    Signature sig_s = postings_s[j].first;
-    if (sig_r < sig_s) {
-      ++i;
-    } else if (sig_s < sig_r) {
-      ++j;
-    } else {
-      size_t ei = i, ej = j;
-      while (ei < postings_r.size() && postings_r[ei].first == sig_r) ++ei;
-      while (ej < postings_s.size() && postings_s[ej].first == sig_r) ++ej;
-      out.collisions += static_cast<uint64_t>(ei - i) * (ej - j);
-      for (size_t a = i; a < ei; ++a) {
-        for (size_t b = j; b < ej; ++b) {
-          dedup.Insert(PackPair(postings_r[a].second, postings_s[b].second));
-        }
-      }
-      i = ei;
-      j = ej;
-    }
-  }
-  out.packed = dedup.ExtractSorted();
-  return out;
-}
-
 // Unions sorted duplicate-free candidate lists: log2(n) pairwise
 // set_union rounds, the merges of each round running in parallel.
 std::vector<uint64_t> UnionShards(std::vector<std::vector<uint64_t>> lists,
@@ -329,11 +173,11 @@ std::vector<uint64_t> UnionShards(std::vector<std::vector<uint64_t>> lists,
 // candidate vector.
 std::vector<uint64_t> GenerateCandidates(
     ThreadPool& pool,
-    const std::function<ShardCandidates(size_t)>& shard_fn,
+    const std::function<kernels::ShardCandidates(size_t)>& shard_fn,
     const std::function<bool()>& stop, JoinStats* stats,
     obs::JoinTelemetry* telem) {
   size_t shards = pool.size();
-  std::vector<ShardCandidates> per_shard(shards);
+  std::vector<kernels::ShardCandidates> per_shard(shards);
   obs::Histogram* shard_candidates =
       telem->metrics() != nullptr
           ? &telem->metrics()->histogram("join.shard.candidates")
@@ -361,7 +205,7 @@ std::vector<uint64_t> GenerateCandidates(
   });
   std::vector<std::vector<uint64_t>> lists;
   lists.reserve(shards);
-  for (ShardCandidates& sc : per_shard) {
+  for (kernels::ShardCandidates& sc : per_shard) {
     stats->signature_collisions += sc.collisions;
     lists.push_back(std::move(sc.packed));
   }

@@ -18,12 +18,12 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "core/execution_guard.h"
 #include "core/kernels/bitmap_filter.h"
 #include "core/kernels/intersect.h"
+#include "core/kernels/posting_groups.h"
 #include "core/predicate.h"
 #include "core/signature_scheme.h"
 #include "core/ssjoin.h"
@@ -34,10 +34,6 @@
 #include "util/thread_pool.h"
 
 namespace ssjoin::detail {
-
-// One (signature, set id) occurrence; sorted order groups equal
-// signatures and, within a group, ascends by id.
-using Posting = std::pair<Signature, SetId>;
 
 // Wraps guard->ShouldStop(phase) for the interruptible ParallelFor
 // overload. Empty when no guard is attached, which selects the plain
@@ -58,30 +54,6 @@ void GenerateSorted(const SignatureScheme& scheme,
                     std::span<const ElementId> set,
                     std::vector<Signature>* scratch);
 
-// Shard assignment for candidate generation. All postings of one
-// signature land in one shard, so a signature group never straddles
-// shards: per-shard collision counts sum to exactly the serial total.
-size_t ShardOf(Signature sig, size_t shards);
-
-// One shard's candidate output: packed pairs, sorted and duplicate-free
-// within the shard (a pair can still surface in two shards via two
-// different signatures; UnionShards removes those).
-struct ShardCandidates {
-  std::vector<uint64_t> packed;
-  uint64_t collisions = 0;
-};
-
-// Self-join candidate generation over one shard's sorted postings.
-ShardCandidates SelfJoinShard(const std::vector<Posting>& postings,
-                              size_t reserve,
-                              const std::function<bool()>& stop);
-
-// Binary-join candidate generation: merge-join of the two shard slices.
-ShardCandidates BinaryJoinShard(const std::vector<Posting>& postings_r,
-                                const std::vector<Posting>& postings_s,
-                                size_t reserve,
-                                const std::function<bool()>& stop);
-
 // Unions sorted duplicate-free candidate lists: log2(n) pairwise
 // set_union rounds, the merges of each round running in parallel.
 std::vector<uint64_t> UnionShards(std::vector<std::vector<uint64_t>> lists,
@@ -94,7 +66,7 @@ std::vector<uint64_t> UnionShards(std::vector<std::vector<uint64_t>> lists,
 // candidate vector.
 std::vector<uint64_t> GenerateCandidates(
     ThreadPool& pool,
-    const std::function<ShardCandidates(size_t)>& shard_fn,
+    const std::function<kernels::ShardCandidates(size_t)>& shard_fn,
     const std::function<bool()>& stop, JoinStats* stats,
     obs::JoinTelemetry* telem);
 

@@ -1,6 +1,8 @@
 #include "core/pipeline/bitmap_filter_operator.h"
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "core/driver_internal.h"
 #include "core/execution_guard.h"
@@ -69,22 +71,53 @@ Status BitmapFilterOperator::EnsureReady() {
   return Status::OK();
 }
 
-void BitmapFilterOperator::FilterChunk(CandidateChunk* chunk) {
+BitmapFilterOperator::RangeTally BitmapFilterOperator::FilterRange(
+    std::span<uint64_t> packed) const {
   const SetCollection& r = *ctx_->left;
   const SetCollection& s = ctx_->right != nullptr ? *ctx_->right : *ctx_->left;
   const Predicate& predicate = *ctx_->predicate;
-  size_t kept = 0;
-  for (uint64_t packed : chunk->packed) {
-    auto [id_r, id_s] = UnpackPair(packed);
+  RangeTally tally;
+  for (uint64_t pair : packed) {
+    auto [id_r, id_s] = UnpackPair(pair);
     if (detail::BitmapPrunes(bm_l_, bm_r_, predicate, id_r, id_s,
                              r.set(id_r).size(), s.set(id_s).size(),
-                             &chunk->bitmap_checked,
-                             &chunk->bitmap_pruned)) {
+                             &tally.checked, &tally.pruned)) {
       continue;
     }
-    chunk->packed[kept++] = packed;
+    packed[tally.kept++] = pair;
   }
-  chunk->packed.resize(kept);
+  return tally;
+}
+
+void BitmapFilterOperator::FilterChunk(CandidateChunk* chunk) {
+  std::vector<uint64_t>& packed = chunk->packed;
+  // Deferred: range-parallel over the pool. Eager chunks are one
+  // pipelined barrier group each and stay serial.
+  const size_t ranges = eager_ ? 1 : ctx_->pool->size();
+  std::vector<RangeTally> tallies(ranges);
+  auto filter = [&](size_t begin, size_t end, size_t c) {
+    tallies[c] = FilterRange({packed.data() + begin, end - begin});
+  };
+  if (ranges == 1) {
+    filter(0, packed.size(), 0);
+  } else {
+    ParallelFor(*ctx_->pool, packed.size(), filter);
+  }
+  // Sum the tallies and compact the survivors in range order, so chunk
+  // contents and stats are byte-identical at every thread count.
+  size_t kept = 0;
+  for (size_t c = 0; c < ranges; ++c) {
+    size_t begin = ChunkOf(packed.size(), ranges, c).begin;
+    if (kept != begin) {
+      std::copy(packed.begin() + begin,
+                packed.begin() + begin + tallies[c].kept,
+                packed.begin() + kept);
+    }
+    kept += tallies[c].kept;
+    chunk->bitmap_checked += tallies[c].checked;
+    chunk->bitmap_pruned += tallies[c].pruned;
+  }
+  packed.resize(kept);
 }
 
 Status BitmapFilterOperator::NextBatch(Batch* out) {

@@ -19,11 +19,17 @@
 //
 // Per batch the operator fills chunk.bitmap_checked/bitmap_pruned and
 // compacts chunk.packed to the survivors, preserving candidate order.
+// Deferred chunks are filtered range-parallel over the pool and
+// compacted in range order; eager chunks are filtered serially.
 // It never touches JoinStats: VerifyOperator commits the tallies after
 // the chunk's guard barrier, which is what keeps partial-trip
 // accounting byte-identical to the legacy verify loop.
 
 #pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <span>
 
 #include "core/kernels/bitmap_filter.h"
 #include "core/pipeline/operator.h"
@@ -42,7 +48,16 @@ class BitmapFilterOperator : public Operator {
   void Close() override;
 
  private:
+  // Survivors and bitmap tallies of one contiguous range of a chunk.
+  struct RangeTally {
+    size_t kept = 0;
+    uint64_t checked = 0;
+    uint64_t pruned = 0;
+  };
+
   Status EnsureReady();
+  // Compacts `packed` to its survivors (the first `kept` slots).
+  RangeTally FilterRange(std::span<uint64_t> packed) const;
   void FilterChunk(CandidateChunk* chunk);
 
   bool eager_;

@@ -1,63 +1,16 @@
 #include "core/pipeline/candidate_gen_operator.h"
 
+#include <algorithm>
 #include <functional>
+#include <vector>
 
 #include "core/driver_internal.h"
 #include "core/execution_guard.h"
+#include "core/kernels/posting_groups.h"
 #include "obs/join_telemetry.h"
 #include "util/thread_pool.h"
 
 namespace ssjoin::pipeline {
-namespace {
-
-using detail::Posting;
-
-// Scatters a CSR chunk into per-(producer, shard) posting buckets.
-// Producer c writes only buckets[c * shards + *], so the pass is
-// race-free; shard s later reads buckets[* * shards + s].
-std::vector<std::vector<Posting>> BucketPostings(const SignatureChunk& table,
-                                                 ThreadPool& pool,
-                                                 ExecutionGuard* guard) {
-  size_t shards = pool.size();
-  std::vector<std::vector<Posting>> buckets(shards * shards);
-  size_t num_sets = table.offsets.size() - 1;
-  ParallelFor(
-      pool, num_sets,
-      [&](size_t begin, size_t end, size_t c) {
-        std::vector<Posting>* mine = &buckets[c * shards];
-        for (size_t id = begin; id < end; ++id) {
-          for (size_t i = table.offsets[id]; i < table.offsets[id + 1];
-               ++i) {
-            Signature sig = table.values[i];
-            mine[detail::ShardOf(sig, shards)].emplace_back(
-                sig, static_cast<SetId>(id));
-          }
-        }
-      },
-      detail::StopFn(guard, JoinPhase::kCandGen));
-  return buckets;
-}
-
-// Concatenates shard `shard`'s buckets (in producer order) and sorts,
-// yielding this shard's slice of the sorted posting list.
-std::vector<Posting> ShardPostings(
-    const std::vector<std::vector<Posting>>& buckets, size_t shards,
-    size_t shard) {
-  std::vector<Posting> postings;
-  size_t total = 0;
-  for (size_t p = 0; p < shards; ++p) {
-    total += buckets[p * shards + shard].size();
-  }
-  postings.reserve(total);
-  for (size_t p = 0; p < shards; ++p) {
-    const std::vector<Posting>& bucket = buckets[p * shards + shard];
-    postings.insert(postings.end(), bucket.begin(), bucket.end());
-  }
-  std::sort(postings.begin(), postings.end());
-  return postings;
-}
-
-}  // namespace
 
 Status CandidateGenOperator::Produce(Batch* sigs) {
   ExecutionGuard* guard = ctx_->guard;
@@ -92,33 +45,36 @@ Status CandidateGenOperator::Produce(Batch* sigs) {
     SSJOIN_RETURN_NOT_OK(guard->Checkpoint(JoinPhase::kCandGen));
   }
 
-  size_t shards = pool.size();
   {
     auto scope =
         ctx_->telem->Phase(obs::kPhaseCandPair, &stats.candpair_seconds);
-    size_t reserve = options.table_reserve / shards;
     std::function<bool()> stop = detail::StopFn(guard, JoinPhase::kCandGen);
+    const size_t buckets = kernels::PostingBuckets(
+        std::max(table_l->total(), binary ? table_r->total() : 0),
+        pool.size());
+    // Groups one side's CSR table, then frees it: the grouped postings
+    // are all candidate generation reads from here on.
+    auto group = [&](SignatureChunk* table) {
+      std::vector<kernels::PostingShard> shards = kernels::GroupPostings(
+          table->values, table->offsets, buckets, pool, stop);
+      *table = SignatureChunk();
+      return shards;
+    };
+    std::vector<kernels::PostingShard> shards_l = group(table_l);
     if (!binary) {
-      std::vector<std::vector<Posting>> buckets =
-          BucketPostings(*table_l, pool, guard);
       candidates_ = detail::GenerateCandidates(
           pool,
           [&](size_t shard) {
-            return detail::SelfJoinShard(
-                ShardPostings(buckets, shards, shard), reserve, stop);
+            return kernels::SelfJoinShard(shards_l[shard], stop);
           },
           stop, &stats, ctx_->telem);
     } else {
-      std::vector<std::vector<Posting>> buckets_r =
-          BucketPostings(*table_l, pool, guard);
-      std::vector<std::vector<Posting>> buckets_s =
-          BucketPostings(*table_r, pool, guard);
+      std::vector<kernels::PostingShard> shards_r = group(table_r);
       candidates_ = detail::GenerateCandidates(
           pool,
           [&](size_t shard) {
-            return detail::BinaryJoinShard(
-                ShardPostings(buckets_r, shards, shard),
-                ShardPostings(buckets_s, shards, shard), reserve, stop);
+            return kernels::BinaryJoinShard(shards_l[shard], shards_r[shard],
+                                            stop);
           },
           stop, &stats, ctx_->telem);
     }

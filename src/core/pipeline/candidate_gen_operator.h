@@ -1,14 +1,15 @@
 // CandidateGenOperator: the sorted drivers' candidate-generation phase
 // (DESIGN.md Section 13). Pulls the one kSignatures batch from
-// SigGenOperator, runs the shard/union candidate generation, then
-// streams the sorted packed-candidate vector as 16384-candidate
-// CandidateChunks (the guarded verify super-chunks).
+// SigGenOperator, groups its postings (kernels/posting_groups.h), pairs
+// them up shard by shard and unions the shards, then streams the sorted
+// packed-candidate vector as 16384-candidate CandidateChunks (the
+// guarded verify super-chunks).
 //
 // Phase contract, identical to the legacy drivers, in order: the
 // auto-spill budget check against the CSR table footprint (degrade →
 // free the tables, set ctx->degrade, end the stream cleanly — the guard
 // must not latch); ChargeMemory(table bytes) + the kCandGen checkpoint;
-// the CandPair phase span around bucket/shard/union; tripped → zero the
+// the CandPair phase span around group/pair/union; tripped → zero the
 // partial collision/candidate counters and surface the trip; the
 // "candidates" phase attribute and the candidate-vector memory charge.
 // With verify off the stream ends after the phase — stats are complete

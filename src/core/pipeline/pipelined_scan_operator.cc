@@ -40,7 +40,7 @@ Status PipelinedScanOperator::Barrier() {
   ExecutionGuard* guard = ctx_->guard;
   JoinStats& stats = ctx_->result->stats;
   guard->ChargeMemory((stats.signatures_r - charged_sigs_) *
-                      sizeof(detail::Posting));
+                      sizeof(kernels::Posting));
   charged_sigs_ = stats.signatures_r;
   if (auto_spill_ &&
       guard->memory_charged() > guard->budget().memory_budget_bytes) {
@@ -48,7 +48,7 @@ Status PipelinedScanOperator::Barrier() {
     // latches, and the index charge is handed back by the driver before
     // it delegates to the out-of-core rerun.
     ctx_->degrade = true;
-    ctx_->degrade_release_bytes += charged_sigs_ * sizeof(detail::Posting);
+    ctx_->degrade_release_bytes += charged_sigs_ * sizeof(kernels::Posting);
     return Status::OK();
   }
   SSJOIN_RETURN_NOT_OK(guard->Checkpoint(JoinPhase::kSigGen));
@@ -188,7 +188,7 @@ void PipelinedScanOperator::ParallelBlock(Batch* out) {
           }
           for (auto p = std::lower_bound(block_postings_.begin(),
                                          block_postings_.end(),
-                                         detail::Posting(sig, 0));
+                                         kernels::Posting(sig, 0));
                p != block_postings_.end() && p->first == sig && p->second < id;
                ++p) {
             partners.push_back(p->second);

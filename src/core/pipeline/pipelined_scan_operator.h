@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "core/driver_internal.h"
+#include "core/kernels/posting_groups.h"
 #include "core/pipeline/operator.h"
 
 namespace ssjoin::pipeline {
@@ -69,7 +70,7 @@ class PipelinedScanOperator : public Operator {
   // Block-parallel scratch, reused across blocks.
   std::vector<std::vector<Signature>> block_sigs_;
   std::vector<std::vector<SetId>> block_partners_;
-  std::vector<detail::Posting> block_postings_;
+  std::vector<kernels::Posting> block_postings_;
 };
 
 }  // namespace ssjoin::pipeline

@@ -11,6 +11,7 @@
 #include "core/driver_internal.h"
 #include "core/execution_guard.h"
 #include "core/kernels/intersect.h"
+#include "core/kernels/posting_groups.h"
 #include "core/pipeline/operator.h"
 #include "core/pipeline/plan_builder.h"
 #include "core/spill/spill_file.h"
@@ -26,12 +27,13 @@
 namespace ssjoin::spill {
 namespace {
 
-using detail::Posting;
+using kernels::Posting;
 
 // Partition routing. XORing a fixed seed decorrelates the partition hash
-// from detail::ShardOf's Mix64(sig), so the in-partition shard split
-// stays balanced; routing by the signature alone is what keeps every
-// signature group inside one partition (the exactness invariant).
+// from the grouping's Mix64(sig) (kernels/posting_groups), so the
+// in-partition shard split stays balanced; routing by the signature
+// alone is what keeps every signature group inside one partition (the
+// exactness invariant).
 constexpr uint64_t kPartitionSeed = 0xc3a5c85c97cb3127ull;
 
 // Sets streamed per write-stage chunk. Chunks are the deterministic unit
@@ -200,8 +202,6 @@ Status RunAttempt(const SetCollection& left, const SetCollection* right,
   }
 
   auto scope = telem.Phase(obs::kPhaseCandPair, &stats->candpair_seconds);
-  const size_t shards = pool.size();
-  const size_t reserve = options.table_reserve / shards;
   std::function<bool()> stop = detail::StopFn(guard, JoinPhase::kCandGen);
   std::vector<uint64_t> merged;
   for (uint32_t p = 0; p < partitions; ++p) {
@@ -223,31 +223,27 @@ Status RunAttempt(const SetCollection& left, const SetCollection* right,
       // partition's postings are the peak the budget is checked against.
       SSJOIN_RETURN_NOT_OK(guard->Checkpoint(JoinPhase::kCandGen));
     }
-    // Stable sequential scatter of the (deterministic) file order into
-    // shard slices; each shard sorts its slice on the pool, exactly like
-    // the in-memory ShardPostings pass.
-    std::vector<std::vector<Posting>> shards_l(shards);
-    std::vector<std::vector<Posting>> shards_r(shards);
-    for (const Posting& posting : postings_l) {
-      shards_l[detail::ShardOf(posting.first, shards)].push_back(posting);
-    }
-    for (const Posting& posting : postings_r) {
-      shards_r[detail::ShardOf(posting.first, shards)].push_back(posting);
-    }
-    postings_l.clear();
-    postings_l.shrink_to_fit();
-    postings_r.clear();
-    postings_r.shrink_to_fit();
+    // The in-memory grouping, over the partition's file order; each side
+    // is freed once grouped.
+    const size_t buckets = kernels::PostingBuckets(
+        std::max(postings_l.size(), postings_r.size()), pool.size());
+    auto group = [&](std::vector<Posting>* postings) {
+      std::vector<kernels::PostingShard> shards =
+          kernels::GroupPostings(*postings, buckets, pool, stop);
+      *postings = std::vector<Posting>();
+      return shards;
+    };
+    std::vector<kernels::PostingShard> shards_l = group(&postings_l);
+    std::vector<kernels::PostingShard> shards_r;
+    if (right != nullptr) shards_r = group(&postings_r);
     std::vector<uint64_t> part_candidates = detail::GenerateCandidates(
         pool,
         [&](size_t shard) {
-          std::sort(shards_l[shard].begin(), shards_l[shard].end());
           if (right == nullptr) {
-            return detail::SelfJoinShard(shards_l[shard], reserve, stop);
+            return kernels::SelfJoinShard(shards_l[shard], stop);
           }
-          std::sort(shards_r[shard].begin(), shards_r[shard].end());
-          return detail::BinaryJoinShard(shards_l[shard], shards_r[shard],
-                                         reserve, stop);
+          return kernels::BinaryJoinShard(shards_l[shard], shards_r[shard],
+                                          stop);
         },
         stop, stats, &telem);
     if (guard != nullptr && guard->tripped()) return guard->trip_status();

@@ -95,8 +95,9 @@ struct JoinOptions {
   /// breaker is not evaluated when verification is skipped (its ratio is
   /// candidates per *verified* pair).
   bool verify = true;
-  /// Reserve hint for the candidate containers / signature index
-  /// (0 = derive from input).
+  /// Reserve hint for the pipelined plan's signature index (0 = no
+  /// reserve). The sorted and spilled plans size every candidate
+  /// container exactly and ignore it.
   size_t table_reserve = 0;
   /// Width of the XOR bitmap pre-filter (core/kernels/bitmap_filter.h)
   /// applied between candidate generation and exact verification: 64,

@@ -18,7 +18,6 @@
 
 #include "baselines/identity_scheme.h"
 #include "core/kernels/bitmap_filter.h"
-#include "core/kernels/flat_set.h"
 #include "core/kernels/hash_kernels.h"
 #include "core/kernels/intersect.h"
 #include "core/partenum.h"
@@ -364,49 +363,6 @@ TEST(HashKernels, AddMixedMatchesAdd) {
     }
     ASSERT_EQ(scalar.Finish(), split.Finish());
   }
-}
-
-// ---------------------------------------------------------------------
-// Flat dedup table
-// ---------------------------------------------------------------------
-
-TEST(FlatU64Set, ExtractSortedMatchesSortUnique) {
-  Rng rng(2024);
-  for (int trial = 0; trial < 20; ++trial) {
-    size_t n = rng.Uniform(3000);
-    // Narrow key range forces plenty of duplicates.
-    std::vector<uint64_t> inserted;
-    FlatU64Set table(trial % 2 == 0 ? n / 4 : 0);  // with and without hint
-    for (size_t i = 0; i < n; ++i) {
-      uint64_t key = rng.Uniform(1024) * 7919u;
-      inserted.push_back(key);
-      table.Insert(key);
-    }
-    std::sort(inserted.begin(), inserted.end());
-    inserted.erase(std::unique(inserted.begin(), inserted.end()),
-                   inserted.end());
-    EXPECT_EQ(table.size(), inserted.size());
-    std::vector<uint64_t> extracted = table.ExtractSorted();
-    EXPECT_EQ(extracted, inserted);
-    EXPECT_TRUE(table.empty());  // extraction clears
-  }
-}
-
-TEST(FlatU64Set, InsertReportsNovelty) {
-  FlatU64Set table;
-  EXPECT_TRUE(table.Insert(5));
-  EXPECT_FALSE(table.Insert(5));
-  EXPECT_TRUE(table.Insert(6));
-  EXPECT_TRUE(table.Contains(5));
-  EXPECT_TRUE(table.Contains(6));
-  EXPECT_FALSE(table.Contains(7));
-  EXPECT_EQ(table.size(), 2u);
-}
-
-TEST(FlatU64Set, GrowsPastBadReserve) {
-  FlatU64Set table(4);  // deliberately undersized hint
-  for (uint64_t i = 0; i < 10000; ++i) table.Insert(i * 2654435761u);
-  EXPECT_EQ(table.size(), 10000u);
 }
 
 // ---------------------------------------------------------------------
