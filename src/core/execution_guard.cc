@@ -26,6 +26,11 @@ std::string_view TripReasonName(ExecutionGuard::TripReason reason) {
   return "unknown";
 }
 
+std::function<bool()> StopFn(ExecutionGuard* guard, JoinPhase phase) {
+  if (guard == nullptr) return {};
+  return [guard, phase] { return guard->ShouldStop(phase); };
+}
+
 std::string_view JoinPhaseName(JoinPhase phase) {
   switch (phase) {
     case JoinPhase::kSigGen:

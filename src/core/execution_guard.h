@@ -28,6 +28,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string_view>
@@ -246,6 +247,12 @@ class ExecutionGuard {
 /// "deadline", "memory", "candidate_explosion", "disk") — the token used
 /// in span events and in the guard.trips.* metric names.
 std::string_view TripReasonName(ExecutionGuard::TripReason reason);
+
+/// Wraps guard->ShouldStop(phase) for the interruptible ParallelFor
+/// overload. Empty when no guard is attached, which selects the plain
+/// (single-invocation-per-chunk) ParallelFor — unguarded runs execute the
+/// exact pre-guard code path.
+std::function<bool()> StopFn(ExecutionGuard* guard, JoinPhase phase);
 
 namespace fault {
 

@@ -4,12 +4,48 @@
 #include <string>
 #include <vector>
 
-#include "core/driver_internal.h"
 #include "core/execution_guard.h"
 #include "obs/join_telemetry.h"
 #include "util/thread_pool.h"
 
 namespace ssjoin::pipeline {
+namespace {
+
+// Builds the XOR bitmap signature table for `input` with the rows
+// sharded across the pool. Row contents are per-set independent, so the
+// table is byte-identical for every thread count.
+kernels::BitmapTable BuildBitmap(const SetCollection& input, uint32_t bits,
+                                 ThreadPool& pool) {
+  kernels::BitmapTable table =
+      kernels::BitmapTable::Prepare(input.size(), bits);
+  ParallelFor(pool, input.size(),
+              [&](size_t begin, size_t end, size_t) {
+                table.BuildRange(input, begin, end);
+              });
+  return table;
+}
+
+// Returns true when the pair was pruned (provably non-matching). Pruned
+// pairs count as false positives, so results/false_positives stay
+// byte-identical with the filter on or off.
+inline bool BitmapPrunes(const kernels::BitmapTable* bm_r,
+                         const kernels::BitmapTable* bm_s,
+                         const Predicate& predicate, SetId id_r, SetId id_s,
+                         size_t size_r, size_t size_s, uint64_t* checked,
+                         uint64_t* pruned) {
+  if (bm_r == nullptr) return false;
+  ++*checked;
+  if (kernels::BitmapTable::MayMatch(predicate, bm_r->row(id_r),
+                                     bm_s->row(id_s), bm_r->words_per_set(),
+                                     static_cast<uint32_t>(size_r),
+                                     static_cast<uint32_t>(size_s))) {
+    return false;
+  }
+  ++*pruned;
+  return true;
+}
+
+}  // namespace
 
 BitmapFilterOperator::BitmapFilterOperator(ExecContext* ctx, bool eager)
     : Operator(ctx, "BitmapFilter",
@@ -31,7 +67,7 @@ Status BitmapFilterOperator::Open() {
     bitmap_l_ =
         kernels::BitmapTable::Build(*ctx_->left, ctx_->options->bitmap_bits);
   } else {
-    bitmap_l_ = detail::BuildBitmap(*ctx_->left, ctx_->options->bitmap_bits,
+    bitmap_l_ = BuildBitmap(*ctx_->left, ctx_->options->bitmap_bits,
                                     *ctx_->pool);
   }
   if (guard != nullptr) {
@@ -50,15 +86,15 @@ Status BitmapFilterOperator::EnsureReady() {
   // Deferred discipline: the PostFilter phase opens here — it covers
   // the table build, as the sorted/spilled drivers' phase scope did —
   // and VerifyOperator::Close ends it after the last chunk.
-  ctx_->telem->PhaseBegin(obs::kPhasePostFilter,
+  ctx_->telem->PhaseBegin(kPhasePostFilter,
                           &ctx_->result->stats.postfilter_seconds);
   ctx_->postfilter_phase_open = true;
   ExecutionGuard* guard = ctx_->guard;
   uint32_t bits = ctx_->options->bitmap_bits;
-  bitmap_l_ = detail::BuildBitmap(*ctx_->left, bits, *ctx_->pool);
+  bitmap_l_ = BuildBitmap(*ctx_->left, bits, *ctx_->pool);
   bm_l_ = &bitmap_l_;
   if (ctx_->right != nullptr) {
-    bitmap_r_ = detail::BuildBitmap(*ctx_->right, bits, *ctx_->pool);
+    bitmap_r_ = BuildBitmap(*ctx_->right, bits, *ctx_->pool);
     bm_r_ = &bitmap_r_;
   } else {
     bm_r_ = &bitmap_l_;  // self-shaped: one table serves both sides
@@ -79,7 +115,7 @@ BitmapFilterOperator::RangeTally BitmapFilterOperator::FilterRange(
   RangeTally tally;
   for (uint64_t pair : packed) {
     auto [id_r, id_s] = UnpackPair(pair);
-    if (detail::BitmapPrunes(bm_l_, bm_r_, predicate, id_r, id_s,
+    if (BitmapPrunes(bm_l_, bm_r_, predicate, id_r, id_s,
                              r.set(id_r).size(), s.set(id_s).size(),
                              &tally.checked, &tally.pruned)) {
       continue;

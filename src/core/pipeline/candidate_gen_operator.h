@@ -14,16 +14,34 @@
 // "candidates" phase attribute and the candidate-vector memory charge.
 // With verify off the stream ends after the phase — stats are complete
 // and no chunks flow (the legacy !verify early-return).
+//
+// GenerateCandidates is the pair-up-and-union step itself, shared with
+// the spill layer's per-partition loop (core/spill/spill_join.cc).
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
+#include "core/kernels/posting_groups.h"
 #include "core/pipeline/operator.h"
 
 namespace ssjoin::pipeline {
+
+/// Candidate generation over grouped postings: pairs up every pool shard
+/// (self-join over `shards_l` when `shards_r` is null, otherwise the
+/// binary merge of the two sides), then unions the sorted shard outputs
+/// in log2(shards) pairwise set_union rounds, each round's merges
+/// running in parallel. Adds into stats->signature_collisions, sets
+/// stats->candidates, and returns the global sorted duplicate-free
+/// candidate vector.
+std::vector<uint64_t> GenerateCandidates(
+    const std::vector<kernels::PostingShard>& shards_l,
+    const std::vector<kernels::PostingShard>* shards_r, ThreadPool& pool,
+    const std::function<bool()>& stop, JoinStats* stats,
+    obs::JoinTelemetry* telem);
 
 class CandidateGenOperator : public Operator {
  public:

@@ -2,11 +2,10 @@
 // Section 13).
 //
 // Every execution mode is a Plan: a linear chain of Operators pulled
-// sink-first (Volcano style, one Batch at a time). The three drivers in
-// core/ssjoin.cc and the spill driver reduce to plan builders
-// (core/pipeline/plan_builder.h); the phase logic they used to inline —
-// guard checkpoints, telemetry spans, stats commits — lives in exactly
-// one operator each.
+// sink-first (Volcano style, one Batch at a time). The one driver in
+// core/ssjoin.cc builds the chain (core/pipeline/plan_builder.h) and
+// runs it; the phase logic — guard checkpoints, telemetry spans, stats
+// commits — lives in exactly one operator each.
 //
 // Cross-cutting concerns attach ONCE here at the base:
 //
@@ -65,7 +64,6 @@ struct ExecContext {
   const SetCollection* right = nullptr;
   const SignatureScheme* scheme = nullptr;
   const Predicate* predicate = nullptr;
-  ExecutionMode mode = ExecutionMode::kSelfJoin;
   /// Spill policy already resolved (never SpillPolicy::kDefault).
   const JoinOptions* options = nullptr;
   ThreadPool* pool = nullptr;
@@ -74,11 +72,11 @@ struct ExecContext {
   JoinResult* result = nullptr;
 
   /// Set by an operator when the auto-spill budget check fires: the
-  /// chain winds down cleanly (no guard latch) and the driver delegates
-  /// to the out-of-core path.
+  /// chain winds down cleanly (no guard latch) and the driver reruns
+  /// with a spilled plan.
   bool degrade = false;
   /// Guard memory the degraded chain still holds charged; the driver
-  /// releases it before delegating (the spilled join accounts its own
+  /// releases it before the rerun (the spilled run accounts its own
   /// footprint from zero).
   size_t degrade_release_bytes = 0;
   /// True once the manual PostFilter phase is open (the phase spans

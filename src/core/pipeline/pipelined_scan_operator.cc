@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/execution_guard.h"
+#include "core/signature_scheme.h"
 #include "obs/join_telemetry.h"
 #include "obs/metrics.h"
 #include "util/thread_pool.h"
@@ -22,7 +23,6 @@ Status PipelinedScanOperator::Open() {
   ExecutionGuard* guard = ctx_->guard;
   auto_spill_ = options.spill.policy == SpillPolicy::kAuto &&
                 guard != nullptr && guard->budget().memory_budget_bytes > 0;
-  if (options.table_reserve > 0) index_.reserve(options.table_reserve);
   if (!serial_ && options.metrics != nullptr) {
     block_micros_ = &options.metrics->histogram("join.pipeline.block_micros");
   }
@@ -97,7 +97,7 @@ void PipelinedScanOperator::SerialGroup(Batch* out) {
   for (SetId id = next_; id < end; ++id) {
     {
       auto scope = telem.Time(&stats.siggen_seconds);
-      detail::GenerateSorted(scheme, input.set(id), &sigs_);
+      GenerateSorted(scheme, input.set(id), &sigs_);
       stats.signatures_r += sigs_.size();
     }
     {
@@ -154,8 +154,8 @@ void PipelinedScanOperator::ParallelBlock(Batch* out) {
     ParallelFor(pool, n, [&](size_t begin, size_t end, size_t c) {
       uint64_t count = 0;
       for (size_t i = begin; i < end; ++i) {
-        detail::GenerateSorted(scheme, input.set(static_cast<SetId>(b0 + i)),
-                               &block_sigs_[i]);
+        GenerateSorted(scheme, input.set(static_cast<SetId>(b0 + i)),
+                       &block_sigs_[i]);
         count += block_sigs_[i].size();
       }
       counts[c] = count;
@@ -228,6 +228,12 @@ void PipelinedScanOperator::ParallelBlock(Batch* out) {
   next_ = static_cast<SetId>(b1);
 }
 
-void PipelinedScanOperator::Close() { Operator::Close(); }
+void PipelinedScanOperator::Close() {
+  // Self-join: the right side's signatures are the left side's. Close
+  // runs on every exit path, so partial-trip stats carry it too.
+  JoinStats& stats = ctx_->result->stats;
+  stats.signatures_s = stats.signatures_r;
+  Operator::Close();
+}
 
 }  // namespace ssjoin::pipeline

@@ -36,7 +36,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/driver_internal.h"
 #include "core/kernels/posting_groups.h"
 #include "core/pipeline/operator.h"
 

@@ -1,8 +1,7 @@
-// Plan builders: the three execution modes expressed as operator chains
-// (DESIGN.md Section 13). The drivers in core/ssjoin.cc and the spill
-// entry points build one of these and call Plan::Run; everything the
-// modes share — guard protocol, telemetry discipline, explain plan
-// recording — lives in the operators, once.
+// The plan builder: every execution mode as one operator chain (DESIGN.md
+// Section 13). The driver in core/ssjoin.cc builds the chain and calls
+// Plan::Run; everything the modes share — guard protocol, telemetry
+// discipline, explain plan recording — lives in the operators, once.
 //
 //   Sorted     SigGen -> CandidateGen [-> BitmapFilter -> Verify]
 //              -> DedupEmit
@@ -20,8 +19,9 @@
 
 namespace ssjoin::pipeline {
 
-void BuildSortedPlan(Plan* plan, ExecContext* ctx);
-void BuildPipelinedPlan(Plan* plan, ExecContext* ctx);
-void BuildSpillPlan(Plan* plan, ExecContext* ctx);
+/// Appends the chain for `mode` to `plan`: the spilled chain when
+/// `spill` (any mode — the self-join modes share one output contract),
+/// otherwise the mode's in-memory chain.
+void BuildPlan(Plan* plan, ExecContext* ctx, ExecutionMode mode, bool spill);
 
 }  // namespace ssjoin::pipeline

@@ -2,8 +2,8 @@
 
 #include <vector>
 
-#include "core/driver_internal.h"
 #include "core/execution_guard.h"
+#include "core/signature_scheme.h"
 #include "obs/join_telemetry.h"
 #include "util/thread_pool.h"
 
@@ -29,7 +29,7 @@ SignatureChunk GenerateAll(const SetCollection& input,
           guard->ShouldStop(JoinPhase::kSigGen)) {
         break;
       }
-      detail::GenerateSorted(scheme, input.set(id), &scratch);
+      GenerateSorted(scheme, input.set(id), &scratch);
       table.values.insert(table.values.end(), scratch.begin(),
                           scratch.end());
       table.offsets.push_back(table.values.size());
@@ -47,14 +47,13 @@ SignatureChunk GenerateAll(const SetCollection& input,
         if (part.offsets.empty()) part.offsets.push_back(0);
         std::vector<Signature> scratch;
         for (size_t id = begin; id < end; ++id) {
-          detail::GenerateSorted(scheme, input.set(static_cast<SetId>(id)),
-                                 &scratch);
+          GenerateSorted(scheme, input.set(static_cast<SetId>(id)), &scratch);
           part.values.insert(part.values.end(), scratch.begin(),
                              scratch.end());
           part.offsets.push_back(part.values.size());
         }
       },
-      detail::StopFn(guard, JoinPhase::kSigGen));
+      StopFn(guard, JoinPhase::kSigGen));
 
   SignatureChunk table;
   size_t total = 0;
@@ -86,7 +85,7 @@ Status SigGenOperator::NextBatch(Batch* out) {
   const bool binary = ctx_->right != nullptr;
   {
     auto scope =
-        ctx_->telem->Phase(obs::kPhaseSigGen, &stats.siggen_seconds);
+        ctx_->telem->Phase(kPhaseSigGen, &stats.siggen_seconds);
     left_ = GenerateAll(*ctx_->left, *ctx_->scheme, *ctx_->pool, guard);
     if (binary && (guard == nullptr || !guard->tripped())) {
       right_ = GenerateAll(*ctx_->right, *ctx_->scheme, *ctx_->pool, guard);

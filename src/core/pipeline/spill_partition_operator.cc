@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/execution_guard.h"
-#include "core/spill/spill_internal.h"
 #include "core/spill/spill_join.h"
 #include "obs/join_telemetry.h"
 #include "obs/log.h"
@@ -27,7 +26,7 @@ Status SpillPartitionOperator::Produce() {
   while (true) {
     JoinStats attempt;
     std::vector<uint64_t> attempt_candidates;
-    Status st = spill::internal::RunAttempt(
+    Status st = spill::RunAttempt(
         *ctx_->left, ctx_->right, *ctx_->scheme, options, partitions,
         *ctx_->pool, guard, *ctx_->telem, &attempt, &attempt_candidates);
     // Phase seconds and I/O bytes accumulate across attempts — failed

@@ -1,12 +1,11 @@
 // SpillPartitionOperator: source for the out-of-core execution path
 // (DESIGN.md Sections 12 and 13). Wraps the spill layer's retry loop —
 // each attempt writes both sides into partition files and merges
-// per-partition candidate generation (spill::internal::RunAttempt),
+// per-partition candidate generation (spill::RunAttempt),
 // halving the partition count after a transient I/O failure — and then
 // streams the merged, globally sorted candidate vector out in verify
 // super-chunks. Guard trips are final; exhausted retries surrender with
-// the completed-signature counts but no candidate accounting, exactly
-// like the legacy spilled driver.
+// the completed-signature counts but no candidate accounting.
 
 #pragma once
 

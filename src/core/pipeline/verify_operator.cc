@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "core/driver_internal.h"
 #include "core/execution_guard.h"
 #include "obs/join_telemetry.h"
 #include "util/thread_pool.h"
@@ -103,7 +102,7 @@ Status VerifyOperator::NextBatch(Batch* out) {
     // Bitmap off: no BitmapFilterOperator preceded this operator, so
     // the PostFilter phase opens here (the sorted/spilled drivers open
     // it around verification regardless of the bitmap setting).
-    ctx_->telem->PhaseBegin(obs::kPhasePostFilter,
+    ctx_->telem->PhaseBegin(kPhasePostFilter,
                             &ctx_->result->stats.postfilter_seconds);
     ctx_->postfilter_phase_open = true;
   }

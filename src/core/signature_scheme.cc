@@ -1,5 +1,6 @@
 #include "core/signature_scheme.h"
 
+#include <algorithm>
 #include <span>
 
 #include "core/kernels/hash_kernels.h"
@@ -7,6 +8,16 @@
 #include "util/hashing.h"
 
 namespace ssjoin {
+
+void GenerateSorted(const SignatureScheme& scheme,
+                    std::span<const ElementId> set,
+                    std::vector<Signature>* scratch) {
+  scratch->clear();
+  scheme.Generate(set, scratch);
+  std::sort(scratch->begin(), scratch->end());
+  scratch->erase(std::unique(scratch->begin(), scratch->end()),
+                 scratch->end());
+}
 
 void NarrowedScheme::Generate(std::span<const ElementId> set,
                               std::vector<Signature>* out) const {

@@ -57,6 +57,12 @@ class SignatureScheme {
 
 using SignatureSchemePtr = std::shared_ptr<const SignatureScheme>;
 
+/// Replaces *scratch with the deduplicated, sorted Sign(set) — the form
+/// the join operators and the spill writer consume.
+void GenerateSorted(const SignatureScheme& scheme,
+                    std::span<const ElementId> set,
+                    std::vector<Signature>* scratch);
+
 /// \brief Wrapper narrowing another scheme's signatures to `bits` bits.
 ///
 /// The paper hashes signatures "into 4 byte values" (Section 4.2) and

@@ -34,8 +34,8 @@
 
 namespace ssjoin::spill {
 
-/// One (signature, set id) occurrence — layout-compatible with the
-/// driver-internal posting type (core/driver_internal.h).
+/// One (signature, set id) occurrence — the same type as
+/// kernels::Posting (core/kernels/posting_groups.h).
 using SpillPosting = std::pair<Signature, SetId>;
 
 /// Bytes of one serialized posting record (u64 + u32, packed).

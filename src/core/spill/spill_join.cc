@@ -8,17 +8,11 @@
 #include <string_view>
 #include <vector>
 
-#include "core/driver_internal.h"
 #include "core/execution_guard.h"
-#include "core/kernels/intersect.h"
 #include "core/kernels/posting_groups.h"
-#include "core/pipeline/operator.h"
-#include "core/pipeline/plan_builder.h"
+#include "core/pipeline/candidate_gen_operator.h"
 #include "core/spill/spill_file.h"
-#include "core/spill/spill_internal.h"
-#include "obs/explain.h"
 #include "obs/join_telemetry.h"
-#include "obs/log.h"
 #include "util/hashing.h"
 #include "util/status.h"
 #include "util/temp_dir.h"
@@ -126,11 +120,11 @@ Status WriteSide(const SetCollection& input, const SignatureScheme& scheme,
         pool, c1 - c0,
         [&](size_t begin, size_t end, size_t) {
           for (size_t i = begin; i < end; ++i) {
-            detail::GenerateSorted(
-                scheme, input.set(static_cast<SetId>(c0 + i)), &sigs[i]);
+            GenerateSorted(scheme, input.set(static_cast<SetId>(c0 + i)),
+                           &sigs[i]);
           }
         },
-        detail::StopFn(guard, JoinPhase::kSigGen));
+        StopFn(guard, JoinPhase::kSigGen));
     if (guard != nullptr && guard->tripped()) return guard->trip_status();
     for (size_t i = 0; i < sigs.size(); ++i) {
       *signatures += sigs[i].size();
@@ -150,15 +144,6 @@ Status WriteSide(const SetCollection& input, const SignatureScheme& scheme,
 
 }  // namespace
 
-namespace internal {
-
-// One spill attempt at a fixed partition count: write both sides, then
-// run candidate generation partition by partition and merge. Fills
-// `stats` (phase seconds, signature/collision/candidate counters, spill
-// byte counters — always, so failed attempts still account their I/O)
-// and `*candidates` (only valid on OK). The attempt's temp directory and
-// guard charges are released on every path; the merged candidate vector
-// is the only thing that escapes.
 Status RunAttempt(const SetCollection& left, const SetCollection* right,
                   const SignatureScheme& scheme, const JoinOptions& options,
                   uint32_t partitions, ThreadPool& pool,
@@ -174,7 +159,7 @@ Status RunAttempt(const SetCollection& left, const SetCollection* right,
   uint64_t signatures_l = 0;
   uint64_t signatures_r = 0;
   {
-    auto scope = telem.Phase(obs::kPhaseSigGen, &stats->siggen_seconds);
+    auto scope = telem.Phase(kPhaseSigGen, &stats->siggen_seconds);
     write_status = WriteSide(left, scheme, pool, guard, &ledger, partitions,
                              tmp, "part-r-", &writers_l, &signatures_l);
     if (write_status.ok() && right != nullptr) {
@@ -201,8 +186,8 @@ Status RunAttempt(const SetCollection& left, const SetCollection* right,
     SSJOIN_RETURN_NOT_OK(guard->Checkpoint(JoinPhase::kCandGen));
   }
 
-  auto scope = telem.Phase(obs::kPhaseCandPair, &stats->candpair_seconds);
-  std::function<bool()> stop = detail::StopFn(guard, JoinPhase::kCandGen);
+  auto scope = telem.Phase(kPhaseCandPair, &stats->candpair_seconds);
+  std::function<bool()> stop = StopFn(guard, JoinPhase::kCandGen);
   std::vector<uint64_t> merged;
   for (uint32_t p = 0; p < partitions; ++p) {
     std::vector<Posting> postings_l;
@@ -236,16 +221,9 @@ Status RunAttempt(const SetCollection& left, const SetCollection* right,
     std::vector<kernels::PostingShard> shards_l = group(&postings_l);
     std::vector<kernels::PostingShard> shards_r;
     if (right != nullptr) shards_r = group(&postings_r);
-    std::vector<uint64_t> part_candidates = detail::GenerateCandidates(
-        pool,
-        [&](size_t shard) {
-          if (right == nullptr) {
-            return kernels::SelfJoinShard(shards_l[shard], stop);
-          }
-          return kernels::BinaryJoinShard(shards_l[shard], shards_r[shard],
-                                          stop);
-        },
-        stop, stats, &telem);
+    std::vector<uint64_t> part_candidates = pipeline::GenerateCandidates(
+        shards_l, right != nullptr ? &shards_r : nullptr, pool, stop, stats,
+        &telem);
     if (guard != nullptr && guard->tripped()) return guard->trip_status();
     if (merged.empty()) {
       merged = std::move(part_candidates);
@@ -266,81 +244,6 @@ Status RunAttempt(const SetCollection& left, const SetCollection* right,
   return Status::OK();
 }
 
-}  // namespace internal
-
-namespace {
-
-// The shared driver behind both public entry points: the spilled
-// operator chain (SpillPartition owns the retry loop around
-// internal::RunAttempt, the verify tail is the standard one).
-JoinResult SpilledJoin(const SetCollection& left, const SetCollection* right,
-                       const SignatureScheme& scheme,
-                       const Predicate& predicate, const JoinOptions& options,
-                       ExecutionMode mode, bool forced) {
-  JoinResult result;
-  obs::JoinTelemetry telem(options.tracer, options.metrics, "join");
-  telem.Attr("mode", ExecutionModeName(mode));
-  if (right != nullptr) {
-    telem.Attr("input_sets_r", static_cast<uint64_t>(left.size()));
-    telem.Attr("input_sets_s", static_cast<uint64_t>(right->size()));
-  } else {
-    telem.Attr("input_sets", static_cast<uint64_t>(left.size()));
-  }
-  telem.Attr("spill", forced ? "forced" : "auto");
-  obs::LogEvent(options.log, obs::LogLevel::kDebug, "join_start",
-                {{"mode", ExecutionModeName(mode)},
-                 {"spill", forced ? "forced" : "auto"},
-                 {"input_sets",
-                  static_cast<uint64_t>(
-                      left.size() + (right != nullptr ? right->size() : 0))}});
-  ThreadPool pool(ResolveThreadCount(options.num_threads));
-  pool.BindMetrics(options.metrics);
-  ExecutionGuard* guard = options.guard;
-  if (guard != nullptr) guard->BindMetrics(options.metrics);
-  kernels::IntersectCounts isect0 = kernels::IntersectDispatchCounts();
-
-  uint32_t partitions = options.spill.partitions != 0
-                            ? options.spill.partitions
-                            : kDefaultPartitions;
-  if (obs::ExplainReport* ex = options.explain) {
-    ex->SetParam("spill", forced ? "forced" : "auto");
-    ex->SetParam("spill_partitions", std::to_string(partitions));
-  }
-
-  pipeline::ExecContext ctx;
-  ctx.left = &left;
-  ctx.right = right;
-  ctx.scheme = &scheme;
-  ctx.predicate = &predicate;
-  ctx.mode = mode;
-  ctx.options = &options;
-  ctx.pool = &pool;
-  ctx.guard = guard;
-  ctx.telem = &telem;
-  ctx.result = &result;
-  pipeline::Plan plan(&ctx);
-  pipeline::BuildSpillPlan(&plan, &ctx);
-  Status st = plan.Run();
-  if (!st.ok()) {
-    result.pairs.clear();
-    result.status = std::move(st);
-    detail::FinishJoin(telem, result, guard, options.explain, isect0);
-    obs::LogEvent(options.log, obs::LogLevel::kWarn, "join_abort",
-                  {{"error", result.status.ToString()}});
-    return result;
-  }
-
-  detail::FinishJoin(telem, result, guard, options.explain, isect0);
-  obs::LogEvent(options.log, obs::LogLevel::kInfo, "join_finish",
-                {{"results", result.stats.results},
-                 {"candidates", result.stats.candidates},
-                 {"spill_partitions", result.stats.spill_partitions},
-                 {"spill_retries", result.stats.spill_retries}});
-  return result;
-}
-
-}  // namespace
-
 SpillPolicy ResolvePolicy(SpillPolicy requested) {
   if (requested != SpillPolicy::kDefault) return requested;
   const char* env = std::getenv("SSJOIN_SPILL");
@@ -349,23 +252,6 @@ SpillPolicy ResolvePolicy(SpillPolicy requested) {
   if (value == "auto") return SpillPolicy::kAuto;
   if (value == "force") return SpillPolicy::kForced;
   return SpillPolicy::kDisabled;
-}
-
-JoinResult SpilledSelfJoin(const SetCollection& input,
-                           const SignatureScheme& scheme,
-                           const Predicate& predicate,
-                           const JoinOptions& options, ExecutionMode mode,
-                           bool forced) {
-  return SpilledJoin(input, nullptr, scheme, predicate, options, mode,
-                     forced);
-}
-
-JoinResult SpilledBinaryJoin(const SetCollection& r, const SetCollection& s,
-                             const SignatureScheme& scheme,
-                             const Predicate& predicate,
-                             const JoinOptions& options, bool forced) {
-  return SpilledJoin(r, &s, scheme, predicate, options,
-                     ExecutionMode::kBinaryJoin, forced);
 }
 
 }  // namespace ssjoin::spill

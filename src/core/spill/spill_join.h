@@ -1,11 +1,14 @@
 // Out-of-core execution of the Figure-2 driver (DESIGN.md Section 12).
 //
 // When memory pressure would trip the guard — or the spill policy forces
-// it — the driver degrades instead of failing: signature generation
-// streams its postings into K hash-partitioned, checksummed spill files
+// it — Join() degrades instead of failing: the one driver in
+// core/ssjoin.cc builds a plan whose source is SpillPartitionOperator,
+// which calls RunAttempt below. Signature generation streams its
+// postings into K hash-partitioned, checksummed spill files
 // (core/spill/spill_file.h), and candidate generation runs one partition
-// at a time, each through the *same* shard/union/verify building blocks
-// as the in-memory path (core/driver_internal.h).
+// at a time, each through the *same* grouping and pair-up-and-union
+// routine as the in-memory path (pipeline::GenerateCandidates); the
+// verify tail is the in-memory one.
 //
 // The partitioning invariant that makes this exact: postings are routed
 // by a hash of the signature alone, so every signature group lands
@@ -26,10 +29,16 @@
 
 #pragma once
 
-#include "core/predicate.h"
+#include <cstdint>
+#include <vector>
+
+#include "core/execution_guard.h"
 #include "core/signature_scheme.h"
 #include "core/ssjoin.h"
 #include "data/collection.h"
+#include "obs/join_telemetry.h"
+#include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace ssjoin::spill {
 
@@ -42,20 +51,19 @@ inline constexpr uint32_t kDefaultPartitions = 8;
 /// pin kDisabled escape a CI-wide force.
 SpillPolicy ResolvePolicy(SpillPolicy requested);
 
-/// Out-of-core self-join. `mode` is the requested execution mode (the
-/// sorted and pipelined self-joins share one output contract, so both
-/// degrade here); `forced` records whether the spill was policy-forced
-/// or an auto degradation, for telemetry only.
-JoinResult SpilledSelfJoin(const SetCollection& input,
-                           const SignatureScheme& scheme,
-                           const Predicate& predicate,
-                           const JoinOptions& options, ExecutionMode mode,
-                           bool forced);
-
-/// Out-of-core binary join between R and S.
-JoinResult SpilledBinaryJoin(const SetCollection& r, const SetCollection& s,
-                             const SignatureScheme& scheme,
-                             const Predicate& predicate,
-                             const JoinOptions& options, bool forced);
+/// One spill attempt at a fixed partition count: write both sides
+/// (`right` null selects the self-join) into partition files, then run
+/// candidate generation partition by partition and merge. Fills `stats`
+/// (phase seconds, signature/collision/candidate counters, spill byte
+/// counters — always, so failed attempts still account their I/O) and
+/// `*candidates` (only valid on OK). The attempt's temp directory and
+/// guard charges are released on every path; the merged candidate
+/// vector is the only thing that escapes. SpillPartitionOperator drives
+/// the retry loop around this.
+Status RunAttempt(const SetCollection& left, const SetCollection* right,
+                  const SignatureScheme& scheme, const JoinOptions& options,
+                  uint32_t partitions, ThreadPool& pool, ExecutionGuard* guard,
+                  obs::JoinTelemetry& telem, JoinStats* stats,
+                  std::vector<uint64_t>* candidates);
 
 }  // namespace ssjoin::spill

@@ -19,9 +19,7 @@
 // the inputs, the scheme/predicate pair, the ExecutionMode (sorted
 // binary, sorted self, pipelined self) and the JoinOptions — including
 // the observability sinks (obs::Tracer / obs::MetricsRegistry) every
-// execution path publishes into. The historical per-mode entry points
-// (SignatureJoin / SignatureSelfJoin / PipelinedSelfJoin) remain as thin
-// wrappers over Join() for source compatibility.
+// execution path publishes into.
 
 #pragma once
 
@@ -95,10 +93,6 @@ struct JoinOptions {
   /// breaker is not evaluated when verification is skipped (its ratio is
   /// candidates per *verified* pair).
   bool verify = true;
-  /// Reserve hint for the pipelined plan's signature index (0 = no
-  /// reserve). The sorted and spilled plans size every candidate
-  /// container exactly and ignore it.
-  size_t table_reserve = 0;
   /// Width of the XOR bitmap pre-filter (core/kernels/bitmap_filter.h)
   /// applied between candidate generation and exact verification: 64,
   /// 128 (default) or 256 bits per set, 0 disables the filter. The
@@ -292,55 +286,11 @@ JoinRequest BinaryJoinRequest(const SetCollection& r, const SetCollection& s,
                               const Predicate& predicate,
                               JoinOptions options = {});
 
-/// The unified driver facade: validates `request` and dispatches to the
-/// execution mode. Every join in the library funnels through here — the
-/// legacy entry points below are wrappers — so guardrails and
-/// observability attach uniformly. An invalid request (missing inputs,
-/// right side on a self-join, ...) returns a JoinResult whose status is
-/// InvalidArgument and whose pairs/stats are empty.
+/// The unified driver facade: validates `request` and runs it through
+/// the one driver. Every join in the library funnels through here, so
+/// guardrails and observability attach uniformly. An invalid request
+/// (missing inputs, right side on a self-join, ...) returns a JoinResult
+/// whose status is InvalidArgument and whose pairs/stats are empty.
 JoinResult Join(const JoinRequest& request);
-
-// The legacy per-mode entry points below are deprecated: new code builds
-// a JoinRequest (SelfJoinRequest / BinaryJoinRequest) and calls Join().
-// Defining SSJOIN_ALLOW_LEGACY_API before including this header keeps
-// them callable without warnings — the escape hatch for out-of-tree
-// callers mid-migration (in-tree, only the legacy-API canary test uses
-// it).
-#if defined(SSJOIN_ALLOW_LEGACY_API)
-#define SSJOIN_DEPRECATED_API
-#else
-#define SSJOIN_DEPRECATED_API                                       \
-  [[deprecated(                                                     \
-      "build a JoinRequest and call Join(); define "                \
-      "SSJOIN_ALLOW_LEGACY_API to silence this during migration")]]
-#endif
-
-/// Binary SSJoin between collections R and S (Figure 2).
-/// Deprecated compatibility wrapper over Join() with
-/// ExecutionMode::kBinaryJoin; use BinaryJoinRequest + Join().
-SSJOIN_DEPRECATED_API
-JoinResult SignatureJoin(const SetCollection& r, const SetCollection& s,
-                         const SignatureScheme& scheme,
-                         const Predicate& predicate,
-                         const JoinOptions& options = {});
-
-/// Self-SSJoin over one collection; output pairs have first < second.
-/// Deprecated compatibility wrapper over Join() with
-/// ExecutionMode::kSelfJoin; use SelfJoinRequest + Join().
-SSJOIN_DEPRECATED_API
-JoinResult SignatureSelfJoin(const SetCollection& input,
-                             const SignatureScheme& scheme,
-                             const Predicate& predicate,
-                             const JoinOptions& options = {});
-
-/// Pipelined self-SSJoin (see ExecutionMode::kPipelinedSelfJoin).
-/// Deprecated compatibility wrapper over Join() with that mode; use
-/// SelfJoinRequest, set mode = ExecutionMode::kPipelinedSelfJoin, and
-/// call Join().
-SSJOIN_DEPRECATED_API
-JoinResult PipelinedSelfJoin(const SetCollection& input,
-                             const SignatureScheme& scheme,
-                             const Predicate& predicate,
-                             const JoinOptions& options = {});
 
 }  // namespace ssjoin

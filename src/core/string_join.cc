@@ -106,7 +106,7 @@ Result<JoinResult> StringSimilaritySelfJoin(
   std::vector<std::pair<Signature, SetId>> postings;
   {
     auto scope =
-        telem.Phase(obs::kPhaseSigGen, &result.stats.siggen_seconds);
+        telem.Phase(kPhaseSigGen, &result.stats.siggen_seconds);
     postings = BuildPostings(bags, *scheme, &result.stats.signatures_r);
     result.stats.signatures_s = result.stats.signatures_r;
   }
@@ -114,7 +114,7 @@ Result<JoinResult> StringSimilaritySelfJoin(
   std::unordered_set<uint64_t> candidates;
   {
     auto scope =
-        telem.Phase(obs::kPhaseCandPair, &result.stats.candpair_seconds);
+        telem.Phase(kPhaseCandPair, &result.stats.candpair_seconds);
     size_t i = 0;
     while (i < postings.size()) {
       size_t j = i;
@@ -136,7 +136,7 @@ Result<JoinResult> StringSimilaritySelfJoin(
   }
 
   {
-    auto scope = telem.Phase(obs::kPhasePostFilter,
+    auto scope = telem.Phase(kPhasePostFilter,
                              &result.stats.postfilter_seconds);
     for (uint64_t packed : candidates) {
       auto [a, b] = UnpackPair(packed);
@@ -186,7 +186,7 @@ Result<JoinResult> StringSimilarityJoin(
   std::vector<std::pair<Signature, SetId>> postings_r, postings_s;
   {
     auto scope =
-        telem.Phase(obs::kPhaseSigGen, &result.stats.siggen_seconds);
+        telem.Phase(kPhaseSigGen, &result.stats.siggen_seconds);
     postings_r =
         BuildPostings(r_bags, *scheme, &result.stats.signatures_r);
     postings_s =
@@ -196,7 +196,7 @@ Result<JoinResult> StringSimilarityJoin(
   std::unordered_set<uint64_t> candidates;
   {
     auto scope =
-        telem.Phase(obs::kPhaseCandPair, &result.stats.candpair_seconds);
+        telem.Phase(kPhaseCandPair, &result.stats.candpair_seconds);
     size_t i = 0, j = 0;
     while (i < postings_r.size() && j < postings_s.size()) {
       Signature sig_r = postings_r[i].first;
@@ -225,7 +225,7 @@ Result<JoinResult> StringSimilarityJoin(
   }
 
   {
-    auto scope = telem.Phase(obs::kPhasePostFilter,
+    auto scope = telem.Phase(kPhasePostFilter,
                              &result.stats.postfilter_seconds);
     for (uint64_t packed : candidates) {
       auto [a, b] = UnpackPair(packed);

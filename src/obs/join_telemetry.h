@@ -43,13 +43,6 @@
 
 namespace ssjoin::obs {
 
-// Canonical phase-span names (the paper's Figure 2 steps). These mirror
-// util/timer.h's kPhase* constants, which remain for the modules that
-// still use PhaseTimer directly (baselines, util tests).
-inline constexpr std::string_view kPhaseSigGen = "SigGen";
-inline constexpr std::string_view kPhaseCandPair = "CandPair";
-inline constexpr std::string_view kPhasePostFilter = "PostFilter";
-
 class JoinTelemetry {
  public:
   /// Either sink may be null. `root_name` names the root span (the

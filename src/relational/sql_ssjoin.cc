@@ -184,7 +184,7 @@ Result<DbmsJoinResult> DbmsSelfJoin(const SetCollection& input,
   Table signature, cand;
   {
     auto scope =
-        telem.Phase(obs::kPhaseSigGen, &result.stats.siggen_seconds);
+        telem.Phase(kPhaseSigGen, &result.stats.siggen_seconds);
     signature = BuildSignatureTable(input, scheme, &result.stats);
   }
   result.explain.AddOp(
@@ -199,7 +199,7 @@ Result<DbmsJoinResult> DbmsSelfJoin(const SetCollection& input,
   }
   {
     auto scope =
-        telem.Phase(obs::kPhaseCandPair, &result.stats.candpair_seconds);
+        telem.Phase(kPhaseCandPair, &result.stats.candpair_seconds);
     SSJOIN_ASSIGN_OR_RETURN(
         cand, BuildCandPair(signature, &result.stats, &result.explain));
   }
@@ -216,7 +216,7 @@ Result<DbmsJoinResult> DbmsSelfJoin(const SetCollection& input,
   Table output(Schema{{"id1", ValueType::kInt64},
                       {"id2", ValueType::kInt64}});
   {
-    auto scope = telem.Phase(obs::kPhasePostFilter,
+    auto scope = telem.Phase(kPhasePostFilter,
                              &result.stats.postfilter_seconds);
     // CandPairIntersect(id1, id2, isize):
     //   Select C.id1, C.id2, Count(*) From CandPair C, Set S1, Set S2
@@ -326,7 +326,7 @@ Result<DbmsJoinResult> DbmsStringEditSelfJoin(
   Table signature, cand;
   {
     auto scope =
-        telem.Phase(obs::kPhaseSigGen, &result.stats.siggen_seconds);
+        telem.Phase(kPhaseSigGen, &result.stats.siggen_seconds);
     QgramExtractor extractor(QgramOptions{.q = q});
     SetCollectionBuilder builder;
     for (const std::string& s : strings) {
@@ -348,7 +348,7 @@ Result<DbmsJoinResult> DbmsStringEditSelfJoin(
   }
   {
     auto scope =
-        telem.Phase(obs::kPhaseCandPair, &result.stats.candpair_seconds);
+        telem.Phase(kPhaseCandPair, &result.stats.candpair_seconds);
     SSJOIN_ASSIGN_OR_RETURN(
         cand, BuildCandPair(signature, &result.stats, &result.explain));
   }
@@ -365,7 +365,7 @@ Result<DbmsJoinResult> DbmsStringEditSelfJoin(
     // Output: retrieve strings by id and check EDIT(s1, s2) <= k in
     // application code (Figure 17). No SSJoin-level hamming post-filter,
     // as the paper found it not to improve overall performance.
-    auto scope = telem.Phase(obs::kPhasePostFilter,
+    auto scope = telem.Phase(kPhasePostFilter,
                              &result.stats.postfilter_seconds);
     for (size_t i = 0; i < cand.num_rows(); ++i) {
       int64_t a = GetInt64(cand.row(i), 0);

@@ -173,33 +173,44 @@ TEST_F(SpillJoinTest, ForcedSpillMatchesInMemoryBinaryJoin) {
 
 TEST_F(SpillJoinTest, AutoDegradesWhereDisabledTrips) {
   SetCollection input = SparseWorkload();
-  JoinResult reference =
-      Join(Request(input, ExecutionMode::kSelfJoin, SpillPolicy::kDisabled));
-  ASSERT_TRUE(reference.status.ok());
   // Under half of the table's 16-bytes-per-posting floor, but several
   // times the spilled join's high-water (one partition's postings plus
   // the sparse candidate set and the verify bitmap).
   ExecutionBudget budget;
   budget.memory_budget_bytes = input.total_elements() * 7;
+  // The binary join runs the input against itself, so it takes the
+  // sorted driver's binary degrade path with a non-trivial result.
+  for (ExecutionMode mode :
+       {ExecutionMode::kSelfJoin, ExecutionMode::kBinaryJoin}) {
+    auto request = [&](SpillPolicy policy, size_t threads) {
+      JoinRequest r = Request(input, mode, policy, threads);
+      if (mode == ExecutionMode::kBinaryJoin) r.right = &input;
+      return r;
+    };
+    JoinResult reference = Join(request(SpillPolicy::kDisabled, 1));
+    ASSERT_TRUE(reference.status.ok()) << reference.status.ToString();
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      std::string label = std::string(ExecutionModeName(mode)) +
+                          " threads=" + std::to_string(threads);
+      ExecutionGuard trip_guard(budget);
+      JoinRequest disabled = request(SpillPolicy::kDisabled, threads);
+      disabled.options.guard = &trip_guard;
+      JoinResult tripped = Join(disabled);
+      ASSERT_FALSE(tripped.status.ok()) << label;
+      EXPECT_EQ(tripped.status.code(), StatusCode::kResourceExhausted)
+          << label;
+      EXPECT_EQ(trip_guard.trip_reason(), TripReason::kMemory) << label;
+      EXPECT_TRUE(tripped.pairs.empty()) << label;
 
-  ExecutionGuard trip_guard(budget);
-  JoinRequest disabled =
-      Request(input, ExecutionMode::kSelfJoin, SpillPolicy::kDisabled);
-  disabled.options.guard = &trip_guard;
-  JoinResult tripped = Join(disabled);
-  ASSERT_FALSE(tripped.status.ok());
-  EXPECT_EQ(tripped.status.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(trip_guard.trip_reason(), TripReason::kMemory);
-  EXPECT_TRUE(tripped.pairs.empty());
-
-  ExecutionGuard degrade_guard(budget);
-  JoinRequest auto_request =
-      Request(input, ExecutionMode::kSelfJoin, SpillPolicy::kAuto);
-  auto_request.options.guard = &degrade_guard;
-  JoinResult degraded = Join(auto_request);
-  ExpectSameOutput(degraded, reference, "auto degrade (sorted)");
-  EXPECT_FALSE(degrade_guard.tripped());
-  EXPECT_GT(degraded.stats.spill_partitions, 0u);
+      ExecutionGuard degrade_guard(budget);
+      JoinRequest auto_request = request(SpillPolicy::kAuto, threads);
+      auto_request.options.guard = &degrade_guard;
+      JoinResult degraded = Join(auto_request);
+      ExpectSameOutput(degraded, reference, "auto degrade " + label);
+      EXPECT_FALSE(degrade_guard.tripped()) << label;
+      EXPECT_GT(degraded.stats.spill_partitions, 0u) << label;
+    }
+  }
   EXPECT_EQ(DirEntryCount(spill_base_.path()), 0u);
 }
 
