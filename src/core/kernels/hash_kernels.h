@@ -1,8 +1,9 @@
 // Batched signature-hashing kernels (DESIGN.md Section 11).
 //
-// Signature generation is the dominant single-thread cost (~84% of wall
-// time on the fig12 workload — BENCH_parallel_scaling.json), and almost
-// all of it is the per-element Mix64 / HashCombine chain: PartEnum
+// Signature generation is a large single-thread cost (the bench/profile
+// ledger's pipeline.siggen.share_serial; DESIGN.md Section 11.3 lists it
+// per workload), and much of it is the per-element Mix64 / HashCombine
+// chain: PartEnum
 // re-mixes every element once per enumerated subset, WtEnum once per DFS
 // inclusion, and the tagged wrappers (partenum_jaccard, general_join)
 // re-combine every emitted signature with its instance tag.

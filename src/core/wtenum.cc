@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <sstream>
-#include <unordered_set>
 
 #include "util/check.h"
 #include "util/hashing.h"
@@ -18,27 +18,32 @@ constexpr Signature kEmptySetSignature = 0x37E4'0000'E317'70ADULL;
 constexpr double kEps = 1e-9;
 
 // One element of the set under enumeration, with both weight systems.
+// Generate prepares one array of these per set and shares it between the
+// set's (threshold, tag) instances.
 struct Entry {
   ElementId element;
   uint64_t mixed_element;  // Mix64(element), computed once per set
   double size_weight;   // defines the predicate threshold T (step 2)
   double order_weight;  // IDF weight: ordering and TH accounting (step 3)
+  double suffix_size_weight;  // sum of size_weight from this entry on
 };
 
 // DFS context for one (set, threshold) instance.
 struct Enumeration {
-  const std::vector<Entry>& entries;
-  const std::vector<double>& suffix_size_weight;  // sum of size_weight from i
-  double threshold;                               // T
-  double pruning_threshold;                       // TH
+  std::span<const Entry> entries;
+  double threshold;          // T
+  double pruning_threshold;  // TH
   uint64_t budget;
   bool overflowed = false;
-  std::unordered_set<Signature>* emitted;
   std::vector<Signature>* out;
 
-  void Emit(Signature sig) {
-    if (emitted->insert(sig).second) out->push_back(sig);
-  }
+  // No dedup is needed: every emission ends the include-branch it is
+  // made on, so two emissions sit at different nodes of the
+  // include/exclude tree and their prefixes differ in at least one
+  // included element. Equal signatures therefore mean a 64-bit hash
+  // collision, which the two tags of a set could produce just the same;
+  // GenerateSorted deduplicates before any operator sees the output.
+  void Emit(Signature sig) { out->push_back(sig); }
 
   // Does any X ⊆ entries[idx..] complete `chosen` (with total size weight
   // `sum` < T and minimum size weight `min_w`) to a minimal subset?
@@ -58,7 +63,11 @@ struct Enumeration {
         break;  // greedy result not minimal; fall through to search
       }
     }
-    if (sum + (suffix_size_weight[idx]) < threshold) return false;
+    // idx == entries.size() leaves nothing to add, and sum < T here.
+    if (idx == entries.size() ||
+        sum + entries[idx].suffix_size_weight < threshold) {
+      return false;
+    }
     // Exhaustive fallback (rare; only when weight systems disagree).
     return SearchCompletion(idx, sum, min_w);
   }
@@ -70,7 +79,7 @@ struct Enumeration {
     }
     --budget;
     if (idx >= entries.size()) return false;
-    if (sum + suffix_size_weight[idx] < threshold) return false;
+    if (sum + entries[idx].suffix_size_weight < threshold) return false;
     // Include entries[idx].
     double new_sum = sum + entries[idx].size_weight;
     double new_min = std::min(min_w, entries[idx].size_weight);
@@ -95,7 +104,9 @@ struct Enumeration {
     }
     --budget;
     if (idx >= entries.size()) return;  // sum < T here, dead end
-    if (sum + suffix_size_weight[idx] < threshold) return;  // unreachable
+    if (sum + entries[idx].suffix_size_weight < threshold) {
+      return;  // unreachable
+    }
 
     // Branch 1: include entries[idx].
     {
@@ -130,6 +141,22 @@ struct Enumeration {
     Dfs(idx + 1, sum, min_w, idf_sum, prefix_hasher);
   }
 };
+
+// Enumerates the prefixes of one (threshold, tag) instance over the
+// prepared entries, starting from `root` (the seeded hasher with the tag
+// folded in). Returns false if the instance exhausted its node budget.
+bool EnumerateForThreshold(std::span<const Entry> entries, double threshold,
+                           const WtEnumParams& params, SequenceHasher root,
+                           std::vector<Signature>* out) {
+  Enumeration enumeration{entries,
+                          threshold * (1.0 - kEps),
+                          params.pruning_threshold,
+                          params.max_nodes_per_set,
+                          false,
+                          out};
+  enumeration.Dfs(0, 0.0, std::numeric_limits<double>::infinity(), 0.0, root);
+  return !enumeration.overflowed;
+}
 
 }  // namespace
 
@@ -219,14 +246,23 @@ uint32_t WtEnumScheme::IntervalIndex(double weighted_size) const {
   return index;
 }
 
-void WtEnumScheme::EnumerateForThreshold(std::span<const ElementId> set,
-                                         double threshold, uint64_t tag,
-                                         std::vector<Signature>* out) const {
+void WtEnumScheme::Generate(std::span<const ElementId> set,
+                            std::vector<Signature>* out) const {
+  if (set.empty()) {
+    if (jaccard_mode_) out->push_back(kEmptySetSignature);
+    return;  // empty sets cannot reach a positive overlap threshold
+  }
+  // One weighing pass. The weighted size adds the size weights in set
+  // order, the same additions WeightedSize makes, so the interval index
+  // (and with it the tags) is unchanged.
   std::vector<Entry> entries;
   entries.reserve(set.size());
+  double weighted_size = 0;
   for (ElementId e : set) {
-    entries.push_back(Entry{e, Mix64(e), size_weights_(e),
-                            order_weights_(e)});
+    double size_weight = size_weights_(e);
+    weighted_size += size_weight;
+    entries.push_back(
+        Entry{e, Mix64(e), size_weight, order_weights_(e), 0.0});
   }
   // Descending IDF (order weight); ties by element id for determinism.
   std::sort(entries.begin(), entries.end(), [](const Entry& a,
@@ -242,49 +278,33 @@ void WtEnumScheme::EnumerateForThreshold(std::span<const ElementId> set,
                        entries[i].element < entries[i + 1].element),
                   "enumeration order violated at position {}", i);
   }
-  std::vector<double> suffix(entries.size() + 1, 0.0);
+  double suffix = 0.0;
   for (size_t i = entries.size(); i > 0; --i) {
     SSJOIN_CHECK(entries[i - 1].size_weight > 0,
                  "element {} has non-positive size weight {}; WtEnum's "
                  "minimal-subset enumeration requires positive weights",
                  entries[i - 1].element, entries[i - 1].size_weight);
-    suffix[i - 1] = suffix[i] + entries[i - 1].size_weight;
+    suffix += entries[i - 1].size_weight;
+    entries[i - 1].suffix_size_weight = suffix;
   }
 
-  std::unordered_set<Signature> emitted;
-  Enumeration enumeration{entries,
-                          suffix,
-                          threshold * (1.0 - kEps),
-                          params_.pruning_threshold,
-                          params_.max_nodes_per_set,
-                          false,
-                          &emitted,
-                          out};
-  // Copy the seeded state hoisted at Create time instead of re-running
-  // the seed mix per (set, threshold) instance (wtenum.h note).
-  SequenceHasher root = seeded_root_;
-  root.Add(tag);
-  enumeration.Dfs(0, 0.0, std::numeric_limits<double>::infinity(), 0.0, root);
-  if (enumeration.overflowed) {
-    overflowed_ = true;
-    SSJOIN_LOG(Warn) << "WtEnum enumeration budget exhausted for a set of "
-                     << set.size()
-                     << " elements; results may miss pairs involving it";
-  }
-}
-
-void WtEnumScheme::Generate(std::span<const ElementId> set,
-                            std::vector<Signature>* out) const {
-  if (set.empty()) {
-    if (jaccard_mode_) out->push_back(kEmptySetSignature);
-    return;  // empty sets cannot reach a positive overlap threshold
-  }
+  auto enumerate = [&](double threshold, uint64_t tag) {
+    // Copy the seeded state hoisted at Create time instead of re-running
+    // the seed mix per (set, threshold) instance (wtenum.h note).
+    SequenceHasher root = seeded_root_;
+    root.Add(tag);
+    if (!EnumerateForThreshold(entries, threshold, params_, root, out)) {
+      overflowed_ = true;
+      SSJOIN_LOG(Warn) << "WtEnum enumeration budget exhausted for a set of "
+                       << set.size()
+                       << " elements; results may miss pairs involving it";
+    }
+  };
   if (!jaccard_mode_) {
-    EnumerateForThreshold(set, threshold_, /*tag=*/0, out);
+    enumerate(threshold_, /*tag=*/0);
     return;
   }
-  double ws = WeightedSize(set, size_weights_);
-  uint32_t i = IntervalIndex(ws);
+  uint32_t i = IntervalIndex(weighted_size);
   for (uint32_t tag : {i, i + 1}) {
     // Instance `tag` covers weighted sizes in I_{tag-1} ∪ I_tag; the
     // smallest possible pair sum is 2 * b_{tag-1}.
@@ -299,7 +319,7 @@ void WtEnumScheme::Generate(std::span<const ElementId> set,
                  "instance threshold {} for tag {} not positive "
                  "(gamma={}, min weighted size={})",
                  instance_threshold, tag, gamma_, base_size_);
-    EnumerateForThreshold(set, instance_threshold, tag + 1, out);
+    enumerate(instance_threshold, tag + 1);
   }
 }
 

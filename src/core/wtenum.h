@@ -28,7 +28,19 @@
 //     I_i = [b_i, b_{i+1}) with b_{i+1} = b_i / gamma, per-instance
 //     thresholds T_i = 2 gamma/(1+gamma) b_{i-1}, and interval tags on the
 //     signatures.
-//   - Enumeration is budgeted (`max_nodes_per_set`). Exceeding the budget
+//   - Generate weighs each element once per set: one prepared entry array
+//     (element, Mix64(element), size weight, order weight, suffix sum of
+//     size weights), sorted once, serves both jaccard-mode instances
+//     (tags i+1 and i+2) or the single overlap-mode instance. The weighted
+//     size is summed from the same size weights in set order, i.e. the
+//     additions WeightedSize makes, so interval indexes are unchanged.
+//   - There is no per-instance dedup set. Each emission ends the DFS
+//     branch that made it, so two emissions differ in at least one
+//     included element and their prefix hashes agree only on a 64-bit
+//     collision — the same event that can already merge signatures across
+//     the two tags. GenerateSorted deduplicates before any operator runs.
+//   - Enumeration is budgeted (`max_nodes_per_set`, per set per tag: each
+//     instance starts with the full budget). Exceeding the budget
 //     (pathological weight distributions only; see DESIGN.md) sets
 //     overflowed() and may lose completeness for the offending set; call
 //     Validate() to pre-check a collection and get a Status instead.
@@ -98,15 +110,11 @@ class WtEnumScheme final : public SignatureScheme {
  private:
   WtEnumScheme() = default;
 
-  // Enumerates prefixes for one (threshold, tag) instance.
-  void EnumerateForThreshold(std::span<const ElementId> set, double threshold,
-                             uint64_t tag, std::vector<Signature>* out) const;
-
   WeightFunction size_weights_;
   WeightFunction order_weights_;
   WtEnumParams params_;
   // Hasher state after folding the seed, computed once at Create time:
-  // each EnumerateForThreshold call copies this instead of re-running
+  // each (set, threshold) instance copies this instead of re-running
   // the constructor's Mix64 chain (value-exact hoist; the per-element
   // mixes are likewise precomputed into Entry::mixed_element).
   SequenceHasher seeded_root_{0};

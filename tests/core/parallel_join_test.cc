@@ -205,6 +205,41 @@ TEST(ParallelJoinTest, WeightedSelfJoin) {
   ExpectSelfJoinInvariant(input, *scheme, predicate, "weighted/wen");
 }
 
+// WtEnum jaccard over IDF computed from both sides: concurrent Generate
+// calls and concurrent IDF table lookups from R and S under one scheme.
+TEST(ParallelJoinTest, WeightedBinaryJoin) {
+  // Both sides come from one address workload, so its near-duplicates
+  // straddle R and S and the join is not vacuous.
+  SetCollection all = JaccardWorkload(550, 36);
+  std::vector<std::vector<ElementId>> r_sets, s_sets;
+  for (SetId id = 0; id < all.size(); ++id) {
+    std::span<const ElementId> set = all.set(id);
+    (id % 2 == 0 ? r_sets : s_sets).emplace_back(set.begin(), set.end());
+  }
+  SetCollection r = SetCollection::FromVectors(r_sets);
+  SetCollection s = SetCollection::FromVectors(s_sets);
+  auto idf = std::make_shared<IdfWeights>(IdfWeights::Compute(r, s));
+  WeightFunction weights = [idf](ElementId e) {
+    return idf->Weight(e) + 0.01;
+  };
+  double min_ws = std::numeric_limits<double>::infinity();
+  for (const SetCollection* side : {&r, &s}) {
+    for (SetId id = 0; id < side->size(); ++id) {
+      if (side->set_size(id) == 0) continue;
+      min_ws = std::min(min_ws, WeightedSize(side->set(id), weights));
+    }
+  }
+  ASSERT_FALSE(std::isinf(min_ws));
+  double gamma = 0.8;
+  WtEnumParams params;
+  params.pruning_threshold = idf->DefaultPruningThreshold();
+  auto scheme =
+      WtEnumScheme::CreateJaccard(weights, weights, gamma, min_ws, params);
+  ASSERT_TRUE(scheme.ok());
+  WeightedJaccardPredicate predicate(gamma, weights);
+  ExpectBinaryJoinInvariant(r, s, *scheme, predicate, "weighted/binary");
+}
+
 TEST(ParallelJoinTest, EmptyCollection) {
   SetCollection empty;
   IdentityScheme scheme;

@@ -6,10 +6,12 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <vector>
 
 #include "baselines/nested_loop.h"
 #include "core/ssjoin.h"
 #include "text/idf.h"
+#include "util/hashing.h"
 #include "util/random.h"
 
 namespace ssjoin {
@@ -265,6 +267,134 @@ TEST(WtEnumTest, BudgetOverflowIsReportedByValidate) {
   sets.push_back(big);
   SetCollection input = SetCollection::FromVectors(sets);
   EXPECT_FALSE(scheme->Validate(input).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Sequence-exact generation: the raw Generate output of every set, in
+// emission order, is pinned by a digest recorded from the reference
+// implementation (one entry array per instance, an unordered_set dedup per
+// instance). Size weights deliberately differ from the order weights, so
+// the greedy completion check fails and the budgeted SearchCompletion
+// fallback runs.
+
+// Size weights uncorrelated with IDF order: the greedy completion is
+// often non-minimal.
+double SizeWeight(ElementId e) {
+  return 0.25 + static_cast<double>((e * 7u) % 13u) * 0.35;
+}
+
+std::vector<std::vector<ElementId>> RandomSets(uint64_t seed, int n) {
+  Rng rng(seed);
+  std::vector<std::vector<ElementId>> sets;
+  for (int i = 0; i < n; ++i) {
+    sets.push_back(SampleWithoutReplacement(180, 1 + rng.Uniform(14), rng));
+  }
+  for (int i = 0; i < n / 4; ++i) {
+    std::vector<ElementId> dup = sets[rng.Uniform(static_cast<uint32_t>(n))];
+    if (dup.size() > 1 && rng.Bernoulli(0.5)) dup.pop_back();
+    sets.push_back(dup);
+  }
+  return sets;
+}
+
+bool HasDuplicates(std::vector<Signature> sigs) {
+  std::sort(sigs.begin(), sigs.end());
+  return std::adjacent_find(sigs.begin(), sigs.end()) != sigs.end();
+}
+
+// Order-sensitive digest over every set's raw output; also asserts that
+// no set's raw output repeats a signature.
+uint64_t RawOutputDigest(const WtEnumScheme& scheme,
+                         const SetCollection& input) {
+  SequenceHasher digest(0);
+  std::vector<Signature> sigs;
+  for (SetId id = 0; id < input.size(); ++id) {
+    sigs.clear();
+    scheme.Generate(input.set(id), &sigs);
+    EXPECT_FALSE(HasDuplicates(sigs)) << "set " << id;
+    digest.Add(sigs.size());
+    for (Signature sig : sigs) digest.Add(sig);
+  }
+  return digest.Finish();
+}
+
+TEST(WtEnumTest, RawGenerateSequenceExactOverlapMode) {
+  SetCollection input = SetCollection::FromVectors(RandomSets(91, 240));
+  IdfWeights idf = IdfWeights::Compute(input);
+  WeightFunction order = [&idf](ElementId e) { return idf.Weight(e); };
+  WtEnumParams params;
+  params.pruning_threshold = idf.DefaultPruningThreshold();
+  uint64_t digests[3];
+  int k = 0;
+  for (double threshold : {2.0, 4.5, 7.0}) {
+    auto scheme =
+        WtEnumScheme::CreateOverlap(SizeWeight, order, threshold, params);
+    ASSERT_TRUE(scheme.ok());
+    digests[k++] = RawOutputDigest(*scheme, input);
+    EXPECT_FALSE(scheme->overflowed()) << "T=" << threshold;
+  }
+  EXPECT_EQ(digests[0], 10551229172000196084ULL);
+  EXPECT_EQ(digests[1], 1967174748003811736ULL);
+  EXPECT_EQ(digests[2], 4162191709056497222ULL);
+}
+
+TEST(WtEnumTest, RawGenerateSequenceExactJaccardMode) {
+  std::vector<std::vector<ElementId>> sets = RandomSets(92, 240);
+  SetCollection base = SetCollection::FromVectors(sets);
+  IdfWeights idf = IdfWeights::Compute(base);
+  WeightFunction order = [&idf](ElementId e) { return idf.Weight(e); };
+  double min_ws = std::numeric_limits<double>::infinity();
+  for (SetId id = 0; id < base.size(); ++id) {
+    min_ws = std::min(min_ws, WeightedSize(base.set(id), SizeWeight));
+  }
+  WtEnumParams params;
+  params.pruning_threshold = idf.DefaultPruningThreshold();
+  uint64_t digests[2];
+  int k = 0;
+  for (double gamma : {0.5, 0.8}) {
+    // b_1, computed with the same expressions CreateJaccard and
+    // IntervalIndex use, so a set of weighted size `boundary` sits
+    // exactly on the first interval boundary.
+    double boundary = min_ws * (1.0 - 1e-9) * ((1.0 / gamma) * (1.0 + 1e-9));
+    constexpr ElementId kBoundaryElement = 1000;
+    constexpr ElementId kBoundaryHelper = 1001;
+    WeightFunction size = [boundary](ElementId e) {
+      if (e == kBoundaryHelper) return 0.5;
+      if (e == kBoundaryElement) return boundary - 0.5;
+      return SizeWeight(e);
+    };
+    std::vector<std::vector<ElementId>> with_edges = sets;
+    with_edges.push_back({});                                  // empty set
+    with_edges.push_back({kBoundaryElement, kBoundaryHelper});  // on b_1
+    SetCollection input = SetCollection::FromVectors(with_edges);
+    SetId on_boundary = static_cast<SetId>(input.size() - 1);
+    ASSERT_EQ(WeightedSize(input.set(on_boundary), size), boundary);
+
+    auto scheme =
+        WtEnumScheme::CreateJaccard(size, order, gamma, min_ws, params);
+    ASSERT_TRUE(scheme.ok());
+    ASSERT_EQ(scheme->IntervalIndex(boundary), 1u);
+    ASSERT_EQ(scheme->IntervalIndex(std::nextafter(boundary, 0.0)), 0u);
+    digests[k++] = RawOutputDigest(*scheme, input);
+    EXPECT_FALSE(scheme->overflowed()) << "gamma=" << gamma;
+  }
+  EXPECT_EQ(digests[0], 11917950733547149901ULL);
+  EXPECT_EQ(digests[1], 7421985529033594175ULL);
+}
+
+TEST(WtEnumTest, RawGenerateHasNoDuplicatesAtDefaultBudget) {
+  // The 24-unit-weight set of BudgetOverflowIsReportedByValidate with the
+  // default budget: the widest enumeration in this file.
+  WeightFunction unit = [](ElementId) { return 1.0; };
+  WtEnumParams params;
+  params.pruning_threshold = 10.0;
+  auto scheme = WtEnumScheme::CreateOverlap(unit, unit, 12.0, params);
+  ASSERT_TRUE(scheme.ok());
+  std::vector<ElementId> big;
+  for (ElementId e = 1; e <= 24; ++e) big.push_back(e);
+  std::vector<Signature> sigs = scheme->Signatures(big);
+  EXPECT_FALSE(sigs.empty());
+  EXPECT_FALSE(HasDuplicates(sigs));
 }
 
 }  // namespace
