@@ -46,7 +46,6 @@ JoinResult PairCountSelfJoin(const SetCollection& input,
                              const Predicate& predicate,
                              const InvertedIndexJoinOptions& options) {
   JoinResult result;
-  PhaseTimer timer;
   SizeCaches caches(predicate, input.max_set_size());
 
   PostingsIndex index;
@@ -54,7 +53,7 @@ JoinResult PairCountSelfJoin(const SetCollection& input,
   for (SetId s = 0; s < input.size(); ++s) {
     std::span<const ElementId> probe = input.set(s);
     {
-      auto scope = timer.Measure(kPhaseCandPair);
+      Stopwatch watch;
       counter.clear();
       for (ElementId e : probe) {
         auto it = index.find(e);
@@ -67,9 +66,10 @@ JoinResult PairCountSelfJoin(const SetCollection& input,
         return total;
       }();
       result.stats.candidates += counter.size();
+      result.stats.candpair_seconds += watch.ElapsedSeconds();
     }
     {
-      auto scope = timer.Measure(kPhasePostFilter);
+      Stopwatch watch;
       for (const auto& [r, count] : counter) {
         SSJOIN_DCHECK(count <= probe.size() && count <= input.set_size(r),
                       "overlap count {} exceeds set sizes ({}, {})", count,
@@ -88,20 +88,19 @@ JoinResult PairCountSelfJoin(const SetCollection& input,
           ++result.stats.false_positives;
         }
       }
+      result.stats.postfilter_seconds += watch.ElapsedSeconds();
     }
     {
       // Index construction interleaves with probing; account it as the
       // signature-generation phase (identity signatures = the elements).
-      auto scope = timer.Measure(kPhaseSigGen);
+      Stopwatch watch;
       for (ElementId e : probe) index[e].push_back(s);
       result.stats.signatures_r += probe.size();
+      result.stats.siggen_seconds += watch.ElapsedSeconds();
     }
   }
   result.stats.signatures_s = result.stats.signatures_r;
   std::sort(result.pairs.begin(), result.pairs.end());
-  result.stats.siggen_seconds = timer.Seconds(kPhaseSigGen);
-  result.stats.candpair_seconds = timer.Seconds(kPhaseCandPair);
-  result.stats.postfilter_seconds = timer.Seconds(kPhasePostFilter);
   return result;
 }
 
@@ -109,7 +108,6 @@ JoinResult ProbeCountSelfJoin(const SetCollection& input,
                               const Predicate& predicate,
                               const InvertedIndexJoinOptions& options) {
   JoinResult result;
-  PhaseTimer timer;
   SizeCaches caches(predicate, input.max_set_size());
 
   PostingsIndex index;
@@ -127,7 +125,7 @@ JoinResult ProbeCountSelfJoin(const SetCollection& input,
       size_t num_short = 0;
       bool feasible = false;
       {
-        auto scope = timer.Measure(kPhaseCandPair);
+        Stopwatch watch;
         lists.reserve(probe.size());
         for (ElementId e : probe) {
           auto it = index.find(e);
@@ -150,9 +148,10 @@ JoinResult ProbeCountSelfJoin(const SetCollection& input,
           }
           result.stats.candidates += counter.size();
         }
+        result.stats.candpair_seconds += watch.ElapsedSeconds();
       }
       if (feasible) {
-        auto post = timer.Measure(kPhasePostFilter);
+        Stopwatch watch;
         for (const auto& [r, count_short] : counter) {
           if (!SizeCompatible(caches, options.size_filter, probe_size,
                               input.set_size(r))) {
@@ -176,19 +175,18 @@ JoinResult ProbeCountSelfJoin(const SetCollection& input,
             ++result.stats.false_positives;
           }
         }
+        result.stats.postfilter_seconds += watch.ElapsedSeconds();
       }
     }
     {
-      auto scope = timer.Measure(kPhaseSigGen);
+      Stopwatch watch;
       for (ElementId e : probe) index[e].push_back(s);
       result.stats.signatures_r += probe.size();
+      result.stats.siggen_seconds += watch.ElapsedSeconds();
     }
   }
   result.stats.signatures_s = result.stats.signatures_r;
   std::sort(result.pairs.begin(), result.pairs.end());
-  result.stats.siggen_seconds = timer.Seconds(kPhaseSigGen);
-  result.stats.candpair_seconds = timer.Seconds(kPhaseCandPair);
-  result.stats.postfilter_seconds = timer.Seconds(kPhasePostFilter);
   return result;
 }
 
@@ -196,24 +194,24 @@ JoinResult PairCountJoin(const SetCollection& r, const SetCollection& s,
                          const Predicate& predicate,
                          const InvertedIndexJoinOptions& options) {
   JoinResult result;
-  PhaseTimer timer;
   uint32_t max_size = std::max(r.max_set_size(), s.max_set_size());
   SizeCaches caches(predicate, max_size);
 
   PostingsIndex index;
   {
-    auto scope = timer.Measure(kPhaseSigGen);
+    Stopwatch watch;
     for (SetId id = 0; id < r.size(); ++id) {
       for (ElementId e : r.set(id)) index[e].push_back(id);
       result.stats.signatures_r += r.set_size(id);
     }
+    result.stats.siggen_seconds += watch.ElapsedSeconds();
   }
 
   std::unordered_map<SetId, uint32_t> counter;
   for (SetId sid = 0; sid < s.size(); ++sid) {
     std::span<const ElementId> probe = s.set(sid);
     {
-      auto scope = timer.Measure(kPhaseCandPair);
+      Stopwatch watch;
       counter.clear();
       for (ElementId e : probe) {
         auto it = index.find(e);
@@ -225,9 +223,10 @@ JoinResult PairCountJoin(const SetCollection& r, const SetCollection& s,
       }
       result.stats.candidates += counter.size();
       result.stats.signatures_s += probe.size();
+      result.stats.candpair_seconds += watch.ElapsedSeconds();
     }
     {
-      auto scope = timer.Measure(kPhasePostFilter);
+      Stopwatch watch;
       for (const auto& [rid, count] : counter) {
         SSJOIN_DCHECK(count <= probe.size() && count <= r.set_size(rid),
                       "overlap count {} exceeds set sizes ({}, {})", count,
@@ -246,12 +245,10 @@ JoinResult PairCountJoin(const SetCollection& r, const SetCollection& s,
           ++result.stats.false_positives;
         }
       }
+      result.stats.postfilter_seconds += watch.ElapsedSeconds();
     }
   }
   std::sort(result.pairs.begin(), result.pairs.end());
-  result.stats.siggen_seconds = timer.Seconds(kPhaseSigGen);
-  result.stats.candpair_seconds = timer.Seconds(kPhaseCandPair);
-  result.stats.postfilter_seconds = timer.Seconds(kPhasePostFilter);
   return result;
 }
 

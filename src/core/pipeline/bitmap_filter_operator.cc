@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/execution_guard.h"
-#include "obs/join_telemetry.h"
 #include "util/thread_pool.h"
 
 namespace ssjoin::pipeline {
@@ -51,45 +50,15 @@ BitmapFilterOperator::BitmapFilterOperator(ExecContext* ctx, bool eager)
     : Operator(ctx, "BitmapFilter",
                std::to_string(ctx->options->bitmap_bits) + "-bit " +
                    (eager ? "eager" : "deferred"),
-               obs::names::kOpBitmapFilter),
+               obs::names::kOpBitmapFilter, &JoinStats::postfilter_seconds),
       eager_(eager) {}
 
-Status BitmapFilterOperator::Open() {
-  if (!eager_) return Status::OK();
-  // Pipelined discipline: rows for the whole input are built upfront
-  // (ids are known even though the index grows incrementally), inside
-  // the postfilter clock — it is verification infrastructure. The
-  // serial path builds without the pool, exactly as the serial
-  // pipelined driver did.
-  ExecutionGuard* guard = ctx_->guard;
-  auto scope = ctx_->telem->Time(&ctx_->result->stats.postfilter_seconds);
-  if (ctx_->pool->size() == 1) {
-    bitmap_l_ =
-        kernels::BitmapTable::Build(*ctx_->left, ctx_->options->bitmap_bits);
-  } else {
-    bitmap_l_ = BuildBitmap(*ctx_->left, ctx_->options->bitmap_bits,
-                                    *ctx_->pool);
-  }
-  if (guard != nullptr) {
-    guard->ChargeMemory(bitmap_l_.size_bytes());
-    ctx_->degrade_release_bytes += bitmap_l_.size_bytes();
-  }
-  bm_l_ = &bitmap_l_;
-  bm_r_ = &bitmap_l_;
+// Builds the tables once. Rows for the whole input are built upfront:
+// in the pipelined discipline the ids are known even though the index
+// grows incrementally.
+void BitmapFilterOperator::Build() {
+  if (ready_) return;
   ready_ = true;
-  return Status::OK();
-}
-
-Status BitmapFilterOperator::EnsureReady() {
-  if (ready_) return Status::OK();
-  ready_ = true;
-  // Deferred discipline: the PostFilter phase opens here — it covers
-  // the table build, as the sorted/spilled drivers' phase scope did —
-  // and VerifyOperator::Close ends it after the last chunk.
-  ctx_->telem->PhaseBegin(kPhasePostFilter,
-                          &ctx_->result->stats.postfilter_seconds);
-  ctx_->postfilter_phase_open = true;
-  ExecutionGuard* guard = ctx_->guard;
   uint32_t bits = ctx_->options->bitmap_bits;
   bitmap_l_ = BuildBitmap(*ctx_->left, bits, *ctx_->pool);
   bm_l_ = &bitmap_l_;
@@ -99,12 +68,13 @@ Status BitmapFilterOperator::EnsureReady() {
   } else {
     bm_r_ = &bitmap_l_;  // self-shaped: one table serves both sides
   }
-  if (guard != nullptr) {
-    guard->ChargeMemory(
+  if (ctx_->guard != nullptr) {
+    const size_t bytes =
         bitmap_l_.size_bytes() +
-        (ctx_->right != nullptr ? bitmap_r_.size_bytes() : 0));
+        (ctx_->right != nullptr ? bitmap_r_.size_bytes() : 0);
+    ctx_->guard->ChargeMemory(bytes);
+    ctx_->degrade_release_bytes += bytes;
   }
-  return Status::OK();
 }
 
 BitmapFilterOperator::RangeTally BitmapFilterOperator::FilterRange(
@@ -157,19 +127,14 @@ void BitmapFilterOperator::FilterChunk(CandidateChunk* chunk) {
 }
 
 Status BitmapFilterOperator::NextBatch(Batch* out) {
+  // Eager: the charge must precede the source's first barrier.
+  if (eager_) Build();
   SSJOIN_RETURN_NOT_OK(input_->Pull(out));
-  if (!eager_ && !ctx_->degrade) {
-    SSJOIN_RETURN_NOT_OK(EnsureReady());
-  }
+  if (!ctx_->degrade) Build();
   if (out->kind != Batch::Kind::kCandidates) return Status::OK();
   CandidateChunk& chunk = out->candidates;
   rows_in_ += chunk.packed.size();
-  if (eager_) {
-    auto scope = ctx_->telem->Time(&ctx_->result->stats.postfilter_seconds);
-    FilterChunk(&chunk);
-  } else {
-    FilterChunk(&chunk);  // the open PostFilter phase clock covers this
-  }
+  FilterChunk(&chunk);
   rows_out_ += chunk.packed.size();
   return Status::OK();
 }

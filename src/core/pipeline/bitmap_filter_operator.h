@@ -6,16 +6,16 @@
 //
 //   * Deferred (sorted and spilled modes): the tables are built when the
 //     first batch (or the end of an empty stream) arrives — i.e. after
-//     candidate generation — inside the PostFilter phase, which this
-//     operator opens via JoinTelemetry::PhaseBegin (VerifyOperator's
-//     Close ends it). Self-shaped inputs alias one table for both
-//     sides; the binary mode builds two. Guard memory is charged
-//     exactly as the drivers charged it.
-//   * Eager (pipelined mode): the table is built in Open(), before the
-//     source's first barrier, inside a timer-only scope (the pipelined
-//     drivers record no stable phase spans). The charge is added to
-//     ctx->degrade_release_bytes so a later auto-spill degrade hands it
-//     back.
+//     candidate generation, unless the chain degraded. Self-shaped
+//     inputs alias one table for both sides; the binary mode builds two.
+//   * Eager (pipelined mode): the table is built on the first pull,
+//     before this operator pulls its input — i.e. before the source's
+//     first barrier.
+//
+// Guard memory is charged exactly as the drivers charged it, and the
+// charge is added to ctx->degrade_release_bytes so a later auto-spill
+// degrade hands it back. The build is part of this operator's
+// self-time, which feeds JoinStats::postfilter_seconds.
 //
 // Per batch the operator fills chunk.bitmap_checked/bitmap_pruned and
 // compacts chunk.packed to the survivors, preserving candidate order.
@@ -38,12 +38,11 @@ namespace ssjoin::pipeline {
 
 class BitmapFilterOperator : public Operator {
  public:
-  /// `eager` selects the pipelined build discipline (table built in
-  /// Open); deferred is the sorted/spilled discipline (built with the
-  /// first batch, inside the PostFilter phase this operator opens).
+  /// `eager` selects the pipelined build discipline (table built before
+  /// the first input pull); deferred is the sorted/spilled discipline
+  /// (built with the first batch).
   BitmapFilterOperator(ExecContext* ctx, bool eager);
 
-  Status Open() override;
   Status NextBatch(Batch* out) override;
   void Close() override;
 
@@ -55,7 +54,7 @@ class BitmapFilterOperator : public Operator {
     uint64_t pruned = 0;
   };
 
-  Status EnsureReady();
+  void Build();
   // Compacts `packed` to its survivors (the first `kept` slots).
   RangeTally FilterRange(std::span<uint64_t> packed) const;
   void FilterChunk(CandidateChunk* chunk);

@@ -112,21 +112,19 @@ Status CandidateGenOperator::Produce(Batch* sigs) {
     SSJOIN_RETURN_NOT_OK(guard->Checkpoint(JoinPhase::kCandGen));
   }
 
-  {
-    auto scope =
-        ctx_->telem->Phase(kPhaseCandPair, &stats.candpair_seconds);
-    std::function<bool()> stop = StopFn(guard, JoinPhase::kCandGen);
-    const size_t buckets = kernels::PostingBuckets(
-        std::max(table_l->total(), binary ? table_r->total() : 0),
-        pool.size());
-    // Groups one side's CSR table, then frees it: the grouped postings
-    // are all candidate generation reads from here on.
-    auto group = [&](SignatureChunk* table) {
-      std::vector<kernels::PostingShard> shards = kernels::GroupPostings(
-          table->values, table->offsets, buckets, pool, stop);
-      *table = SignatureChunk();
-      return shards;
-    };
+  std::function<bool()> stop = StopFn(guard, JoinPhase::kCandGen);
+  const size_t buckets = kernels::PostingBuckets(
+      std::max(table_l->total(), binary ? table_r->total() : 0),
+      pool.size());
+  // Groups one side's CSR table, then frees it: the grouped postings are
+  // all candidate generation reads from here on.
+  auto group = [&](SignatureChunk* table) {
+    std::vector<kernels::PostingShard> shards = kernels::GroupPostings(
+        table->values, table->offsets, buckets, pool, stop);
+    *table = SignatureChunk();
+    return shards;
+  };
+  {  // the grouped postings are freed before the candidates are charged
     std::vector<kernels::PostingShard> shards_l = group(table_l);
     std::vector<kernels::PostingShard> shards_r;
     if (binary) shards_r = group(table_r);
@@ -139,7 +137,6 @@ Status CandidateGenOperator::Produce(Batch* sigs) {
     stats.candidates = 0;
     return guard->trip_status();
   }
-  ctx_->telem->PhaseAttr("candidates", stats.candidates);
   if (guard != nullptr) {
     guard->ChargeMemory(candidates_.size() * sizeof(uint64_t));
   }

@@ -9,11 +9,11 @@
 // auto-spill budget check against the CSR table footprint (degrade →
 // free the tables, set ctx->degrade, end the stream cleanly — the guard
 // must not latch); ChargeMemory(table bytes) + the kCandGen checkpoint;
-// the CandPair phase span around group/pair/union; tripped → zero the
-// partial collision/candidate counters and surface the trip; the
-// "candidates" phase attribute and the candidate-vector memory charge.
+// group/pair/union; tripped → zero the partial collision/candidate
+// counters and surface the trip; the candidate-vector memory charge.
 // With verify off the stream ends after the phase — stats are complete
-// and no chunks flow (the legacy !verify early-return).
+// and no chunks flow (the legacy !verify early-return). Its self-time
+// feeds JoinStats::candpair_seconds.
 //
 // GenerateCandidates is the pair-up-and-union step itself, shared with
 // the spill layer's per-partition loop (core/spill/spill_join.cc).
@@ -47,7 +47,7 @@ class CandidateGenOperator : public Operator {
  public:
   explicit CandidateGenOperator(ExecContext* ctx)
       : Operator(ctx, "CandidateGen", "sorted shards",
-                 obs::names::kOpCandGen) {}
+                 obs::names::kOpCandGen, &JoinStats::candpair_seconds) {}
 
   Status NextBatch(Batch* out) override;
   void Close() override;

@@ -6,7 +6,9 @@
 // sorted pair vector. The pipelined mode deduplicates per probe set but
 // emits in discovery order, so `sort_on_end` replays the legacy drivers'
 // final std::sort when the end batch arrives (skipped on an auto-spill
-// degrade: the spilled rerun's own plan emits the pairs).
+// degrade: the spilled rerun's own plan emits the pairs). Emission is
+// not a Figure 2 step, so the operator's self-time feeds no JoinStats
+// seconds field (it stays visible as pipeline.dedup_emit.ns).
 
 #pragma once
 
@@ -18,7 +20,7 @@ class DedupEmitOperator : public Operator {
  public:
   DedupEmitOperator(ExecContext* ctx, bool sort_on_end)
       : Operator(ctx, "DedupEmit", sort_on_end ? "sort" : "append",
-                 obs::names::kOpDedupEmit),
+                 obs::names::kOpDedupEmit, /*seconds=*/nullptr),
         sort_on_end_(sort_on_end) {}
 
   Status NextBatch(Batch* out) override;

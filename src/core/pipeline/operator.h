@@ -9,28 +9,32 @@
 //
 // Cross-cutting concerns attach ONCE here at the base:
 //
-//   * ExplainReport plan tree: Operator::Close() records one PlanOp
-//     (name, detail, rows in/out) per operator, in chain order. Row
-//     counts must be derived from deterministic stats (signatures,
-//     candidates, results) — never batch counts, which vary with
-//     scheduling.
-//   * Per-operator runtime metrics (DESIGN.md Section 14): when the run
-//     has a MetricsRegistry, Plan::Run() binds each operator's
-//     obs::OpInstrument and the pull loop goes through Pull(), which
-//     wraps NextBatch() with pipeline.<tag>.{batches,rows_in,rows_out,
-//     ns} accounting and a kRuntime span per operator. Without a
-//     registry Pull() is a single branch (null-sink contract). Close()
-//     also feeds the final rows_out into EXPLAIN's drift table as the
-//     operator's actual.
+//   * The operator ledger (DESIGN.md Section 14): every pull goes
+//     through Pull(), which wraps NextBatch() in the operator's
+//     obs::OpInstrument — the one place a plan is timed. It accounts
+//     self-time (the input's nested pulls subtracted), inclusive time
+//     and batches on every run, sinks or not.
+//   * Derived accounting at Close(): the operator's self-time is added
+//     to the one JoinStats seconds field it feeds (the constructor's
+//     `seconds` member pointer; see JoinStats in core/ssjoin.h), and
+//     the ExplainReport gets one PlanOp (name, detail, rows in/out,
+//     self seconds) per operator, in chain order, plus the rows_out
+//     drift actual. Row counts must be derived from deterministic stats
+//     (signatures, candidates, results) — never batch counts, which
+//     vary with scheduling.
+//   * Sinks: Plan::Run() binds each instrument to the run's telemetry.
+//     With a MetricsRegistry it publishes pipeline.<tag>.{batches,
+//     rows_in,rows_out,ns}; with a Tracer it opens one kStable span per
+//     operator, named by the tag, under the join root — the parent of
+//     the runtime samples the operator opens while inside Pull.
 //   * Lifecycle: Plan::Run() opens source-first, pulls the sink to
 //     exhaustion or error, and closes every operator on every exit path
 //     (Close must be safe after a failed or skipped Open).
 //
 // Contract (enforced by the `operator-contract` AST-lint rule): every
 // Operator subclass overrides Close() and finishes it with
-// Operator::Close(); operators never read clocks directly (they go
-// through the JoinTelemetry seams) and never emit unregistered metric
-// names.
+// Operator::Close(); operators never read clocks directly (Pull times
+// them) and never emit unregistered metric names.
 //
 // Thread-safety: operators run on the control thread; they fan work out
 // through ParallelFor/RunOnAll internally, exactly as the drivers did.
@@ -79,11 +83,6 @@ struct ExecContext {
   /// releases it before the rerun (the spilled run accounts its own
   /// footprint from zero).
   size_t degrade_release_bytes = 0;
-  /// True once the manual PostFilter phase is open (the phase spans
-  /// several pulls, so whichever of BitmapFilterOperator /
-  /// VerifyOperator sees the first batch opens it; VerifyOperator's
-  /// Close ends it).
-  bool postfilter_phase_open = false;
 };
 
 class Operator {
@@ -101,23 +100,22 @@ class Operator {
   /// Status aborts it (guard trips surface here).
   virtual Status NextBatch(Batch* out) = 0;
 
-  /// Tears down and records this operator's PlanOp into the explain
-  /// report, flushes the instrument (final row totals, span close), and
-  /// records the operator's rows_out as an EXPLAIN drift actual. Runs on
-  /// every exit path, including after a failed Open or an aborted pull
-  /// loop. Subclasses MUST override (the operator-contract lint rule)
-  /// and end with Operator::Close().
+  /// Tears down: flushes the instrument (final row totals, span
+  /// close), adds the operator's self-time to its JoinStats seconds
+  /// field, and records its PlanOp and rows_out drift actual into the
+  /// explain report. Runs on every exit path, including after a failed
+  /// Open or an aborted pull loop. Subclasses MUST override (the
+  /// operator-contract lint rule) and end with Operator::Close().
   virtual void Close();
 
-  /// Instrumented pull: callers (the downstream operator and Plan::Run)
-  /// use this, never NextBatch directly. Uninstrumented it is one
-  /// branch + tail call; instrumented it accounts the pull into the
-  /// pipeline.<tag>.* counters with self-time attribution.
+  /// Timed pull: callers (the downstream operator and Plan::Run) use
+  /// this, never NextBatch directly. Accounts the pull into the
+  /// operator's ledger with self-time attribution.
   Status Pull(Batch* out);
 
   /// Binds the per-operator instrument to the run's telemetry (called
-  /// once by Plan::Run before Open when a MetricsRegistry is attached;
-  /// `lane` is the operator's chain position).
+  /// once by Plan::Run before Open; `lane` is the operator's chain
+  /// position).
   void BindInstrument(obs::JoinTelemetry* telemetry, uint32_t lane) {
     inst_.Bind(telemetry, tag_, lane);
   }
@@ -126,13 +124,14 @@ class Operator {
   const std::string& name() const { return name_; }
 
  protected:
-  /// `tag` is the operator's stable metric tag (a names::kOp* constant
-  /// from obs/stability.h); empty means "not instrumented" (test-only
-  /// operators).
+  /// `tag` is the operator's stable metric and span tag (a names::kOp*
+  /// constant from obs/stability.h). `seconds` is the JoinStats field
+  /// its self-time feeds (the Figure 2 step it belongs to), or null for
+  /// an operator outside those steps.
   Operator(ExecContext* ctx, std::string name, std::string detail,
-           std::string_view tag = {})
+           std::string_view tag, double JoinStats::*seconds)
       : ctx_(ctx), name_(std::move(name)), detail_(std::move(detail)),
-        tag_(tag) {}
+        tag_(tag), seconds_(seconds) {}
 
   ExecContext* ctx_;
   Operator* input_ = nullptr;
@@ -144,7 +143,8 @@ class Operator {
  private:
   std::string name_;
   std::string detail_;
-  std::string_view tag_;  // static-storage names:: constant (or empty)
+  std::string_view tag_;  // static-storage names:: constant
+  double JoinStats::*seconds_;
   obs::OpInstrument inst_;
 };
 

@@ -89,45 +89,35 @@ void PipelinedScanOperator::SerialGroup(Batch* out) {
   const SetCollection& input = *ctx_->left;
   const SignatureScheme& scheme = *ctx_->scheme;
   JoinStats& stats = ctx_->result->stats;
-  obs::JoinTelemetry& telem = *ctx_->telem;
   CandidateChunk& chunk = out->candidates;
   chunk.start_offset = static_cast<size_t>(stats.candidates);
   const SetId end = static_cast<SetId>(
       std::min<size_t>(input.size(), next_ + kSerialGroupSets));
   for (SetId id = next_; id < end; ++id) {
-    {
-      auto scope = telem.Time(&stats.siggen_seconds);
-      GenerateSorted(scheme, input.set(id), &sigs_);
-      stats.signatures_r += sigs_.size();
+    GenerateSorted(scheme, input.set(id), &sigs_);
+    stats.signatures_r += sigs_.size();
+    probe_candidates_.clear();
+    for (Signature sig : sigs_) {
+      auto it = index_.find(sig);
+      if (it == index_.end()) continue;
+      stats.signature_collisions += it->second.size();
+      probe_candidates_.insert(probe_candidates_.end(), it->second.begin(),
+                               it->second.end());
     }
-    {
-      auto scope = telem.Time(&stats.candpair_seconds);
-      probe_candidates_.clear();
-      for (Signature sig : sigs_) {
-        auto it = index_.find(sig);
-        if (it == index_.end()) continue;
-        stats.signature_collisions += it->second.size();
-        probe_candidates_.insert(probe_candidates_.end(), it->second.begin(),
-                                 it->second.end());
-      }
-      std::sort(probe_candidates_.begin(), probe_candidates_.end());
-      probe_candidates_.erase(
-          std::unique(probe_candidates_.begin(), probe_candidates_.end()),
-          probe_candidates_.end());
-      stats.candidates += probe_candidates_.size();
-    }
+    std::sort(probe_candidates_.begin(), probe_candidates_.end());
+    probe_candidates_.erase(
+        std::unique(probe_candidates_.begin(), probe_candidates_.end()),
+        probe_candidates_.end());
+    stats.candidates += probe_candidates_.size();
     if (ctx_->options->verify) {
       for (SetId partner : probe_candidates_) {
         chunk.packed.push_back(PackPair(partner, id));
       }
     }
-    {
-      // Index append: verification never reads the index and probes only
-      // see smaller ids, so appending here (before the downstream verify
-      // of this unit) changes nothing a probe can observe.
-      auto scope = telem.Time(&stats.siggen_seconds);
-      for (Signature sig : sigs_) index_[sig].push_back(id);
-    }
+    // Index append: verification never reads the index and probes only
+    // see smaller ids, so appending here (before the downstream verify
+    // of this unit) changes nothing a probe can observe.
+    for (Signature sig : sigs_) index_[sig].push_back(id);
   }
   rows_in_ += end - next_;
   next_ = end;
@@ -149,7 +139,6 @@ void PipelinedScanOperator::ParallelBlock(Batch* out) {
   auto block_sample = telem.Sample("block", block_micros_);
   block_sigs_.assign(n, {});
   {
-    auto scope = telem.Time(&stats.siggen_seconds);
     std::vector<uint64_t> counts(chunks, 0);
     ParallelFor(pool, n, [&](size_t begin, size_t end, size_t c) {
       uint64_t count = 0;
@@ -164,7 +153,6 @@ void PipelinedScanOperator::ParallelBlock(Batch* out) {
   }
   block_partners_.assign(n, {});
   {
-    auto scope = telem.Time(&stats.candpair_seconds);
     block_postings_.clear();
     for (size_t i = 0; i < n; ++i) {
       for (Signature sig : block_sigs_[i]) {
@@ -216,12 +204,9 @@ void PipelinedScanOperator::ParallelBlock(Batch* out) {
       }
     }
   }
-  {
-    auto scope = telem.Time(&stats.siggen_seconds);
-    for (size_t i = 0; i < n; ++i) {
-      for (Signature sig : block_sigs_[i]) {
-        index_[sig].push_back(static_cast<SetId>(b0 + i));
-      }
+  for (size_t i = 0; i < n; ++i) {
+    for (Signature sig : block_sigs_[i]) {
+      index_[sig].push_back(static_cast<SetId>(b0 + i));
     }
   }
   rows_in_ += n;

@@ -25,10 +25,11 @@
 // ctx->degrade_release_bytes, and ends the stream; the driver reruns
 // out of core.
 //
-// This mode records no stable phase spans — the serial and block
-// executions differ in loop structure, and the deterministic export must
-// not see that. Phase seconds accumulate via timer-only scopes; the
-// block variant emits per-block kRuntime samples.
+// SigGen and CandPair interleave per set here, so the operator's whole
+// self-time feeds JoinStats::candpair_seconds and siggen_seconds stays
+// 0. Its span is as stable as every other operator's (the chain does
+// not depend on the thread count); the block variant adds per-block
+// kRuntime samples under it.
 
 #pragma once
 
@@ -45,7 +46,7 @@ class PipelinedScanOperator : public Operator {
  public:
   explicit PipelinedScanOperator(ExecContext* ctx)
       : Operator(ctx, "PipelinedScan", "inverted index",
-                 obs::names::kOpPipelinedScan) {}
+                 obs::names::kOpPipelinedScan, &JoinStats::candpair_seconds) {}
 
   Status Open() override;
   Status NextBatch(Batch* out) override;

@@ -4,7 +4,6 @@
 
 #include "core/execution_guard.h"
 #include "core/signature_scheme.h"
-#include "obs/join_telemetry.h"
 #include "util/thread_pool.h"
 
 namespace ssjoin::pipeline {
@@ -83,13 +82,9 @@ Status SigGenOperator::NextBatch(Batch* out) {
     SSJOIN_RETURN_NOT_OK(guard->Checkpoint(JoinPhase::kSigGen));
   }
   const bool binary = ctx_->right != nullptr;
-  {
-    auto scope =
-        ctx_->telem->Phase(kPhaseSigGen, &stats.siggen_seconds);
-    left_ = GenerateAll(*ctx_->left, *ctx_->scheme, *ctx_->pool, guard);
-    if (binary && (guard == nullptr || !guard->tripped())) {
-      right_ = GenerateAll(*ctx_->right, *ctx_->scheme, *ctx_->pool, guard);
-    }
+  left_ = GenerateAll(*ctx_->left, *ctx_->scheme, *ctx_->pool, guard);
+  if (binary && (guard == nullptr || !guard->tripped())) {
+    right_ = GenerateAll(*ctx_->right, *ctx_->scheme, *ctx_->pool, guard);
   }
   if (guard != nullptr && guard->tripped()) {
     // Stopped mid-SigGen: the chunk is incomplete, commit nothing.
@@ -97,8 +92,6 @@ Status SigGenOperator::NextBatch(Batch* out) {
   }
   stats.signatures_r = left_.total();
   stats.signatures_s = binary ? right_.total() : left_.total();
-  ctx_->telem->PhaseAttr("signatures",
-                         left_.total() + (binary ? right_.total() : 0));
   rows_in_ = ctx_->left->size() + (binary ? ctx_->right->size() : 0);
   rows_out_ = left_.total() + (binary ? right_.total() : 0);
   out->kind = Batch::Kind::kSignatures;

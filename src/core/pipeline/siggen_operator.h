@@ -4,11 +4,10 @@
 // side as CSR SignatureChunks — then an end batch.
 //
 // Phase contract, identical to the legacy drivers: the kSigGen
-// checkpoint runs before the SigGen span opens (a trip here leaves no
-// phase span); generation fans out per set into thread-local CSR parts
-// stitched in set order, so the chunk is byte-identical for every
-// thread count; signatures_r/s and the "signatures" phase attribute are
-// committed only when generation completed untripped.
+// checkpoint runs first; generation fans out per set into thread-local
+// CSR parts stitched in set order, so the chunk is byte-identical for
+// every thread count; signatures_r/s are committed only when generation
+// completed untripped. Its self-time feeds JoinStats::siggen_seconds.
 
 #pragma once
 
@@ -19,7 +18,8 @@ namespace ssjoin::pipeline {
 class SigGenOperator : public Operator {
  public:
   explicit SigGenOperator(ExecContext* ctx)
-      : Operator(ctx, "SigGen", "csr", obs::names::kOpSigGen) {}
+      : Operator(ctx, "SigGen", "csr", obs::names::kOpSigGen,
+                 &JoinStats::siggen_seconds) {}
 
   Status NextBatch(Batch* out) override;
   void Close() override;

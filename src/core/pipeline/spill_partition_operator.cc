@@ -5,7 +5,6 @@
 
 #include "core/execution_guard.h"
 #include "core/spill/spill_join.h"
-#include "obs/join_telemetry.h"
 #include "obs/log.h"
 
 namespace ssjoin::pipeline {
@@ -29,10 +28,8 @@ Status SpillPartitionOperator::Produce() {
     Status st = spill::RunAttempt(
         *ctx_->left, ctx_->right, *ctx_->scheme, options, partitions,
         *ctx_->pool, guard, *ctx_->telem, &attempt, &attempt_candidates);
-    // Phase seconds and I/O bytes accumulate across attempts — failed
-    // work was still time and disk traffic the operator pays for.
-    stats.siggen_seconds += attempt.siggen_seconds;
-    stats.candpair_seconds += attempt.candpair_seconds;
+    // I/O bytes accumulate across attempts — failed work was still disk
+    // traffic the operator pays for.
     stats.spill_bytes_written += attempt.spill_bytes_written;
     stats.spill_bytes_read += attempt.spill_bytes_read;
     stats.spill_partitions = partitions;
@@ -68,7 +65,6 @@ Status SpillPartitionOperator::Produce() {
     // the retry that changes the attempt instead of repeating it.
     partitions = std::max(1u, partitions / 2);
   }
-  ctx_->telem->PhaseAttr("candidates", stats.candidates);
   if (guard != nullptr) {
     guard->ChargeMemory(candidates_.size() * sizeof(uint64_t));
   }

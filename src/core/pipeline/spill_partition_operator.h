@@ -5,7 +5,10 @@
 // halving the partition count after a transient I/O failure — and then
 // streams the merged, globally sorted candidate vector out in verify
 // super-chunks. Guard trips are final; exhausted retries surrender with
-// the completed-signature counts but no candidate accounting.
+// the completed-signature counts but no candidate accounting. Signature
+// generation happens inside the attempts, so the operator's whole
+// self-time — every attempt's — feeds JoinStats::candpair_seconds and
+// siggen_seconds stays 0.
 
 #pragma once
 
@@ -21,7 +24,8 @@ class SpillPartitionOperator : public Operator {
  public:
   explicit SpillPartitionOperator(ExecContext* ctx)
       : Operator(ctx, "SpillPartition", "partitioned",
-                 obs::names::kOpSpillPartition) {}
+                 obs::names::kOpSpillPartition,
+                 &JoinStats::candpair_seconds) {}
 
   Status NextBatch(Batch* out) override;
   void Close() override;

@@ -85,11 +85,6 @@ Status VerifyOperator::VerifyChunk(CandidateChunk* chunk) {
     }
     auto sample = ctx_->telem->Sample("verify_chunk", chunk_micros_);
     EvaluateChunk(chunk);
-  } else if (!chunked_) {
-    // Pipelined inline discipline: timer-only, like the per-set and
-    // per-block verify scopes of the pipelined drivers.
-    auto scope = ctx_->telem->Time(&ctx_->result->stats.postfilter_seconds);
-    EvaluateChunk(chunk);
   } else {
     EvaluateChunk(chunk);
   }
@@ -98,14 +93,6 @@ Status VerifyOperator::VerifyChunk(CandidateChunk* chunk) {
 
 Status VerifyOperator::NextBatch(Batch* out) {
   SSJOIN_RETURN_NOT_OK(input_->Pull(out));
-  if (chunked_ && !ctx_->degrade && !ctx_->postfilter_phase_open) {
-    // Bitmap off: no BitmapFilterOperator preceded this operator, so
-    // the PostFilter phase opens here (the sorted/spilled drivers open
-    // it around verification regardless of the bitmap setting).
-    ctx_->telem->PhaseBegin(kPhasePostFilter,
-                            &ctx_->result->stats.postfilter_seconds);
-    ctx_->postfilter_phase_open = true;
-  }
   if (out->kind != Batch::Kind::kCandidates) {
     if (chunked_ && !ctx_->degrade && ctx_->guard != nullptr) {
       if (!any_chunk_) {
@@ -123,12 +110,6 @@ Status VerifyOperator::NextBatch(Batch* out) {
   return VerifyChunk(&out->candidates);
 }
 
-void VerifyOperator::Close() {
-  // Ends the PostFilter phase if one is open (no-op otherwise) — this
-  // runs on every exit path, so a trip mid-verify still closes the
-  // span before the root span ends, as the legacy phase scope did.
-  ctx_->telem->PhaseEnd();
-  Operator::Close();
-}
+void VerifyOperator::Close() { Operator::Close(); }
 
 }  // namespace ssjoin::pipeline

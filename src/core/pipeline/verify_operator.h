@@ -10,12 +10,11 @@
 //     ChargeMemory for the appended pairs. The end batch runs the
 //     final breaker over the complete pre-filter totals (with a
 //     leading checkpoint when the stream was empty — the legacy
-//     pre-loop checkpoint). Opens the PostFilter phase itself when no
-//     BitmapFilterOperator preceded it (bitmap off).
+//     pre-loop checkpoint).
 //   * Inline (pipelined mode): no guard interaction (the source owns
-//     the barriers), no spans; each chunk evaluates inside a
-//     timer-only scope, exactly like the per-set/per-block verify
-//     scopes of the pipelined drivers.
+//     the barriers) and no samples.
+//
+// Its self-time feeds JoinStats::postfilter_seconds.
 //
 // Pairs are evaluated and appended in candidate order, so the chunk's
 // verified vector — and therefore the final pair vector — is
@@ -40,7 +39,7 @@ class VerifyOperator : public Operator {
   /// is the pipelined inline discipline.
   VerifyOperator(ExecContext* ctx, bool chunked)
       : Operator(ctx, "Verify", chunked ? "chunked" : "inline",
-                 obs::names::kOpVerify),
+                 obs::names::kOpVerify, &JoinStats::postfilter_seconds),
         chunked_(chunked) {}
 
   Status NextBatch(Batch* out) override;

@@ -155,18 +155,15 @@ Status RunAttempt(const SetCollection& left, const SetCollection* right,
 
   std::vector<SpillFileWriter> writers_l;
   std::vector<SpillFileWriter> writers_r;
-  Status write_status;
   uint64_t signatures_l = 0;
   uint64_t signatures_r = 0;
-  {
-    auto scope = telem.Phase(kPhaseSigGen, &stats->siggen_seconds);
-    write_status = WriteSide(left, scheme, pool, guard, &ledger, partitions,
-                             tmp, "part-r-", &writers_l, &signatures_l);
-    if (write_status.ok() && right != nullptr) {
-      write_status = WriteSide(*right, scheme, pool, guard, &ledger,
-                               partitions, tmp, "part-s-", &writers_r,
-                               &signatures_r);
-    }
+  Status write_status =
+      WriteSide(left, scheme, pool, guard, &ledger, partitions, tmp,
+                "part-r-", &writers_l, &signatures_l);
+  if (write_status.ok() && right != nullptr) {
+    write_status = WriteSide(*right, scheme, pool, guard, &ledger,
+                             partitions, tmp, "part-s-", &writers_r,
+                             &signatures_r);
   }
   // Bytes any writer durably handed off count into the attempt's I/O
   // accounting even when the stage failed mid-file.
@@ -174,9 +171,6 @@ Status RunAttempt(const SetCollection& left, const SetCollection* right,
   SSJOIN_RETURN_NOT_OK(write_status);
   stats->signatures_r = signatures_l;
   stats->signatures_s = right != nullptr ? signatures_r : signatures_l;
-  telem.PhaseAttr("signatures",
-                  stats->signatures_r +
-                      (right != nullptr ? stats->signatures_s : 0));
   if (guard != nullptr) {
     // Deterministic post-write barrier: the disk-budget check sees the
     // attempt's full footprint here, and injected kCandGen trips land
@@ -186,7 +180,6 @@ Status RunAttempt(const SetCollection& left, const SetCollection* right,
     SSJOIN_RETURN_NOT_OK(guard->Checkpoint(JoinPhase::kCandGen));
   }
 
-  auto scope = telem.Phase(kPhaseCandPair, &stats->candpair_seconds);
   std::function<bool()> stop = StopFn(guard, JoinPhase::kCandGen);
   std::vector<uint64_t> merged;
   for (uint32_t p = 0; p < partitions; ++p) {

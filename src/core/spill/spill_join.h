@@ -54,8 +54,8 @@ SpillPolicy ResolvePolicy(SpillPolicy requested);
 /// One spill attempt at a fixed partition count: write both sides
 /// (`right` null selects the self-join) into partition files, then run
 /// candidate generation partition by partition and merge. Fills `stats`
-/// (phase seconds, signature/collision/candidate counters, spill byte
-/// counters — always, so failed attempts still account their I/O) and
+/// (signature/collision/candidate counters, spill byte counters —
+/// always, so failed attempts still account their I/O) and
 /// `*candidates` (only valid on OK). The attempt's temp directory and
 /// guard charges are released on every path; the merged candidate
 /// vector is the only thing that escapes. SpillPartitionOperator drives

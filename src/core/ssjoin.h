@@ -118,8 +118,9 @@ struct JoinOptions {
   /// run. nullptr = no guardrails (zero overhead).
   ExecutionGuard* guard = nullptr;
   /// Optional span sink (DESIGN.md Section 8). When set, the driver
-  /// records a join → phase span skeleton plus runtime shard/chunk
-  /// detail into it. Not owned; must outlive the call. nullptr = no
+  /// records a join → operator span skeleton (one span per plan
+  /// operator, named by its tag) plus runtime shard/chunk/block detail
+  /// into it. Not owned; must outlive the call. nullptr = no
   /// tracing (the null-sink default, within measurement noise of the
   /// pre-observability driver).
   obs::Tracer* tracer = nullptr;
@@ -165,6 +166,17 @@ Status ValidateJoinOptions(const JoinOptions& options);
 /// Evaluation measures of one join execution (paper Section 3.2).
 struct JoinStats {
   // Phase wall-clock seconds (the stacked bars of Figures 12/18/19).
+  // Join() derives them from its operator ledger: each plan operator's
+  // self-time (Operator::Pull, pipeline.<op>.ns) is added to one field —
+  //   siggen_seconds      siggen
+  //   candpair_seconds    candgen, spill_partition, pipelined_scan
+  //   postfilter_seconds  bitmap_filter, verify
+  // and dedup_emit feeds none (emission is not a Figure 2 step). The
+  // spilled and pipelined sources do SigGen and CandPair in one
+  // operator, so those plans report siggen_seconds == 0 and all source
+  // time as candpair_seconds; pipeline.<op>.ns and EXPLAIN keep the
+  // per-operator split. The other drivers time the three steps
+  // directly.
   double siggen_seconds = 0;
   double candpair_seconds = 0;
   double postfilter_seconds = 0;

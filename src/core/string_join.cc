@@ -90,31 +90,25 @@ Result<JoinResult> StringSimilaritySelfJoin(
       QgramHammingThreshold(options.q, options.edit_threshold);
 
   // Phase 1 (Figure 16): grams + signatures, "on-the-fly, in
-  // application-level code". Gram extraction is part of SigGen.
-  SetCollection bags;
-  {
-    auto scope =
-        telem.Time(&result.stats.siggen_seconds);
-    QgramExtractor extractor(QgramOptions{.q = options.q});
-    bags = extractor.ExtractAllAsBags(strings);
-  }
-
-  SSJOIN_ASSIGN_OR_RETURN(
-      std::unique_ptr<SignatureScheme> scheme,
-      MakeScheme(options, hamming_k, bags, /*s_bags=*/nullptr));
-
+  // application-level code". Gram extraction and the scheme built over
+  // the gram bags are part of SigGen.
   std::vector<std::pair<Signature, SetId>> postings;
   {
     auto scope =
-        telem.Phase(kPhaseSigGen, &result.stats.siggen_seconds);
+        telem.Phase(obs::names::kSpanSigGen, &result.stats.siggen_seconds);
+    QgramExtractor extractor(QgramOptions{.q = options.q});
+    SetCollection bags = extractor.ExtractAllAsBags(strings);
+    SSJOIN_ASSIGN_OR_RETURN(
+        std::unique_ptr<SignatureScheme> scheme,
+        MakeScheme(options, hamming_k, bags, /*s_bags=*/nullptr));
     postings = BuildPostings(bags, *scheme, &result.stats.signatures_r);
     result.stats.signatures_s = result.stats.signatures_r;
   }
 
   std::unordered_set<uint64_t> candidates;
   {
-    auto scope =
-        telem.Phase(kPhaseCandPair, &result.stats.candpair_seconds);
+    auto scope = telem.Phase(obs::names::kSpanCandPair,
+                             &result.stats.candpair_seconds);
     size_t i = 0;
     while (i < postings.size()) {
       size_t j = i;
@@ -136,7 +130,7 @@ Result<JoinResult> StringSimilaritySelfJoin(
   }
 
   {
-    auto scope = telem.Phase(kPhasePostFilter,
+    auto scope = telem.Phase(obs::names::kSpanPostFilter,
                              &result.stats.postfilter_seconds);
     for (uint64_t packed : candidates) {
       auto [a, b] = UnpackPair(packed);
@@ -170,23 +164,16 @@ Result<JoinResult> StringSimilarityJoin(
   uint32_t hamming_k =
       QgramHammingThreshold(options.q, options.edit_threshold);
 
-  SetCollection r_bags, s_bags;
-  {
-    auto scope =
-        telem.Time(&result.stats.siggen_seconds);
-    QgramExtractor extractor(QgramOptions{.q = options.q});
-    r_bags = extractor.ExtractAllAsBags(r_strings);
-    s_bags = extractor.ExtractAllAsBags(s_strings);
-  }
-
-  SSJOIN_ASSIGN_OR_RETURN(
-      std::unique_ptr<SignatureScheme> scheme,
-      MakeScheme(options, hamming_k, r_bags, &s_bags));
-
   std::vector<std::pair<Signature, SetId>> postings_r, postings_s;
   {
     auto scope =
-        telem.Phase(kPhaseSigGen, &result.stats.siggen_seconds);
+        telem.Phase(obs::names::kSpanSigGen, &result.stats.siggen_seconds);
+    QgramExtractor extractor(QgramOptions{.q = options.q});
+    SetCollection r_bags = extractor.ExtractAllAsBags(r_strings);
+    SetCollection s_bags = extractor.ExtractAllAsBags(s_strings);
+    SSJOIN_ASSIGN_OR_RETURN(
+        std::unique_ptr<SignatureScheme> scheme,
+        MakeScheme(options, hamming_k, r_bags, &s_bags));
     postings_r =
         BuildPostings(r_bags, *scheme, &result.stats.signatures_r);
     postings_s =
@@ -195,8 +182,8 @@ Result<JoinResult> StringSimilarityJoin(
 
   std::unordered_set<uint64_t> candidates;
   {
-    auto scope =
-        telem.Phase(kPhaseCandPair, &result.stats.candpair_seconds);
+    auto scope = telem.Phase(obs::names::kSpanCandPair,
+                             &result.stats.candpair_seconds);
     size_t i = 0, j = 0;
     while (i < postings_r.size() && j < postings_s.size()) {
       Signature sig_r = postings_r[i].first;
@@ -225,7 +212,7 @@ Result<JoinResult> StringSimilarityJoin(
   }
 
   {
-    auto scope = telem.Phase(kPhasePostFilter,
+    auto scope = telem.Phase(obs::names::kSpanPostFilter,
                              &result.stats.postfilter_seconds);
     for (uint64_t packed : candidates) {
       auto [a, b] = UnpackPair(packed);

@@ -218,12 +218,14 @@ std::string ExplainText(const ExplainReport& report,
     for (size_t i = 0; i < report.plan.size(); ++i) {
       const PlanOp& op = report.plan[i];
       std::snprintf(buf, sizeof(buf),
-                    "    %s%s%s%s%s  rows_in=%llu rows_out=%llu\n",
+                    "    %s%s%s%s%s  rows_in=%llu rows_out=%llu "
+                    "self=%.3fs\n",
                     std::string(2 * i, ' ').c_str(), i == 0 ? "" : "-> ",
                     op.op.c_str(), op.detail.empty() ? "" : " ",
                     op.detail.c_str(),
                     static_cast<unsigned long long>(op.rows_in),
-                    static_cast<unsigned long long>(op.rows_out));
+                    static_cast<unsigned long long>(op.rows_out),
+                    op.self_seconds);
       out += buf;
     }
   }

@@ -107,12 +107,15 @@ struct DriftEntry {
 /// base class when it closes (src/core/pipeline/operator.h). `rows_in` /
 /// `rows_out` are the deterministic row counts that flowed through the
 /// operator (signatures, candidates, pairs — never batch counts, which
-/// would vary with scheduling).
+/// would vary with scheduling). `self_seconds` is the operator's own
+/// wall time from the pull ledger: runtime-only, rendered by
+/// ExplainText() and never by ExplainJsonl().
 struct PlanOp {
   std::string op;      // operator name, e.g. "SigGen", "Verify"
   std::string detail;  // variant note, e.g. "sorted" / "deferred bitmap"
   uint64_t rows_in = 0;
   uint64_t rows_out = 0;
+  double self_seconds = 0;
 };
 
 /// The assembled report. Plain data: copyable, no sinks, no locking —
@@ -179,10 +182,11 @@ void AttachAdvisorTrace(ExplainReport* report, const AdvisorTrace& trace);
 /// emitted (they are not valid JSON).
 std::string ExplainJsonl(const ExplainReport& report);
 
-/// Human rendering: parameters, the advisor search table with the chosen
-/// row marked, the drift table, then a runtime section (phase seconds
-/// and, when `metrics` is given, p50/p95/p99 of the per-shard/chunk
-/// latency histograms via HistogramQuantile).
+/// Human rendering: parameters, the executed plan with each operator's
+/// self time, the advisor search table with the chosen row marked, the
+/// drift table, then a runtime section (phase seconds and, when
+/// `metrics` is given, p50/p95/p99 of the per-shard/chunk latency
+/// histograms via HistogramQuantile).
 std::string ExplainText(const ExplainReport& report,
                         const MetricsRegistry* metrics = nullptr);
 

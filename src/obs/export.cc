@@ -3,6 +3,8 @@
 #include <cinttypes>
 #include <cstdio>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "obs/json_util.h"
 
@@ -189,12 +191,31 @@ std::string RunReportText(const Tracer* tracer,
   std::string out;
   if (tracer != nullptr) {
     std::vector<SpanRecord> spans = tracer->Snapshot();
-    std::unordered_map<SpanId, uint32_t> depth;
+    // Depth-first, children in creation order: a join's operator spans
+    // all open before its first pull, so a sample span starts after its
+    // operator's later siblings and creation order alone would misplace
+    // it. Span ids are creation index + 1 (0 = no parent); a parent id
+    // not created before its child (one dropped by Tracer::Reset) reads
+    // as a root.
+    std::vector<std::vector<size_t>> children(spans.size() + 1);
+    for (size_t i = 0; i < spans.size(); ++i) {
+      const SpanId parent = spans[i].parent;
+      children[parent < spans[i].id ? parent : kNoSpan].push_back(i);
+    }
+    std::vector<std::pair<size_t, uint32_t>> pending;  // (index, depth)
+    for (auto it = children[kNoSpan].rbegin(); it != children[kNoSpan].rend();
+         ++it) {
+      pending.emplace_back(*it, 0);
+    }
     out += "spans:\n";
-    for (const SpanRecord& span : spans) {
-      uint32_t d =
-          span.parent == kNoSpan ? 0 : depth[span.parent] + 1;
-      depth[span.id] = d;
+    while (!pending.empty()) {
+      const auto [index, d] = pending.back();
+      pending.pop_back();
+      const SpanRecord& span = spans[index];
+      for (auto it = children[span.id].rbegin();
+           it != children[span.id].rend(); ++it) {
+        pending.emplace_back(*it, d + 1);
+      }
       out += "  ";
       out.append(2 * d, ' ');
       out += span.name;

@@ -5,6 +5,16 @@
 #include <string>
 
 namespace ssjoin::obs {
+namespace {
+
+// Monotonic nanoseconds; only meaningful for differences.
+int64_t NowNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+}  // namespace
 
 JoinTelemetry::JoinTelemetry(Tracer* tracer, MetricsRegistry* metrics,
                              std::string_view root_name)
@@ -28,36 +38,14 @@ JoinTelemetry::PhaseScope JoinTelemetry::Phase(std::string_view name,
   SpanId span = kNoSpan;
   if (tracer_ != nullptr) {
     span = tracer_->StartSpan(name, root_, Stability::kStable);
-    phase_span_ = span;
+    current_span_ = span;
   }
   return PhaseScope(this, seconds, span);
 }
 
-JoinTelemetry::PhaseScope JoinTelemetry::Time(double* seconds) {
-  return PhaseScope(this, seconds, kNoSpan);
-}
-
-void JoinTelemetry::PhaseBegin(std::string_view name, double* seconds) {
-  manual_seconds_ = seconds;
-  manual_span_ = kNoSpan;
-  if (tracer_ != nullptr && !name.empty()) {
-    manual_span_ = tracer_->StartSpan(name, root_, Stability::kStable);
-    phase_span_ = manual_span_;
-  }
-  manual_watch_.Restart();
-}
-
-void JoinTelemetry::PhaseEnd() {
-  if (manual_seconds_ == nullptr) return;
-  *manual_seconds_ += manual_watch_.ElapsedSeconds();
-  if (manual_span_ != kNoSpan) tracer_->EndSpan(manual_span_);
-  manual_span_ = kNoSpan;
-  manual_seconds_ = nullptr;
-}
-
 void JoinTelemetry::PhaseAttr(std::string_view key, uint64_t value) {
-  if (tracer_ != nullptr && phase_span_ != kNoSpan) {
-    tracer_->SetAttr(phase_span_, key, value);
+  if (tracer_ != nullptr && current_span_ != kNoSpan) {
+    tracer_->SetAttr(current_span_, key, value);
   }
 }
 
@@ -73,7 +61,7 @@ JoinTelemetry::SampleScope JoinTelemetry::Sample(std::string_view name,
                                                  uint32_t lane) {
   SpanId span = kNoSpan;
   if (tracer_ != nullptr) {
-    SpanId parent = phase_span_ != kNoSpan ? phase_span_ : root_;
+    SpanId parent = current_span_ != kNoSpan ? current_span_ : root_;
     span = tracer_->StartSpan(name, parent, Stability::kRuntime, lane);
   }
   return SampleScope(this, latency, span);
@@ -115,71 +103,78 @@ void JoinTelemetry::SetGauge(std::string_view name, double value,
 
 void OpInstrument::Bind(JoinTelemetry* telemetry, std::string_view tag,
                         uint32_t lane) {
-  if (telemetry == nullptr || telemetry->metrics() == nullptr ||
-      tag.empty()) {
-    return;
+  telemetry_ = telemetry;
+  if (telemetry == nullptr) return;
+  if (MetricsRegistry* metrics = telemetry->metrics(); metrics != nullptr) {
+    std::string base(names::kPipelinePrefix);
+    base += tag;
+    // Row totals are functions of the input and plan — stable. Batch
+    // granularity and self-time vary with thread count and the wall
+    // clock — runtime (see obs/stability.h).
+    batches_counter_ =
+        &metrics->counter(base + std::string(names::kPipelineSuffixBatches),
+                          Stability::kRuntime);
+    rows_in_counter_ =
+        &metrics->counter(base + std::string(names::kPipelineSuffixRowsIn),
+                          Stability::kStable);
+    rows_out_counter_ =
+        &metrics->counter(base + std::string(names::kPipelineSuffixRowsOut),
+                          Stability::kStable);
+    self_ns_counter_ =
+        &metrics->counter(base + std::string(names::kPipelineSuffixNs),
+                          Stability::kRuntime);
   }
-  MetricsRegistry* metrics = telemetry->metrics();
-  std::string base(names::kPipelinePrefix);
-  base += tag;
-  // Row totals are functions of the input and plan — stable. Batch
-  // granularity and self-time vary with thread count and the wall
-  // clock — runtime (see obs/stability.h).
-  batches_ = &metrics->counter(base + std::string(names::kPipelineSuffixBatches),
-                               Stability::kRuntime);
-  rows_in_ = &metrics->counter(base + std::string(names::kPipelineSuffixRowsIn),
-                               Stability::kStable);
-  rows_out_ =
-      &metrics->counter(base + std::string(names::kPipelineSuffixRowsOut),
-                        Stability::kStable);
-  self_ns_ = &metrics->counter(base + std::string(names::kPipelineSuffixNs),
-                               Stability::kRuntime);
-  inclusive_ns_ = 0;
-  published_rows_in_ = 0;
-  published_rows_out_ = 0;
-  tracer_ = telemetry->tracer();
-  if (tracer_ != nullptr) {
-    span_ = tracer_->StartSpan(tag, telemetry->root(), Stability::kRuntime,
-                               lane);
+  if (Tracer* tracer = telemetry->tracer(); tracer != nullptr) {
+    span_ = tracer->StartSpan(tag, telemetry->root(), Stability::kStable,
+                              lane);
   }
 }
 
-int64_t OpInstrument::NowNs() const {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+OpInstrument::PullStart OpInstrument::BeginPull() {
+  PullStart start;
+  if (span_ != kNoSpan) {
+    start.outer_span = telemetry_->current_span_;
+    telemetry_->current_span_ = span_;
+  }
+  start.ns = NowNs();
+  return start;
 }
 
-void OpInstrument::RecordPull(int64_t start_ns, uint64_t nested_ns,
-                              bool produced, uint64_t rows_in,
-                              uint64_t rows_out) {
+void OpInstrument::EndPull(const PullStart& start, uint64_t nested_ns,
+                           bool produced, uint64_t rows_in,
+                           uint64_t rows_out) {
   const uint64_t elapsed =
-      static_cast<uint64_t>(std::max<int64_t>(0, NowNs() - start_ns));
+      static_cast<uint64_t>(std::max<int64_t>(0, NowNs() - start.ns));
+  const uint64_t self = elapsed >= nested_ns ? elapsed - nested_ns : 0;
   inclusive_ns_ += elapsed;
-  self_ns_->Add(elapsed >= nested_ns ? elapsed - nested_ns : 0);
-  if (produced) batches_->Add();
+  self_ns_ += self;
+  if (produced) ++batches_;
+  if (span_ != kNoSpan) telemetry_->current_span_ = start.outer_span;
+  if (publishing()) {
+    self_ns_counter_->Add(self);
+    if (produced) batches_counter_->Add();
+    PublishRows(rows_in, rows_out);
+  }
+}
+
+void OpInstrument::PublishRows(uint64_t rows_in, uint64_t rows_out) {
   if (rows_in > published_rows_in_) {
-    rows_in_->Add(rows_in - published_rows_in_);
+    rows_in_counter_->Add(rows_in - published_rows_in_);
     published_rows_in_ = rows_in;
   }
   if (rows_out > published_rows_out_) {
-    rows_out_->Add(rows_out - published_rows_out_);
+    rows_out_counter_->Add(rows_out - published_rows_out_);
     published_rows_out_ = rows_out;
   }
 }
 
-void OpInstrument::FinishCounts(uint64_t rows_in, uint64_t rows_out) {
-  if (!enabled()) return;
-  if (rows_in > published_rows_in_) {
-    rows_in_->Add(rows_in - published_rows_in_);
-    published_rows_in_ = rows_in;
-  }
-  if (rows_out > published_rows_out_) {
-    rows_out_->Add(rows_out - published_rows_out_);
-    published_rows_out_ = rows_out;
-  }
-  if (tracer_ != nullptr && span_ != kNoSpan) {
-    tracer_->EndSpan(span_);
+void OpInstrument::Close(uint64_t rows_in, uint64_t rows_out) {
+  if (publishing()) PublishRows(rows_in, rows_out);
+  if (span_ != kNoSpan) {
+    Tracer* tracer = telemetry_->tracer();
+    tracer->SetAttr(span_, names::kAttrRowsIn, rows_in);
+    tracer->SetAttr(span_, names::kAttrRowsOut, rows_out);
+    tracer->EndSpan(span_);
     span_ = kNoSpan;
   }
 }

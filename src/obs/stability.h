@@ -44,7 +44,8 @@ enum class Stability {
 // these constants.
 namespace names {
 
-// Span names.
+// Span names. Each operator of a Join() plan also opens one kStable
+// span named by its tag (the kOp* constants below).
 inline constexpr std::string_view kSpanJoin = "join";
 inline constexpr std::string_view kSpanSigGen = "SigGen";
 inline constexpr std::string_view kSpanCandPair = "CandPair";
@@ -60,7 +61,6 @@ inline constexpr std::string_view kAttrTrip = "trip";
 inline constexpr std::string_view kAttrInputSets = "input_sets";
 inline constexpr std::string_view kAttrInputSetsR = "input_sets_r";
 inline constexpr std::string_view kAttrInputSetsS = "input_sets_s";
-inline constexpr std::string_view kAttrSignatures = "signatures";
 inline constexpr std::string_view kAttrSignaturesR = "signatures_r";
 inline constexpr std::string_view kAttrSignaturesS = "signatures_s";
 inline constexpr std::string_view kAttrSignatureCollisions =
@@ -73,6 +73,10 @@ inline constexpr std::string_view kAttrBitmapFilterChecked =
 inline constexpr std::string_view kAttrBitmapFilterPruned =
     "bitmap_filter_pruned";
 inline constexpr std::string_view kAttrRows = "rows";
+// An operator span's deterministic row totals (the same values as the
+// pipeline.<op>.rows_in / rows_out counters).
+inline constexpr std::string_view kAttrRowsIn = "rows_in";
+inline constexpr std::string_view kAttrRowsOut = "rows_out";
 // Out-of-core execution (core/spill, DESIGN.md Section 12). "spill"
 // records how the spilled path was entered ("forced" / "auto"); the
 // counters are functions of the input and spill configuration, so all

@@ -1,19 +1,11 @@
-// Wall-clock timing utilities.
-//
-// Every experiment in the paper reports total computation time broken into
-// three phases: signature generation, candidate-pair generation, and
-// post-filtering (the stacked bars of Figures 12, 18, 19). PhaseTimer
-// accumulates per-phase elapsed time under stable phase names so all join
-// algorithms report comparable breakdowns.
+// Wall-clock timing: a monotonic stopwatch. Join phase seconds are not
+// timed here — a Join() plan derives them from its operator ledger
+// (obs/join_telemetry.h).
 
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <map>
-#include <string>
-
-#include "util/thread_annotations.h"
 
 namespace ssjoin {
 
@@ -39,80 +31,5 @@ class Stopwatch {
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
 };
-
-/// Accumulates elapsed time per named phase.
-///
-/// Usage:
-///   PhaseTimer timer;
-///   { auto scope = timer.Measure("SigGen"); ... }
-///   double t = timer.Seconds("SigGen");
-///
-/// Accumulation (Add, including via Scope destruction) is thread-safe:
-/// concurrent scopes from worker threads serialize on an internal mutex.
-/// The readers (Seconds, TotalSeconds, phases) also take the mutex,
-/// except phases(), which returns a reference and must only be called
-/// once all measuring threads have joined.
-class PhaseTimer {
- public:
-  class Scope {
-   public:
-    Scope(PhaseTimer* timer, std::string phase)
-        : timer_(timer), phase_(std::move(phase)) {}
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-    ~Scope() { timer_->Add(phase_, watch_.ElapsedSeconds()); }
-
-   private:
-    PhaseTimer* timer_;
-    std::string phase_;
-    Stopwatch watch_;
-  };
-
-  /// Starts measuring `phase`; the time is added when the Scope dies.
-  Scope Measure(std::string phase) { return Scope(this, std::move(phase)); }
-
-  /// Adds `seconds` to the accumulated time of `phase`. Thread-safe.
-  void Add(const std::string& phase, double seconds) SSJOIN_EXCLUDES(mutex_) {
-    util::MutexLock lock(mutex_);
-    phases_[phase] += seconds;
-  }
-
-  /// Accumulated seconds for `phase` (0 if never measured).
-  double Seconds(const std::string& phase) const SSJOIN_EXCLUDES(mutex_) {
-    util::MutexLock lock(mutex_);
-    auto it = phases_.find(phase);
-    return it == phases_.end() ? 0.0 : it->second;
-  }
-
-  /// Sum over all phases.
-  double TotalSeconds() const SSJOIN_EXCLUDES(mutex_) {
-    util::MutexLock lock(mutex_);
-    double total = 0;
-    for (const auto& [_, s] : phases_) total += s;
-    return total;
-  }
-
-  /// Unsynchronized view; callers must have joined all measuring threads.
-  /// That quiescence contract is outside what the analysis can express,
-  /// hence the explicit exemption.
-  const std::map<std::string, double>& phases() const
-      SSJOIN_NO_THREAD_SAFETY_ANALYSIS {
-    return phases_;
-  }
-
-  void Reset() SSJOIN_EXCLUDES(mutex_) {
-    util::MutexLock lock(mutex_);
-    phases_.clear();
-  }
-
- private:
-  mutable util::Mutex mutex_;
-  std::map<std::string, double> phases_ SSJOIN_GUARDED_BY(mutex_);
-};
-
-// Canonical phase names used by all join drivers (paper Figure 2 steps).
-inline constexpr const char* kPhaseSigGen = "SigGen";
-inline constexpr const char* kPhaseCandPair = "CandPair";
-inline constexpr const char* kPhasePostFilter = "PostFilter";
 
 }  // namespace ssjoin

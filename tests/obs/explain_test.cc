@@ -8,7 +8,8 @@
 //   * ExplainJsonl is byte-identical across thread counts, carries no
 //     wall-clock fields, and omits non-finite ratios;
 //   * the driver fills actuals + phase seconds through
-//     JoinOptions::explain, including on guard trips;
+//     JoinOptions::explain, including on guard trips, and each plan
+//     row's self time renders in the text only;
 //   * PlanExplain::Jsonl is run-to-run byte-identical and timing-free
 //     while Text() carries the runtime milliseconds.
 
@@ -169,6 +170,55 @@ TEST(ExplainDeterminismTest, JsonlIsThreadCountInvariant) {
       << "wall-clock fields must never reach the stable export";
   EXPECT_EQ(serial.find("threads"), std::string::npos)
       << "the thread count is runtime configuration, not a stable param";
+}
+
+// Each executed operator's self time (from the pull ledger) renders on
+// its plan row in the text, ties out to the JoinStats field it feeds,
+// and never reaches the stable JSONL.
+TEST(ExplainDeterminismTest, PlanSelfTimeIsTextOnly) {
+  SetCollection input = Workload(400, 95);
+  auto scheme = MakeScheme(input, 0.85);
+  ASSERT_TRUE(scheme.ok());
+  JaccardPredicate predicate(0.85);
+  obs::ExplainReport report;
+  JoinRequest request = SelfJoinRequest(input, *scheme, predicate);
+  request.options.explain = &report;
+  request.options.spill.policy = SpillPolicy::kDisabled;
+  JoinResult result = Join(request);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+
+  ASSERT_EQ(report.plan.size(), 5u);  // SigGen .. DedupEmit
+  EXPECT_EQ(report.plan[0].op, "SigGen");
+  EXPECT_DOUBLE_EQ(report.plan[0].self_seconds, result.stats.siggen_seconds);
+  EXPECT_EQ(report.plan[1].op, "CandidateGen");
+  EXPECT_DOUBLE_EQ(report.plan[1].self_seconds,
+                   result.stats.candpair_seconds);
+  EXPECT_DOUBLE_EQ(report.plan[2].self_seconds + report.plan[3].self_seconds,
+                   result.stats.postfilter_seconds);
+
+  std::string text = obs::ExplainText(report);
+  for (const obs::PlanOp& op : report.plan) {
+    size_t row = text.find(op.op + " " + op.detail + "  rows_in=");
+    ASSERT_NE(row, std::string::npos) << op.op;
+    std::string line = text.substr(row, text.find('\n', row) - row);
+    EXPECT_NE(line.find(" self="), std::string::npos) << line;
+  }
+  // Every plan_op line ends at its row counts: no timing field follows.
+  std::string jsonl = obs::ExplainJsonl(report);
+  size_t plan_ops = 0;
+  for (size_t at = jsonl.find("\"type\":\"plan_op\"");
+       at != std::string::npos;
+       at = jsonl.find("\"type\":\"plan_op\"", at + 1)) {
+    ++plan_ops;
+    std::string line = jsonl.substr(at, jsonl.find('\n', at) - at);
+    size_t rows_out = line.find("\"rows_out\":");
+    ASSERT_NE(rows_out, std::string::npos) << line;
+    std::string tail = line.substr(rows_out + 11);
+    EXPECT_EQ(tail.find_first_not_of("0123456789"), tail.size() - 1)
+        << "operator self time must stay out of the stable export: "
+        << line;
+  }
+  EXPECT_EQ(plan_ops, report.plan.size());
 }
 
 TEST(ExplainDeterminismTest, NonFiniteRatiosAreOmitted) {

@@ -3,6 +3,9 @@
 //
 //   * the deterministic JSONL trace/metrics exports must be
 //     byte-identical for num_threads 1 and 4, for every execution mode;
+//   * every plan operator opens one kStable span named by its tag under
+//     the join root — with a tracer alone, no registry needed — and the
+//     runtime samples nest under the operator that ran them;
 //   * a guard trip must surface as a span event, a root-span attribute,
 //     and a guard.trips.<reason> counter;
 //   * the facade must reproduce the legacy entry points exactly and
@@ -12,7 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/execution_guard.h"
 #include "core/partenum_jaccard.h"
@@ -76,11 +83,14 @@ TEST(ObsDeterminismTest, SelfJoinExportIsThreadCountInvariant) {
   std::string parallel = DeterministicExport(request, 4);
   EXPECT_FALSE(serial.empty());
   EXPECT_EQ(serial, parallel);
-  // The stable skeleton: join root plus the three phase spans.
+  // The stable skeleton: join root plus one span per operator.
   EXPECT_NE(serial.find("\"name\":\"join\""), std::string::npos);
-  EXPECT_NE(serial.find("\"name\":\"SigGen\""), std::string::npos);
-  EXPECT_NE(serial.find("\"name\":\"CandPair\""), std::string::npos);
-  EXPECT_NE(serial.find("\"name\":\"PostFilter\""), std::string::npos);
+  for (const char* op :
+       {"siggen", "candgen", "bitmap_filter", "verify", "dedup_emit"}) {
+    EXPECT_NE(serial.find(std::string("\"name\":\"") + op + "\""),
+              std::string::npos)
+        << op;
+  }
   // No wall-clock leakage into the deterministic stream.
   EXPECT_EQ(serial.find("seconds"), std::string::npos);
   EXPECT_EQ(serial.find("_us"), std::string::npos);
@@ -118,24 +128,135 @@ TEST(ObsDeterminismTest, PipelinedExportIsThreadCountInvariant) {
   request.predicate = &predicate;
   request.mode = ExecutionMode::kPipelinedSelfJoin;
 
-  // The serial and block-parallel pipelined drivers are structurally
-  // different, so the pipelined mode emits no stable phase spans — the
-  // deterministic export (root span + attrs + metrics) must still be
-  // byte-identical across thread counts. The no-SigGen-span shape is a
-  // property of the in-memory driver (the spilled driver's
-  // per-partition joins legitimately emit phase spans), so pin the
-  // policy rather than inherit a CI-wide SSJOIN_SPILL=force.
+  // The serial and block-parallel pipelined scans differ in loop
+  // structure, but the chain does not depend on the thread count, so
+  // the deterministic export (operator spans + attrs + metrics) is
+  // byte-identical across thread counts. The pipelined_scan source is a
+  // property of the in-memory plan, so pin the policy rather than
+  // inherit a CI-wide SSJOIN_SPILL=force.
   request.options.spill.policy = SpillPolicy::kDisabled;
   std::string serial = DeterministicExport(request, 1);
   EXPECT_EQ(serial, DeterministicExport(request, 4));
   EXPECT_NE(serial.find("\"mode\":\"pipelined_self\""), std::string::npos);
-  EXPECT_EQ(serial.find("\"name\":\"SigGen\""), std::string::npos);
+  EXPECT_NE(serial.find("\"name\":\"pipelined_scan\""), std::string::npos);
+  EXPECT_EQ(serial.find("\"name\":\"siggen\""), std::string::npos);
 
   // The forced-spill export must be thread-count invariant too.
   request.options.spill.policy = SpillPolicy::kForced;
   std::string spilled = DeterministicExport(request, 1);
   EXPECT_EQ(spilled, DeterministicExport(request, 4));
   EXPECT_NE(spilled.find("\"mode\":\"pipelined_self\""), std::string::npos);
+  EXPECT_NE(spilled.find("\"name\":\"spill_partition\""),
+            std::string::npos);
+}
+
+// (name, parent name) of every kStable span, in creation order.
+std::vector<std::pair<std::string, std::string>> StableSkeleton(
+    const obs::Tracer& tracer) {
+  std::vector<obs::SpanRecord> spans = tracer.Snapshot();
+  std::vector<std::pair<std::string, std::string>> skeleton;
+  for (const obs::SpanRecord& span : spans) {
+    if (span.stability != obs::Stability::kStable) continue;
+    skeleton.emplace_back(span.name, span.parent == obs::kNoSpan
+                                         ? ""
+                                         : spans[span.parent - 1].name);
+  }
+  return skeleton;
+}
+
+// A tracer alone (no MetricsRegistry) still gets one kStable span per
+// operator, each carrying its stable row totals, and the skeleton is
+// identical at 1 and 4 threads for every plan shape.
+TEST(ObsDeterminismTest, TracerOnlyRunEmitsOperatorSkeleton) {
+  SetCollection input = Workload(350, 62);
+  auto scheme = MakeScheme(input, 0.85);
+  ASSERT_TRUE(scheme.ok());
+  JaccardPredicate predicate(0.85);
+  struct Plan {
+    ExecutionMode mode;
+    SpillPolicy spill;
+    std::vector<std::string> chain;
+  };
+  const std::vector<std::string> tail = {"bitmap_filter", "verify",
+                                         "dedup_emit"};
+  for (Plan plan :
+       {Plan{ExecutionMode::kSelfJoin, SpillPolicy::kDisabled,
+             {"siggen", "candgen"}},
+        Plan{ExecutionMode::kPipelinedSelfJoin, SpillPolicy::kDisabled,
+             {"pipelined_scan"}},
+        Plan{ExecutionMode::kSelfJoin, SpillPolicy::kForced,
+             {"spill_partition"}}}) {
+    plan.chain.insert(plan.chain.end(), tail.begin(), tail.end());
+    SCOPED_TRACE(plan.chain.front());
+    std::vector<std::pair<std::string, std::string>> expected = {
+        {"join", ""}};
+    for (const std::string& op : plan.chain) expected.emplace_back(op, "join");
+
+    std::string jsonl[2];
+    for (size_t threads : {1u, 4u}) {
+      obs::Tracer tracer;
+      JoinRequest request = SelfJoinRequest(input, *scheme, predicate);
+      request.mode = plan.mode;
+      request.options.spill.policy = plan.spill;
+      request.options.num_threads = threads;
+      request.options.tracer = &tracer;
+      JoinResult result = Join(request);
+      ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+      EXPECT_EQ(StableSkeleton(tracer), expected) << "threads=" << threads;
+      for (const obs::SpanRecord& span : tracer.Snapshot()) {
+        if (span.stability != obs::Stability::kStable || span.name == "join") {
+          continue;
+        }
+        ASSERT_EQ(span.attrs.size(), 2u) << span.name;
+        EXPECT_EQ(span.attrs[0].first, "rows_in");
+        EXPECT_EQ(span.attrs[1].first, "rows_out");
+        if (span.name == "dedup_emit") {
+          EXPECT_EQ(span.attrs[1].second.u, result.pairs.size());
+        }
+      }
+      jsonl[threads == 1 ? 0 : 1] = obs::TraceJsonl(tracer);
+    }
+    EXPECT_EQ(jsonl[0], jsonl[1]);
+  }
+}
+
+// Runtime samples nest under the span of the operator that ran them:
+// shard spans under candgen, verify_chunk spans (guarded runs) under
+// verify, block spans (parallel pipelined scan) under pipelined_scan.
+TEST(ObsDeterminismTest, SamplesNestUnderTheirOperatorSpan) {
+  SetCollection input = Workload(400, 63);
+  auto scheme = MakeScheme(input, 0.85);
+  ASSERT_TRUE(scheme.ok());
+  JaccardPredicate predicate(0.85);
+  ExecutionGuard guard(ExecutionBudget{});
+
+  for (ExecutionMode mode :
+       {ExecutionMode::kSelfJoin, ExecutionMode::kPipelinedSelfJoin}) {
+    obs::Tracer tracer;
+    JoinRequest request = SelfJoinRequest(input, *scheme, predicate);
+    request.mode = mode;
+    request.options.spill.policy = SpillPolicy::kDisabled;
+    request.options.num_threads = 4;
+    request.options.tracer = &tracer;
+    request.options.guard = &guard;
+    JoinResult result = Join(request);
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+
+    std::vector<obs::SpanRecord> spans = tracer.Snapshot();
+    std::map<std::string, std::set<std::string>> parents;
+    for (const obs::SpanRecord& span : spans) {
+      if (span.stability != obs::Stability::kRuntime) continue;
+      ASSERT_NE(span.parent, obs::kNoSpan) << span.name;
+      parents[span.name].insert(spans[span.parent - 1].name);
+    }
+    using Parents = std::set<std::string>;
+    if (mode == ExecutionMode::kSelfJoin) {
+      EXPECT_EQ(parents["shard"], Parents{"candgen"});
+      EXPECT_EQ(parents["verify_chunk"], Parents{"verify"});
+    } else {
+      EXPECT_EQ(parents["block"], Parents{"pipelined_scan"});
+    }
+  }
 }
 
 TEST(ObsDeterminismTest, GuardTripSurfacesEverywhere) {

@@ -88,20 +88,16 @@ TEST(NullSinkAllocTest, TelemetryCallsNeverAllocate) {
     telem.SetGauge("join.seconds.total", 1.5);
     telem.PhaseAttr("shards", uint64_t{4});
     {
-      auto phase = telem.Phase(kPhaseSigGen, &seconds);
+      auto phase = telem.Phase(names::kSpanSigGen, &seconds);
       auto sample = telem.Sample("shard", nullptr, /*lane=*/1);
-      (void)sample.span();
-    }
-    {
-      auto timed = telem.Time(&seconds);
+      EXPECT_EQ(sample.span(), kNoSpan);
     }
     EXPECT_FALSE(telem.tracing());
     EXPECT_EQ(telem.root(), kNoSpan);
-    EXPECT_EQ(telem.phase_span(), kNoSpan);
   }
   EXPECT_EQ(guard.count(), 0u)
       << "null-sink JoinTelemetry must not touch the heap";
-  EXPECT_GT(seconds, 0.0);  // the Phase/Time scopes still timed
+  EXPECT_GT(seconds, 0.0);  // the Phase scope still timed
 }
 
 TEST(NullSinkAllocTest, ExplainSeamsNeverAllocate) {
@@ -134,17 +130,21 @@ TEST(NullSinkAllocTest, NullLoggerSeamNeverAllocates) {
 }
 
 TEST(NullSinkAllocTest, UnboundOpInstrumentNeverAllocates) {
-  // Operator::Pull guards on enabled() — the unbound instrument path is
-  // the one every un-metered join takes for every batch.
+  // Operator::Pull accounts every pull into the ledger whatever sinks
+  // are attached — the unbound path is the one every un-metered join
+  // takes for every batch, so it must stay off the heap.
   OpInstrument inst;
   AllocationGuard guard;
   for (int i = 0; i < 1000; ++i) {
-    if (inst.enabled()) {
-      ADD_FAILURE() << "default instrument must be disabled";
-    }
+    OpInstrument::PullStart start = inst.BeginPull();
+    inst.EndPull(start, /*nested_ns=*/0, /*produced=*/i % 2 == 0,
+                 /*rows_in=*/static_cast<uint64_t>(i),
+                 /*rows_out=*/static_cast<uint64_t>(i));
   }
-  inst.FinishCounts(100, 50);  // no-op unbound, on every Close path
-  EXPECT_EQ(inst.inclusive_ns(), 0u);
+  inst.Close(100, 50);  // on every Close path
+  EXPECT_FALSE(inst.publishing());
+  EXPECT_EQ(inst.batches(), 500u);
+  EXPECT_EQ(inst.self_ns(), inst.inclusive_ns());  // nothing nested
   EXPECT_EQ(guard.count(), 0u)
       << "unbound OpInstrument must not touch the heap";
 }
@@ -153,10 +153,14 @@ TEST(NullSinkAllocTest, OpInstrumentBindToNullSinksIsFreeAndStaysOff) {
   JoinTelemetry telem(nullptr, nullptr, "join");
   OpInstrument inst;
   AllocationGuard guard;
-  inst.Bind(&telem, "siggen", 0);  // no registry: must stay disabled
-  EXPECT_FALSE(inst.enabled());
+  inst.Bind(&telem, "siggen", 0);  // no registry: publishes nothing
+  EXPECT_FALSE(inst.publishing());
   inst.Bind(nullptr, "siggen", 0);
-  EXPECT_FALSE(inst.enabled());
+  EXPECT_FALSE(inst.publishing());
+  OpInstrument::PullStart start = inst.BeginPull();
+  inst.EndPull(start, 0, /*produced=*/true, 1, 1);
+  inst.Close(1, 1);
+  EXPECT_EQ(inst.batches(), 1u);
   EXPECT_EQ(guard.count(), 0u);
 }
 

@@ -1,9 +1,11 @@
 // Per-operator pipeline metrics (core/pipeline/operator.h +
 // obs/join_telemetry.h): the pipeline.<op>.rows_in / rows_out counters
 // are kStable — exactly equal at any thread count and spill mode for the
-// same (input, mode) — and the runtime batches/ns counters exist without
-// leaking into the stable export. Runs under the `obs` ctest label so
-// the TSan CI job covers the instrument + heartbeat interleaving too.
+// same (input, mode) — the runtime batches/ns counters exist without
+// leaking into the stable export, and every JoinStats seconds field is
+// exactly the sum of its operators' pipeline.<op>.ns. Runs under the
+// `obs` ctest label so the TSan CI job covers the instrument + heartbeat
+// interleaving too.
 
 #include <gtest/gtest.h>
 
@@ -45,6 +47,7 @@ struct PipelineCounters {
   std::map<std::string, uint64_t> runtime;      // .batches / .ns
   uint64_t results = 0;
   uint64_t candidates = 0;
+  JoinStats stats;
 };
 
 PipelineCounters RunAndCollect(const SetCollection& input,
@@ -67,6 +70,7 @@ PipelineCounters RunAndCollect(const SetCollection& input,
   PipelineCounters out;
   out.results = result.stats.results;
   out.candidates = result.stats.candidates;
+  out.stats = result.stats;
   for (const MetricRecord& record : metrics.Snapshot()) {
     if (record.name.rfind("pipeline.", 0) != 0) continue;
     if (EndsWith(record.name, ".rows_in") ||
@@ -129,7 +133,64 @@ TEST_F(PipelineMetricsTest, RowCountersExactlyEqualUnderForcedSpill) {
   EXPECT_EQ(serial.results, parallel.results);
 }
 
+// The JoinStats seconds field each operator's self-time feeds
+// (core/ssjoin.h); dedup_emit feeds none.
+double JoinStats::*FeedOf(std::string_view op) {
+  if (op == "siggen") return &JoinStats::siggen_seconds;
+  if (op == "candgen" || op == "spill_partition" || op == "pipelined_scan") {
+    return &JoinStats::candpair_seconds;
+  }
+  if (op == "bitmap_filter" || op == "verify") {
+    return &JoinStats::postfilter_seconds;
+  }
+  return nullptr;
+}
+
 TEST_F(PipelineMetricsTest, CountersTieOutToJoinStats) {
+  struct Plan {
+    const char* name;
+    ExecutionMode mode;
+    SpillPolicy spill;
+    const char* source;  // the chain's source operator
+  };
+  for (const Plan& plan :
+       {Plan{"sorted", ExecutionMode::kSelfJoin, SpillPolicy::kDisabled,
+             "siggen"},
+        Plan{"pipelined", ExecutionMode::kPipelinedSelfJoin,
+             SpillPolicy::kDisabled, "pipelined_scan"},
+        Plan{"spilled", ExecutionMode::kSelfJoin, SpillPolicy::kForced,
+             "spill_partition"}}) {
+    for (size_t threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(plan.name) +
+                   " threads=" + std::to_string(threads));
+      PipelineCounters c = RunAndCollect(input_, *scheme_, predicate_,
+                                         plan.mode, threads, plan.spill);
+      ASSERT_TRUE(c.runtime.count(std::string("pipeline.") + plan.source +
+                                  ".ns"));
+      // Each seconds field is derived from the ledger, never timed on
+      // its own: the sum of its operators' self-time.
+      JoinStats derived;
+      for (const auto& [name, value] : c.runtime) {
+        if (!EndsWith(name, ".ns")) continue;
+        std::string op = name.substr(9, name.size() - 9 - 3);
+        if (double JoinStats::*feed = FeedOf(op)) {
+          derived.*feed += static_cast<double>(value) / 1e9;
+        }
+      }
+      EXPECT_DOUBLE_EQ(c.stats.siggen_seconds, derived.siggen_seconds);
+      EXPECT_DOUBLE_EQ(c.stats.candpair_seconds, derived.candpair_seconds);
+      EXPECT_DOUBLE_EQ(c.stats.postfilter_seconds,
+                       derived.postfilter_seconds);
+      EXPECT_GT(c.stats.candpair_seconds, 0.0);
+      EXPECT_GT(c.stats.postfilter_seconds, 0.0);
+      if (std::string_view(plan.source) != "siggen") {
+        // The fused sources do SigGen and CandPair together; their whole
+        // self-time is CandPair.
+        EXPECT_EQ(c.stats.siggen_seconds, 0.0);
+      }
+    }
+  }
+
   PipelineCounters c =
       RunAndCollect(input_, *scheme_, predicate_, ExecutionMode::kSelfJoin,
                     1, SpillPolicy::kDisabled);

@@ -142,5 +142,26 @@ TEST(RunReportTest, RendersSpanTreeAndMarksRuntime) {
             std::string::npos);
 }
 
+TEST(RunReportTest, RendersChildrenUnderTheirParent) {
+  // Both operator spans open first (as Plan::Run does); the sample of
+  // the first one starts after its sibling, yet renders beneath it.
+  Tracer tracer;
+  SpanId root = tracer.StartSpan("join");
+  SpanId first = tracer.StartSpan("candgen", root);
+  SpanId second = tracer.StartSpan("verify", root);
+  SpanId shard = tracer.StartSpan("shard", first, Stability::kRuntime, 1);
+  for (SpanId id : {shard, second, first, root}) tracer.EndSpan(id);
+
+  std::string report = RunReportText(&tracer, nullptr);
+  size_t candgen = report.find("    candgen");
+  size_t sample = report.find("      shard");
+  size_t verify = report.find("    verify");
+  ASSERT_NE(candgen, std::string::npos) << report;
+  ASSERT_NE(sample, std::string::npos) << report;
+  ASSERT_NE(verify, std::string::npos) << report;
+  EXPECT_LT(candgen, sample);
+  EXPECT_LT(sample, verify);
+}
+
 }  // namespace
 }  // namespace ssjoin::obs

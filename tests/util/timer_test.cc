@@ -23,33 +23,5 @@ TEST(StopwatchTest, RestartResets) {
   EXPECT_LT(watch.ElapsedSeconds(), 0.015);
 }
 
-TEST(PhaseTimerTest, AccumulatesPerPhase) {
-  PhaseTimer timer;
-  timer.Add(kPhaseSigGen, 1.0);
-  timer.Add(kPhaseSigGen, 0.5);
-  timer.Add(kPhaseCandPair, 2.0);
-  EXPECT_DOUBLE_EQ(timer.Seconds(kPhaseSigGen), 1.5);
-  EXPECT_DOUBLE_EQ(timer.Seconds(kPhaseCandPair), 2.0);
-  EXPECT_DOUBLE_EQ(timer.Seconds(kPhasePostFilter), 0.0);
-  EXPECT_DOUBLE_EQ(timer.TotalSeconds(), 3.5);
-}
-
-TEST(PhaseTimerTest, ScopeMeasures) {
-  PhaseTimer timer;
-  {
-    auto scope = timer.Measure("work");
-    std::this_thread::sleep_for(std::chrono::milliseconds(15));
-  }
-  EXPECT_GE(timer.Seconds("work"), 0.010);
-}
-
-TEST(PhaseTimerTest, Reset) {
-  PhaseTimer timer;
-  timer.Add("x", 1.0);
-  timer.Reset();
-  EXPECT_DOUBLE_EQ(timer.TotalSeconds(), 0.0);
-  EXPECT_TRUE(timer.phases().empty());
-}
-
 }  // namespace
 }  // namespace ssjoin

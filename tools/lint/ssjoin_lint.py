@@ -19,10 +19,12 @@ Rules (scope: the directories named in RULE_SCOPES):
                        SaveSetsBinary, ...) silently discards a trip or an
                        IO failure; propagate it (SSJOIN_RETURN_NOT_OK,
                        assign, or branch on it).
-  no-raw-timing        src/core must not time phases with raw PhaseTimer /
-                       Stopwatch (util/timer.h) or <chrono> clock reads;
-                       all join timing flows through obs::JoinTelemetry so
-                       spans, metrics and JoinStats stay in one place.
+  no-raw-timing        src/core must not time joins with a raw Stopwatch
+                       (util/timer.h) or <chrono> clock reads; a Join()
+                       plan is timed once, by the operator ledger at
+                       Operator::Pull (obs::OpInstrument), and the other
+                       drivers through obs::JoinTelemetry, so spans,
+                       metrics and JoinStats stay in one place.
                        execution_guard.{h,cc} are exempt (deadline
                        enforcement needs a wall clock, not telemetry).
   no-unchecked-io      a bare-statement call to a C stdio / POSIX write
@@ -124,9 +126,9 @@ DROPPED_STATUS_RE = re.compile(
     r"^\s*(?:\(void\)\s*)?(?:\w+(?:\.|->))?(%s)\s*\(.*\)\s*;\s*$"
     % "|".join(STATUS_FUNCTIONS))
 # Raw timing machinery forbidden in src/core: the util/timer.h include
-# (PhaseTimer / Stopwatch / ScopedTimer live there) and direct <chrono>
-# clock reads. `#include <chrono>` alone is also flagged — core code that
-# needs elapsed time should take a JoinTelemetry scope instead.
+# (where Stopwatch lives) and direct <chrono> clock reads. `#include
+# <chrono>` alone is also flagged — operator time comes from the pull
+# ledger, other core timing from a JoinTelemetry scope.
 # I/O primitives whose int/size_t result is the only report of a short
 # write, ENOSPC, or a buffered-write failure surfacing at flush/close.
 # A line that is nothing but such a call (even behind a `(void)` cast)
@@ -291,7 +293,8 @@ class Linter:
                         or CHRONO_CLOCK_RE.search(line)):
                     if not allowed(lineno, "no-raw-timing"):
                         self.report(rel, lineno, "no-raw-timing",
-                                    "src/core times joins through "
+                                    "src/core times joins through the "
+                                    "operator ledger or "
                                     "obs::JoinTelemetry, not raw "
                                     "util/timer.h or std::chrono clocks "
                                     "(execution_guard is the only "
