@@ -37,12 +37,14 @@ Result<PrefixFilterScheme> PrefixFilterScheme::CreateImpl(
   // set sizes that actually occur (only those need valid prefix lengths).
   std::unordered_map<ElementId, uint32_t> freq;
   std::vector<bool> size_present;
+  uint64_t empty_sets = 0;
   for (const SetCollection* input : inputs) {
     scheme.max_set_size_ =
         std::max(scheme.max_set_size_, input->max_set_size());
     size_present.resize(scheme.max_set_size_ + 1, false);
     for (SetId id = 0; id < input->size(); ++id) {
       size_present[input->set_size(id)] = true;
+      if (input->set_size(id) == 0) ++empty_sets;
       for (ElementId e : input->set(id)) ++freq[e];
     }
   }
@@ -62,8 +64,10 @@ Result<PrefixFilterScheme> PrefixFilterScheme::CreateImpl(
   // minimum runs over partner sizes that actually occur in the input —
   // for equi-sized inputs this recovers the paper's Section 3.3 analysis
   // (size 20, gamma 0.8 => overlap >= 18 => three-element prefixes).
+  // Size 0 is checked too: an empty set has no prefix, so an empty set
+  // the predicate lets join is a zero-overlap join like any other.
   scheme.prefix_len_.assign(scheme.max_set_size_ + 1, 0);
-  for (uint32_t size = 1; size <= scheme.max_set_size_; ++size) {
+  for (uint32_t size = 0; size <= scheme.max_set_size_; ++size) {
     double t = std::numeric_limits<double>::infinity();
     std::optional<SizeRange> range = scheme.predicate_->JoinableSizes(
         size, scheme.max_set_size_ * 2 + 16);
@@ -71,11 +75,14 @@ Result<PrefixFilterScheme> PrefixFilterScheme::CreateImpl(
       uint32_t hi = std::min(range->hi, scheme.max_set_size_);
       for (uint32_t partner = range->lo; partner <= hi; ++partner) {
         if (!size_present[partner]) continue;
+        // A lone empty set has no size-0 partner: it cannot join itself.
+        if (size == 0 && partner == 0 && empty_sets < 2) continue;
         t = std::min(t, scheme.predicate_->MinOverlap(size, partner));
       }
     }
     if (std::isinf(t)) {
-      scheme.prefix_len_[size] = 1;  // size joins nothing; emit minimal
+      // Size joins nothing; emit minimal.
+      scheme.prefix_len_[size] = std::min(size, 1u);
       continue;
     }
     // Integer overlaps: the effective threshold is ceil(t). Only t <= 0
@@ -94,9 +101,10 @@ Result<PrefixFilterScheme> PrefixFilterScheme::CreateImpl(
     }
     uint32_t h = size >= t_int ? size - t_int + 1 : 1;
     scheme.prefix_len_[size] = std::min(h, size);
-    SSJOIN_CHECK(scheme.prefix_len_[size] >= 1 &&
+    SSJOIN_CHECK(scheme.prefix_len_[size] >= std::min(size, 1u) &&
                      scheme.prefix_len_[size] <= size,
-                 "prefix length {} for set size {} outside [1, size]",
+                 "prefix length {} for set size {} outside [min(1, size), "
+                 "size]",
                  scheme.prefix_len_[size], size);
   }
 

@@ -16,7 +16,8 @@
 // satisfied with an empty intersection (t(s) < 1) cannot be filtered; for
 // such sets the scheme clamps t to 1, which silently drops zero-overlap
 // matches. Create() rejects predicates where this occurs unless
-// `allow_zero_overlap_loss` is set.
+// `allow_zero_overlap_loss` is set. An empty input set counts: it has no
+// prefix, so every match the predicate allows it is a zero-overlap match.
 
 #pragma once
 
@@ -64,7 +65,7 @@ class PrefixFilterScheme final : public SignatureScheme {
                 std::vector<Signature>* out) const override;
 
   /// Prefix length used for sets of the given size (paper Section 3.3's
-  /// "h"). Exposed for tests.
+  /// "h"; 0 for size 0). Exposed for tests.
   uint32_t PrefixLength(uint32_t size) const;
 
   /// Global rarity rank of an element (0 = rarest). Unseen elements rank

@@ -175,8 +175,11 @@ struct JoinStats {
   // spilled and pipelined sources do SigGen and CandPair in one
   // operator, so those plans report siggen_seconds == 0 and all source
   // time as candpair_seconds; pipeline.<op>.ns and EXPLAIN keep the
-  // per-operator split. The other drivers time the three steps
-  // directly.
+  // per-operator split. The DBMS driver (relational/sql_ssjoin.h), which
+  // is not an operator chain, times the three steps directly; the string
+  // join (core/string_join.h) adds its two wrapper steps — q-gram
+  // extraction and the edit-distance check — to the fields of its inner
+  // Join().
   double siggen_seconds = 0;
   double candpair_seconds = 0;
   double postfilter_seconds = 0;

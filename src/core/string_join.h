@@ -3,10 +3,19 @@
 // If EditDistance(s1, s2) <= k, every edit operation perturbs at most q
 // q-grams on each side, so the q-gram *bags* of s1 and s2 have hamming
 // distance <= 2qk. A hamming SSJoin over the q-gram bags with threshold
-// 2qk is therefore a complete filter; surviving candidates are verified
-// with the exact banded edit distance ("in application code", Figure 16 —
-// the SSJoin-level hamming post-filter is skipped, exactly as the paper
-// found it not to pay off).
+// 2qk is therefore a complete filter. Both entry points run that SSJoin
+// through Join() — the same operator chain, bitmap pre-filter, spill
+// path and per-operator ledger as every other join — and then check the
+// exact banded edit distance over its pairs ("in application code",
+// Figure 16). Because the hamming check is complete, Join()'s pairs are
+// an exact superset of the edit-distance matches.
+//
+// Accounting: `results` counts the edit-distance matches, and every
+// candidate that is not one — rejected by the hamming check or by the
+// edit check — counts as a false positive. The JoinStats seconds are
+// Join()'s operator times plus the wrapper's own two steps: q-gram
+// extraction and scheme construction add to siggen_seconds, the edit
+// check to postfilter_seconds.
 //
 // Note on the bound: the paper states the bound as "<= nk", but its own
 // Example 1 (washington/woshington: one substitution, 3-gram hamming

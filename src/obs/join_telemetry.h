@@ -10,8 +10,10 @@
 //   * One clock per operator chain: a Join() plan is timed only at
 //     Operator::Pull, by the OpInstrument below; JoinStats seconds, the
 //     operator spans and pipeline.<op>.ns are all derived from that one
-//     ledger. Phase() scopes time the two drivers that are not operator
-//     chains (the string and DBMS joins) straight into JoinStats.
+//     ledger. Phase() scopes time what is not an operator chain
+//     straight into JoinStats: the DBMS driver's three steps, and the
+//     string join's two wrapper steps (q-gram extraction with scheme
+//     construction, and the edit-distance check) around its Join().
 //   * Stable vs runtime recording: operator spans and Phase() spans are
 //     kStable (the deterministic join skeleton); Sample() opens kRuntime
 //     spans for shard/chunk/block detail and feeds latency histograms.
@@ -78,9 +80,9 @@ class JoinTelemetry {
   };
 
   /// Opens a kStable phase span under the root and times it into
-  /// `*seconds`. For the drivers that are not operator chains (string
-  /// and DBMS joins); a Join() plan is timed by its OpInstruments
-  /// instead. Must be called from the control thread; the phase span
+  /// `*seconds`. For work outside an operator chain (the DBMS driver,
+  /// the string join's wrapper steps); a Join() plan is timed by its
+  /// OpInstruments instead. Must be called from the control thread; the phase span
   /// becomes the parent for Sample() scopes and PhaseAttr().
   PhaseScope Phase(std::string_view name, double* seconds);
 

@@ -1,9 +1,11 @@
 // q-gram (n-gram) extraction.
 //
 // Edit-distance string joins run on q-gram multisets (paper Section 8.2):
-// if EditDistance(s1, s2) <= k then the hamming distance between their
-// q-gram bags is <= q*k, so an SSJoin with hamming threshold q*k is a
-// complete filter. The paper finds q = 1 optimal for PartEnum (small
+// one edit operation changes at most q grams of each string, so if
+// EditDistance(s1, s2) <= k the hamming distance between their q-gram
+// bags is <= 2qk, and an SSJoin with hamming threshold 2qk is a complete
+// filter. (The paper states q*k, which its own Example 1 contradicts; see
+// core/string_join.h.) The paper finds q = 1 optimal for PartEnum (small
 // element domains do not hurt it) while prefix filter needs q = 4..6.
 
 #pragma once
@@ -47,12 +49,10 @@ class QgramExtractor {
 
   uint32_t q() const { return options_.q; }
 
-  /// Upper bound on the q-gram-bag hamming distance implied by an edit
-  /// distance of `k` (paper Section 8.2: Hd <= q*k per edit operation
-  /// affecting at most q grams... with padding each edit touches at most q
-  /// grams on each string side, bounding Hd by 2*q*k in the worst case; we
-  /// use the standard tight bound q*k for substitutions-dominated inputs
-  /// and expose both).
+  /// The complete upper bound 2qk on the q-gram-bag hamming distance
+  /// implied by an edit distance of `k`: each edit removes at most q grams
+  /// from one bag and adds at most q to the other (padding included).
+  /// q*k is not a bound: one substitution can move the distance by 2q.
   uint32_t HammingBound(uint32_t k) const { return options_.q * k * 2; }
 
  private:

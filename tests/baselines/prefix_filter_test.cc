@@ -136,6 +136,29 @@ TEST(PrefixFilterTest, RejectsZeroOverlapPredicates) {
   EXPECT_TRUE(PrefixFilterScheme::Create(predicate, input, params).ok());
 }
 
+TEST(PrefixFilterTest, RejectsJoinableEmptySets) {
+  // Two empty sets are at hamming distance 0 but have no prefix element
+  // to collide on, so a join would silently miss them.
+  SetCollection input = SetCollection::FromVectors(
+      {{}, {}, {1, 2, 3, 4, 5, 6}, {1, 2, 3, 4, 5, 7}});
+  auto predicate = std::make_shared<HammingPredicate>(1);
+  auto scheme = PrefixFilterScheme::Create(predicate, input);
+  ASSERT_FALSE(scheme.ok());
+  EXPECT_EQ(scheme.status().code(), StatusCode::kInvalidArgument);
+  SetCollection r = SetCollection::FromVectors({{}, {1, 2, 3, 4}});
+  SetCollection s = SetCollection::FromVectors({{}, {5, 6, 7, 8}});
+  EXPECT_FALSE(PrefixFilterScheme::Create(predicate, r, s).ok());
+
+  PrefixFilterParams params;
+  params.allow_zero_overlap_loss = true;
+  auto lossy = PrefixFilterScheme::Create(predicate, input, params);
+  ASSERT_TRUE(lossy.ok());
+  EXPECT_EQ(lossy->PrefixLength(0), 0u);
+  // A lone empty set joins nothing under hamming 1 here: accepted.
+  SetCollection lone = SetCollection::FromVectors({{}, {1, 2, 3, 4}});
+  EXPECT_TRUE(PrefixFilterScheme::Create(predicate, lone).ok());
+}
+
 TEST(PrefixFilterTest, EmptySetsGetNoSignatures) {
   SetCollection input = SetCollection::FromVectors({{}, {1, 2}});
   auto predicate = std::make_shared<JaccardPredicate>(0.8);

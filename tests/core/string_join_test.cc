@@ -119,17 +119,82 @@ TEST(StringJoinTest, PartEnumShapeOverride) {
   EXPECT_EQ(result->pairs, (std::vector<SetPair>{{0, 1}}));
 }
 
+// Pins the Section 3.2 accounting of the string join on one seeded
+// address input, for both schemes, self and binary. The expected values
+// were produced by the string join's earlier standalone driver (its own
+// posting lists, nested-loop candidate pairing and serial edit-distance
+// verification), so they also pin the generic driver to that reference:
+// `candidates` counts distinct q-gram-bag candidate pairs, and every
+// candidate that is not an edit-distance match — pruned by the hamming
+// check inside Join() or by the edit check after it — is a false
+// positive.
 TEST(StringJoinTest, StatsPhasesPopulated) {
   AddressOptions options;
-  options.num_strings = 100;
+  options.num_strings = 200;
+  options.duplicate_fraction = 0.25;
+  options.seed = 31;
   std::vector<std::string> strings = GenerateAddressStrings(options);
-  StringJoinOptions join_options;
-  join_options.edit_threshold = 1;
-  auto result = StringSimilaritySelfJoin(strings, join_options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_GT(result->stats.signatures_r, 0u);
-  EXPECT_EQ(result->stats.results + result->stats.false_positives,
-            result->stats.candidates);
+  std::vector<std::string> r(strings.begin(), strings.begin() + 100);
+  std::vector<std::string> s(strings.begin() + 100, strings.end());
+
+  struct Expected {
+    StringJoinAlgorithm algorithm;
+    uint32_t q;
+    bool binary;
+    uint64_t signatures_r, signatures_s, collisions, candidates, results,
+        false_positives;
+  };
+  const Expected cases[] = {
+      {StringJoinAlgorithm::kPartEnum, 1, false, 2400, 2400, 534, 92, 27,
+       65},
+      {StringJoinAlgorithm::kPartEnum, 1, true, 1200, 1200, 198, 35, 9, 26},
+      {StringJoinAlgorithm::kPrefixFilter, 4, false, 5720, 5720, 1306, 269,
+       27, 242},
+      {StringJoinAlgorithm::kPrefixFilter, 4, true, 2794, 2926, 489, 124, 9,
+       115},
+  };
+  for (const Expected& want : cases) {
+    StringJoinOptions join_options;
+    join_options.edit_threshold = 2;
+    join_options.q = want.q;
+    join_options.algorithm = want.algorithm;
+    auto result = want.binary ? StringSimilarityJoin(r, s, join_options)
+                              : StringSimilaritySelfJoin(strings, join_options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const JoinStats& stats = result->stats;
+    SCOPED_TRACE(std::string(want.algorithm == StringJoinAlgorithm::kPartEnum
+                                 ? "PEN"
+                                 : "PF") +
+                 (want.binary ? " binary" : " self"));
+    EXPECT_GT(stats.siggen_seconds, 0.0);
+    EXPECT_EQ(stats.signatures_r, want.signatures_r);
+    EXPECT_EQ(stats.signatures_s, want.signatures_s);
+    EXPECT_EQ(stats.signature_collisions, want.collisions);
+    EXPECT_EQ(stats.candidates, want.candidates);
+    EXPECT_EQ(stats.results, want.results);
+    EXPECT_EQ(stats.false_positives, want.false_positives);
+    EXPECT_EQ(stats.results + stats.false_positives, stats.candidates);
+    EXPECT_EQ(result->pairs.size(), stats.results);
+  }
+}
+
+// Two empty strings are at edit distance 0. PartEnum pairs them; prefix
+// filtering has no gram to pair them on, so it must refuse the input
+// instead of silently dropping the pair.
+TEST(StringJoinTest, EmptyStringsJoinOrAreRefused) {
+  std::vector<std::string> strings = {"", "", "abcdef", "abcdeg"};
+  StringJoinOptions options;
+  options.edit_threshold = 1;
+  options.q = 1;
+  auto pen = StringSimilaritySelfJoin(strings, options);
+  ASSERT_TRUE(pen.ok()) << pen.status().ToString();
+  EXPECT_EQ(pen->pairs, BruteForceEditJoin(strings, 1));
+  EXPECT_EQ(pen->pairs, (std::vector<SetPair>{{0, 1}, {2, 3}}));
+
+  options.algorithm = StringJoinAlgorithm::kPrefixFilter;
+  auto pf = StringSimilaritySelfJoin(strings, options);
+  ASSERT_FALSE(pf.ok());
+  EXPECT_EQ(pf.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

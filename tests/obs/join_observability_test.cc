@@ -83,10 +83,19 @@ TEST(ObsDeterminismTest, SelfJoinExportIsThreadCountInvariant) {
   std::string parallel = DeterministicExport(request, 4);
   EXPECT_FALSE(serial.empty());
   EXPECT_EQ(serial, parallel);
-  // The stable skeleton: join root plus one span per operator.
+  // The stable skeleton: join root plus one span per operator. Under
+  // SSJOIN_SPILL=force the join spills, and spill_partition replaces the
+  // two source operators.
   EXPECT_NE(serial.find("\"name\":\"join\""), std::string::npos);
-  for (const char* op :
-       {"siggen", "candgen", "bitmap_filter", "verify", "dedup_emit"}) {
+  const bool spilled =
+      serial.find("\"spill\":\"forced\"") != std::string::npos;
+  std::vector<const char*> ops = {"bitmap_filter", "verify", "dedup_emit"};
+  if (spilled) {
+    ops.push_back("spill_partition");
+  } else {
+    ops.insert(ops.end(), {"siggen", "candgen"});
+  }
+  for (const char* op : ops) {
     EXPECT_NE(serial.find(std::string("\"name\":\"") + op + "\""),
               std::string::npos)
         << op;
@@ -464,6 +473,17 @@ TEST(ObsIntegrationTest, StringJoinEmitsPhaseSkeleton) {
   EXPECT_NE(jsonl.find("\"mode\":\"string_self\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"name\":\"SigGen\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"name\":\"PostFilter\""), std::string::npos);
+  // The hamming join over the q-gram bags runs through Join(), so its
+  // operator spans land in the same tracer. Under SSJOIN_SPILL=force the
+  // join spills, and spill_partition replaces the two source operators.
+  EXPECT_NE(jsonl.find("\"name\":\"verify\""), std::string::npos);
+  if (jsonl.find("\"spill\":\"forced\"") == std::string::npos) {
+    EXPECT_NE(jsonl.find("\"name\":\"siggen\""), std::string::npos);
+    EXPECT_NE(jsonl.find("\"name\":\"candgen\""), std::string::npos);
+  } else {
+    EXPECT_NE(jsonl.find("\"name\":\"spill_partition\""),
+              std::string::npos);
+  }
 }
 
 TEST(ObsIntegrationTest, DbmsPlanPublishesRowCounts) {

@@ -223,8 +223,12 @@ TEST_F(PipelineMetricsTest, RuntimeCountersStayOutOfStableExport) {
   JoinResult result = Join(request);
   ASSERT_TRUE(result.status.ok());
   std::string stable = MetricsJsonl(metrics);
-  EXPECT_NE(stable.find("pipeline.siggen.rows_out"), std::string::npos);
-  EXPECT_EQ(stable.find("pipeline.siggen.batches"), std::string::npos);
+  // Under SSJOIN_SPILL=force the source operator is spill_partition.
+  const std::string source = result.stats.spill_partitions > 0
+                                 ? "pipeline.spill_partition"
+                                 : "pipeline.siggen";
+  EXPECT_NE(stable.find(source + ".rows_out"), std::string::npos);
+  EXPECT_EQ(stable.find(source + ".batches"), std::string::npos);
   EXPECT_EQ(stable.find(".ns\""), std::string::npos);
 }
 
