@@ -3,19 +3,12 @@
 #include <algorithm>
 #include <atomic>
 
-#if defined(SSJOIN_SIMD_ENABLED) && \
-    (defined(__x86_64__) || defined(__i386__))
-#define SSJOIN_SIMD_X86 1
-#include <immintrin.h>
-#endif
-
 namespace ssjoin::kernels {
 
 namespace {
 
 std::atomic<uint64_t> g_scalar_calls{0};
 std::atomic<uint64_t> g_galloping_calls{0};
-std::atomic<uint64_t> g_simd_calls{0};
 
 // The two-pointer reference (mirrors util SortedIntersectionSize; kept
 // local so the kernel layer has no dependency and the oracle cannot
@@ -68,133 +61,7 @@ uint32_t IntersectGalloping(std::span<const uint32_t> small,
   return size;
 }
 
-// Portable SWAR fallback: a 4-wide unrolled branch-light merge. The
-// inner comparisons compile to setcc/cmov chains instead of a
-// mispredict-prone if/else ladder; the tail falls back to the scalar
-// loop. Bit-exact with IntersectScalar by construction (it advances the
-// same pointers by the same totals, just four decisions per iteration).
-uint32_t IntersectSwar(std::span<const uint32_t> a,
-                       std::span<const uint32_t> b) {
-  size_t i = 0, j = 0;
-  uint32_t size = 0;
-  if (a.size() >= 4 && b.size() >= 4) {
-    const size_t ia_end = a.size() - 4;
-    const size_t ib_end = b.size() - 4;
-    while (i <= ia_end && j <= ib_end) {
-      for (int u = 0; u < 4; ++u) {
-        uint32_t va = a[i];
-        uint32_t vb = b[j];
-        size += (va == vb);
-        i += (va <= vb);
-        j += (vb <= va);
-      }
-      if (i > ia_end || j > ib_end) break;
-    }
-  }
-  return size + IntersectScalar(a.subspan(i), b.subspan(j));
-}
-
-#if defined(SSJOIN_SIMD_X86)
-
-// SSE all-pairs block compare: advance both sides in 4-element blocks
-// and test a's block against every rotation of b's block, so all 16
-// element pairs are compared with 4 vector compares (the cmpestrm-style
-// kernel shape). Requires sorted duplicate-free inputs — each match is
-// counted exactly once because an element occurs at most once per side.
-__attribute__((target("sse4.2"))) uint32_t IntersectSse(
-    std::span<const uint32_t> a, std::span<const uint32_t> b) {
-  size_t i = 0, j = 0;
-  uint32_t size = 0;
-  if (a.size() >= 4 && b.size() >= 4) {
-    const size_t ia_end = a.size() - 4;
-    const size_t ib_end = b.size() - 4;
-    while (i <= ia_end && j <= ib_end) {
-      __m128i va =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(a.data() + i));
-      __m128i vb =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(b.data() + j));
-      __m128i cmp = _mm_cmpeq_epi32(va, vb);
-      __m128i rot1 = _mm_shuffle_epi32(vb, _MM_SHUFFLE(0, 3, 2, 1));
-      cmp = _mm_or_si128(cmp, _mm_cmpeq_epi32(va, rot1));
-      __m128i rot2 = _mm_shuffle_epi32(vb, _MM_SHUFFLE(1, 0, 3, 2));
-      cmp = _mm_or_si128(cmp, _mm_cmpeq_epi32(va, rot2));
-      __m128i rot3 = _mm_shuffle_epi32(vb, _MM_SHUFFLE(2, 1, 0, 3));
-      cmp = _mm_or_si128(cmp, _mm_cmpeq_epi32(va, rot3));
-      int mask = _mm_movemask_ps(_mm_castsi128_ps(cmp));
-      size += static_cast<uint32_t>(__builtin_popcount(mask));
-      // Advance the side whose block ends first; ties advance both (all
-      // cross-pairs <= the shared maximum have been compared).
-      uint32_t a_max = a[i + 3];
-      uint32_t b_max = b[j + 3];
-      i += (a_max <= b_max) ? 4 : 0;
-      j += (b_max <= a_max) ? 4 : 0;
-    }
-  }
-  return size + IntersectScalar(a.subspan(i), b.subspan(j));
-}
-
-// AVX2 variant: 8-element blocks, 8 rotations. The rotation is a lane
-// crossing permute (vpermd); 8 compares cover all 64 element pairs.
-__attribute__((target("avx2"))) uint32_t IntersectAvx2(
-    std::span<const uint32_t> a, std::span<const uint32_t> b) {
-  size_t i = 0, j = 0;
-  uint32_t size = 0;
-  if (a.size() >= 8 && b.size() >= 8) {
-    const size_t ia_end = a.size() - 8;
-    const size_t ib_end = b.size() - 8;
-    const __m256i rotate_one =
-        _mm256_setr_epi32(1, 2, 3, 4, 5, 6, 7, 0);
-    while (i <= ia_end && j <= ib_end) {
-      __m256i va = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(a.data() + i));
-      __m256i vb = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(b.data() + j));
-      __m256i cmp = _mm256_cmpeq_epi32(va, vb);
-      __m256i rotated = vb;
-      for (int r = 1; r < 8; ++r) {
-        rotated = _mm256_permutevar8x32_epi32(rotated, rotate_one);
-        cmp = _mm256_or_si256(cmp, _mm256_cmpeq_epi32(va, rotated));
-      }
-      int mask = _mm256_movemask_ps(_mm256_castsi256_ps(cmp));
-      size += static_cast<uint32_t>(__builtin_popcount(mask));
-      uint32_t a_max = a[i + 7];
-      uint32_t b_max = b[j + 7];
-      i += (a_max <= b_max) ? 8 : 0;
-      j += (b_max <= a_max) ? 8 : 0;
-    }
-  }
-  return size + IntersectScalar(a.subspan(i), b.subspan(j));
-}
-
-#endif  // SSJOIN_SIMD_X86
-
-using IntersectFn = uint32_t (*)(std::span<const uint32_t>,
-                                 std::span<const uint32_t>);
-
-// Probes the CPU once and caches the best vector implementation (the
-// SWAR merge when the build or host has no vector unit).
-IntersectFn ResolveBlockKernel() {
-#if defined(SSJOIN_SIMD_X86)
-  if (__builtin_cpu_supports("avx2")) return &IntersectAvx2;
-  if (__builtin_cpu_supports("sse4.2")) return &IntersectSse;
-#endif
-  return &IntersectSwar;
-}
-
-IntersectFn BlockKernel() {
-  static const IntersectFn fn = ResolveBlockKernel();
-  return fn;
-}
-
 }  // namespace
-
-bool SimdAvailable() {
-#if defined(SSJOIN_SIMD_X86)
-  return BlockKernel() != static_cast<IntersectFn>(&IntersectSwar);
-#else
-  return false;
-#endif
-}
 
 const char* IntersectKernelName(IntersectKernel kernel) {
   switch (kernel) {
@@ -202,8 +69,6 @@ const char* IntersectKernelName(IntersectKernel kernel) {
       return "scalar";
     case IntersectKernel::kGalloping:
       return "galloping";
-    case IntersectKernel::kSimd:
-      return "simd";
   }
   return "unknown";
 }
@@ -212,18 +77,15 @@ uint32_t IntersectSize(std::span<const uint32_t> a,
                        std::span<const uint32_t> b) {
   const size_t small = std::min(a.size(), b.size());
   const size_t large = std::max(a.size(), b.size());
-  if (small <= 8 || large < 2 * kGallopRatio) {
-    // Tiny operands: dispatch overhead would exceed the work.
-    g_scalar_calls.fetch_add(1, std::memory_order_relaxed);
-    return IntersectScalar(a, b);
-  }
-  if (large >= kGallopRatio * small) {
+  // Tiny small sides stay on the merge: the probe overhead would exceed
+  // the work.
+  if (small > 8 && large >= kGallopRatio * small) {
     g_galloping_calls.fetch_add(1, std::memory_order_relaxed);
     return a.size() <= b.size() ? IntersectGalloping(a, b)
                                 : IntersectGalloping(b, a);
   }
-  g_simd_calls.fetch_add(1, std::memory_order_relaxed);
-  return BlockKernel()(a, b);
+  g_scalar_calls.fetch_add(1, std::memory_order_relaxed);
+  return IntersectScalar(a, b);
 }
 
 uint32_t IntersectSizeWith(IntersectKernel kernel,
@@ -235,8 +97,6 @@ uint32_t IntersectSizeWith(IntersectKernel kernel,
     case IntersectKernel::kGalloping:
       return a.size() <= b.size() ? IntersectGalloping(a, b)
                                   : IntersectGalloping(b, a);
-    case IntersectKernel::kSimd:
-      return BlockKernel()(a, b);
   }
   return IntersectScalar(a, b);
 }
@@ -245,7 +105,6 @@ IntersectCounts IntersectDispatchCounts() {
   IntersectCounts counts;
   counts.scalar = g_scalar_calls.load(std::memory_order_relaxed);
   counts.galloping = g_galloping_calls.load(std::memory_order_relaxed);
-  counts.simd = g_simd_calls.load(std::memory_order_relaxed);
   return counts;
 }
 

@@ -1,37 +1,25 @@
-// Raw-speed set-intersection kernels (DESIGN.md Section 11).
+// Set-intersection kernels (DESIGN.md Section 11).
 //
 // Exact verification spends its time in sorted-set intersection
-// (Predicate::Evaluate -> SortedIntersectionSize). This module replaces
-// that single scalar loop with a small family of bit-exact kernels and a
-// per-pair dispatch policy:
+// (Predicate::Evaluate -> SortedIntersectionSize). This module offers
+// two bit-exact kernels and a per-pair dispatch policy:
 //
-//   * kScalar    — the two-pointer reference (util/bit_vector.cc), kept
-//                  as the semantics oracle every other kernel must match.
+//   * kScalar    — the two-pointer merge (mirrors util/bit_vector.cc),
+//                  kept as the semantics oracle galloping must match.
 //   * kGalloping — for skewed size ratios (|b| >= kGallopRatio * |a|):
 //                  binary-search each element of the small side in the
 //                  large side, O(|a| log |b|) instead of O(|a| + |b|).
-//   * kSimd      — for comparable sizes on x86-64 with SSE/AVX2: compare
-//                  4/8-element blocks against all rotations of the other
-//                  side's block in vector registers (the
-//                  _mm_cmpestrm-style all-pairs block compare), falling
-//                  back to a 4-wide unrolled SWAR merge on other ISAs.
 //
-// All kernels return exactly the same count for every input — the
+// Both kernels return exactly the same count for every input — the
 // differential suite (tests/core/kernels_test.cc, ctest label `kernels`)
 // enforces it exhaustively on small sets and randomly at scale — so the
 // dispatch choice can never change join output, only its speed.
 //
-// Compile-time gate: the SIMD paths exist only when SSJOIN_SIMD_ENABLED
-// is defined (CMake option SSJOIN_SIMD, default ON) and the target is
-// x86; the portable build uses the SWAR fallback everywhere. Runtime
-// gate: the first call probes the CPU (__builtin_cpu_supports) once and
-// caches the best available implementation.
-//
 // Thread-safety: the kernels are pure functions over their operands.
 // The dispatch counters are process-global relaxed atomics — cheap,
 // monotone, and approximate under concurrent joins — published as
-// kRuntime metrics only (they depend on the host CPU, so they can never
-// be part of the deterministic export).
+// kRuntime metrics only (they move with concurrent joins in the same
+// process, so they can never be part of the deterministic export).
 
 #pragma once
 
@@ -44,7 +32,6 @@ namespace ssjoin::kernels {
 enum class IntersectKernel {
   kScalar = 0,
   kGalloping = 1,
-  kSimd = 2,
 };
 
 /// Size-ratio threshold for galloping: the large side must be at least
@@ -53,32 +40,25 @@ enum class IntersectKernel {
 inline constexpr size_t kGallopRatio = 32;
 
 /// |a ∩ b| for two sorted, duplicate-free element arrays. Dispatches to
-/// the best kernel for this pair (size ratio, then ISA) and increments
-/// the matching dispatch counter. Bit-exact with SortedIntersectionSize
-/// for every input.
+/// galloping for skewed pairs and to the scalar merge otherwise, and
+/// increments the matching dispatch counter. Bit-exact with
+/// SortedIntersectionSize for every input.
 uint32_t IntersectSize(std::span<const uint32_t> a,
                        std::span<const uint32_t> b);
 
 /// Runs one specific kernel (differential tests and benchmarks; skips
-/// the dispatch counters). kSimd silently degrades to the SWAR fallback
-/// when the build or CPU lacks vector support — the result is identical
-/// either way.
+/// the dispatch counters).
 uint32_t IntersectSizeWith(IntersectKernel kernel,
                            std::span<const uint32_t> a,
                            std::span<const uint32_t> b);
 
-/// True when IntersectSize can reach a vectorized (SSE/AVX2) path on
-/// this build + CPU; false on SSJOIN_SIMD=OFF builds and non-x86 hosts.
-bool SimdAvailable();
-
-/// Human name of the kernel ("scalar" / "galloping" / "simd").
+/// Human name of the kernel ("scalar" / "galloping").
 const char* IntersectKernelName(IntersectKernel kernel);
 
 /// Monotone process-global dispatch totals (relaxed atomics).
 struct IntersectCounts {
   uint64_t scalar = 0;
   uint64_t galloping = 0;
-  uint64_t simd = 0;
 };
 
 /// Snapshot of the dispatch counters. Drivers snapshot at join start and

@@ -27,7 +27,7 @@ bool Predicate::Matches(uint32_t size_r, uint32_t size_s,
 
 bool Predicate::Evaluate(std::span<const ElementId> r,
                          std::span<const ElementId> s) const {
-  // Dispatched kernel (SIMD / galloping / SWAR, core/kernels/intersect.h);
+  // Dispatched kernel (scalar merge / galloping, core/kernels/intersect.h);
   // bit-exact with util/bit_vector.h's scalar SortedIntersectionSize.
   uint32_t overlap = kernels::IntersectSize(r, s);
   return Matches(static_cast<uint32_t>(r.size()),

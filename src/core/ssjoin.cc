@@ -59,8 +59,9 @@ std::string_view SpillStateName(SpillState spill) {
 // tripped runs still carry the partial accounting the stats report.
 // Everything published here is derived from JoinStats, which is
 // byte-identical for every thread count (the determinism contract) —
-// except the intersect-kernel dispatch deltas, which depend on the host
-// CPU and are therefore published as kRuntime counters only.
+// except the intersect-kernel dispatch deltas, which read process-global
+// counters that concurrent joins also move, and are therefore published
+// as kRuntime counters only.
 // `isect_start` is the process-wide dispatch snapshot the driver took at
 // entry; the delta is this join's kernel mix.
 void FinishJoin(obs::JoinTelemetry& telem, const JoinResult& result,
@@ -107,15 +108,13 @@ void FinishJoin(obs::JoinTelemetry& telem, const JoinResult& result,
                            static_cast<double>(stats.bitmap_filter_checked)
                      : 0.0);
   // Which IntersectSize kernel verification actually ran: runtime-only
-  // (the mix depends on __builtin_cpu_supports and the SSJOIN_SIMD build
-  // gate, so it must stay out of the deterministic export).
+  // (process-global counters, so it must stay out of the deterministic
+  // export).
   kernels::IntersectCounts isect = kernels::IntersectDispatchCounts();
   telem.AddCount("join.intersect.scalar", isect.scalar - isect_start.scalar,
                  obs::Stability::kRuntime);
   telem.AddCount("join.intersect.galloping",
                  isect.galloping - isect_start.galloping,
-                 obs::Stability::kRuntime);
-  telem.AddCount("join.intersect.simd", isect.simd - isect_start.simd,
                  obs::Stability::kRuntime);
   // Drift actuals: everything stable the advisor can predict, plus the
   // run outcome quantities (one-sided entries render without a ratio).

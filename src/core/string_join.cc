@@ -1,6 +1,7 @@
 #include "core/string_join.h"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 
 #include "baselines/prefix_filter.h"
@@ -59,6 +60,13 @@ Result<JoinResult> RunStringJoin(const std::vector<std::string>& r_strings,
   if (options.q == 0) {
     return Status::InvalidArgument("StringJoin: q must be >= 1");
   }
+  const uint64_t bound =
+      QgramHammingThreshold(options.q, options.edit_threshold);
+  if (bound > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument(
+        "StringJoin: hamming threshold 2*q*k exceeds 2^32-1");
+  }
+  const uint32_t hamming_k = static_cast<uint32_t>(bound);
   obs::JoinTelemetry telem(options.tracer, options.metrics, "join");
   if (s_strings == nullptr) {
     telem.Attr("mode", "string_self");
@@ -68,8 +76,6 @@ Result<JoinResult> RunStringJoin(const std::vector<std::string>& r_strings,
     telem.Attr("input_sets_r", static_cast<uint64_t>(r_strings.size()));
     telem.Attr("input_sets_s", static_cast<uint64_t>(s_strings->size()));
   }
-  uint32_t hamming_k =
-      QgramHammingThreshold(options.q, options.edit_threshold);
   HammingPredicate predicate(hamming_k);
 
   // Figure 16's first step: grams and signatures "on-the-fly, in
@@ -127,7 +133,9 @@ Result<JoinResult> RunStringJoin(const std::vector<std::string>& r_strings,
 
 }  // namespace
 
-uint32_t QgramHammingThreshold(uint32_t q, uint32_t k) { return 2 * q * k; }
+uint64_t QgramHammingThreshold(uint32_t q, uint32_t k) {
+  return uint64_t{2} * q * k;
+}
 
 Result<JoinResult> StringSimilaritySelfJoin(
     const std::vector<std::string>& strings,

@@ -30,6 +30,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -57,8 +58,10 @@ struct StringJoinOptions {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-/// The derived hamming threshold over q-gram bags for edit threshold k.
-uint32_t QgramHammingThreshold(uint32_t q, uint32_t k);
+/// The derived hamming threshold over q-gram bags for edit threshold k,
+/// in 64 bits so it cannot wrap. The joins refuse a bound above
+/// UINT32_MAX with InvalidArgument.
+uint64_t QgramHammingThreshold(uint32_t q, uint32_t k);
 
 /// Self-join: all pairs (i, j), i < j, with EditDistance <= k. Exact.
 Result<JoinResult> StringSimilaritySelfJoin(

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <span>
 #include <sstream>
 
 #include "util/check.h"
 #include "util/hashing.h"
-#include "util/logging.h"
 
 namespace ssjoin {
 
@@ -295,9 +295,11 @@ void WtEnumScheme::Generate(std::span<const ElementId> set,
     root.Add(tag);
     if (!EnumerateForThreshold(entries, threshold, params_, root, out)) {
       overflowed_ = true;
-      SSJOIN_LOG(Warn) << "WtEnum enumeration budget exhausted for a set of "
-                       << set.size()
-                       << " elements; results may miss pairs involving it";
+      std::fprintf(stderr,
+                   "[WARN wtenum.cc] WtEnum enumeration budget exhausted "
+                   "for a set of %zu elements; results may miss pairs "
+                   "involving it\n",
+                   set.size());
     }
   };
   if (!jaccard_mode_) {

@@ -25,9 +25,9 @@
 //     exports (those stay in obs/export.h).
 //
 // The level vocabulary is the conventional four: debug < info < warn <
-// error. util/logging.h's SSJOIN_LOG remains for process-fatal plumbing
-// predating this layer; runtime diagnostics from the join paths go
-// through here.
+// error. Runtime diagnostics from the join paths go through here; the
+// one exception is WtEnum's budget-overflow warning, which has no
+// Logger in reach and prints to stderr directly.
 
 #pragma once
 

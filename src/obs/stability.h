@@ -109,14 +109,12 @@ inline constexpr std::string_view kJoinBitmapFilterPruned =
 inline constexpr std::string_view kJoinBitmapPruneRate =
     "join.bitmap_prune_rate";
 // IntersectSize dispatch counts (core/kernels/intersect.h): which kernel
-// — scalar, galloping, or the SIMD block compare — verification chose
-// per pair. CPU- and build-dependent, hence kRuntime only.
+// — scalar or galloping — verification chose per pair. Process-global
+// counters that concurrent joins also move, hence kRuntime only.
 inline constexpr std::string_view kJoinIntersectScalar =
     "join.intersect.scalar";
 inline constexpr std::string_view kJoinIntersectGalloping =
     "join.intersect.galloping";
-inline constexpr std::string_view kJoinIntersectSimd =
-    "join.intersect.simd";
 inline constexpr std::string_view kJoinSecondsTotal = "join.seconds.total";
 inline constexpr std::string_view kJoinShardCandidates =
     "join.shard.candidates";

@@ -33,6 +33,20 @@ TEST(StringJoinTest, RejectsZeroQ) {
   EXPECT_FALSE(StringSimilaritySelfJoin({"a", "b"}, options).ok());
 }
 
+// 2*q*k = 2^32 does not fit the 32-bit hamming threshold. The join must
+// refuse it: wrapped to 0, it would return no pairs although all three
+// strings are within edit distance k.
+TEST(StringJoinTest, RejectsHammingThresholdOverflow) {
+  EXPECT_EQ(QgramHammingThreshold(4, 1u << 29), uint64_t{1} << 32);
+  StringJoinOptions options;
+  options.algorithm = StringJoinAlgorithm::kPrefixFilter;
+  options.q = 4;
+  options.edit_threshold = 1u << 29;
+  auto result = StringSimilaritySelfJoin({"abcdef", "abcxyz", "qqqq"}, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(StringJoinTest, TinyExample) {
   std::vector<std::string> strings = {"washington", "woshington",
                                       "washingtons", "seattle"};

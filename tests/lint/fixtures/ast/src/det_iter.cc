@@ -3,7 +3,7 @@
 // Unordered-container iteration inside a function that can reach a
 // result sink (directly or transitively) must be flagged; iteration off
 // the sink path must not; an allow-comment suppresses a justified case.
-// Self-contained so the libclang engine can parse it standalone.
+// Self-contained: it includes only standard headers.
 #include <string>
 #include <unordered_map>
 #include <unordered_set>

@@ -51,17 +51,13 @@ Rules
 Suppression: append `// ssjoin-lint: allow(<rule>)` to the offending
 line, with a justification.
 
-Engines
--------
-  libclang   Real AST via clang.cindex, driven by compile_commands.json
-             when available. Preferred when the python bindings import.
-  builtin    Dependency-free lexer + scope tracker. Same rules, slightly
-             coarser name-based call graph. Always available; the ctest
-             entry runs engine=auto so CI (with python3-clang installed)
-             gets the AST and the bare container still enforces the
-             rules.
+Parser
+------
+  A dependency-free lexer + scope tracker with a name-based call graph.
+  It needs nothing beyond the Python standard library, so the ctest
+  entry and CI enforce the same rules everywhere.
 
-Exit codes: 0 clean, 1 findings, 2 configuration/engine error.
+Exit codes: 0 clean, 1 findings, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -69,8 +65,6 @@ from __future__ import annotations
 import argparse
 import bisect
 import dataclasses
-import json
-import os
 import re
 import sys
 from pathlib import Path
@@ -95,7 +89,7 @@ RULE_SCOPES = {
 }
 
 # The pipeline Operator base: subclasses are identified by this exact
-# unqualified base-class name in either engine.
+# unqualified base-class name.
 OPERATOR_BASE = "Operator"
 
 # Files exempt from a rule outright (the implementation sites).
@@ -190,10 +184,6 @@ class RepoFacts:
     mutex_uses: list = dataclasses.field(default_factory=list)   # (file, line, what)
     status_fn_names: set = dataclasses.field(default_factory=set)
     discards: list = dataclasses.field(default_factory=list)     # (file, line, callee)
-
-
-class EngineError(RuntimeError):
-    """The requested engine cannot run in this environment."""
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +414,7 @@ def class_header_bases(seg):
 
 
 # ---------------------------------------------------------------------------
-# Builtin engine
+# Parser
 # ---------------------------------------------------------------------------
 
 MEMBER_RE = re.compile(
@@ -446,8 +436,8 @@ class _Scope:
         self.start = start
 
 
-def builtin_parse_file(relpath, code, offsets, facts, unordered_vars,
-                       unordered_fns):
+def parse_file(relpath, code, offsets, facts, unordered_vars,
+               unordered_fns):
     """One pass over the stripped text: functions (extents, calls,
     range-fors), classes (member annotations), and token-level rules."""
     n = len(code)
@@ -630,7 +620,7 @@ DISCARD_RE = re.compile(
     r"([A-Za-z_]\w*)\s*\(")
 
 
-def builtin_collect_discards(relpath, code, offsets, facts):
+def collect_discards(relpath, code, offsets, facts):
     """Bare expression statements whose top-level call target might return
     Status/Result. Filtered against the declared-name set later."""
     for m in re.finditer(r"[;{}]", code):
@@ -664,7 +654,7 @@ def paired_header(path):
     return h if h.exists() else None
 
 
-def builtin_engine(root, files, verbose):
+def collect_facts(root, files, verbose):
     facts = RepoFacts()
     stripped_cache = {}
 
@@ -686,10 +676,10 @@ def builtin_engine(root, files, verbose):
                 sources.append(stripped(hdr))
         for src in sources:
             collect_unordered_decls(src, uv, uf)
-        builtin_parse_file(relpath, code, offsets, facts, uv, uf)
-        builtin_collect_discards(relpath, code, offsets, facts)
+        parse_file(relpath, code, offsets, facts, uv, uf)
+        collect_discards(relpath, code, offsets, facts)
         if verbose:
-            print(f"  [builtin] {relpath}", file=sys.stderr)
+            print(f"  [parse] {relpath}", file=sys.stderr)
     return facts
 
 
@@ -721,258 +711,7 @@ def collect_unordered_decls(code, out_vars, out_fns):
 
 
 # ---------------------------------------------------------------------------
-# libclang engine
-# ---------------------------------------------------------------------------
-
-def load_compile_args(compile_commands, root):
-    """Maps absolute source path -> filtered compiler args (-I/-D/-std/
-    -isystem/-include only; output and diagnostics flags dropped)."""
-    args_by_file = {}
-    if compile_commands is None or not compile_commands.exists():
-        return args_by_file
-    try:
-        entries = json.loads(compile_commands.read_text())
-    except (OSError, ValueError):
-        return args_by_file
-    keep_prefix = ("-I", "-D", "-std", "-isystem", "-include", "-stdlib")
-    for entry in entries:
-        raw = entry.get("arguments")
-        if raw is None:
-            raw = entry.get("command", "").split()
-        filtered = []
-        i = 0
-        while i < len(raw):
-            a = raw[i]
-            if a in ("-isystem", "-include", "-I", "-D"):
-                filtered.extend(raw[i:i + 2])
-                i += 2
-                continue
-            if a.startswith(keep_prefix):
-                filtered.append(a)
-            i += 1
-        directory = entry.get("directory", str(root))
-        resolved = []
-        j = 0
-        while j < len(filtered):
-            a = filtered[j]
-            for flag in ("-I", "-isystem", "-include"):
-                if a == flag and j + 1 < len(filtered):
-                    resolved.extend(
-                        [a, os.path.normpath(os.path.join(directory,
-                                                          filtered[j + 1]))])
-                    j += 2
-                    break
-                if a.startswith(flag) and len(a) > len(flag) \
-                        and flag in ("-I", "-isystem"):
-                    resolved.append(
-                        flag + os.path.normpath(
-                            os.path.join(directory, a[len(flag):])))
-                    j += 1
-                    break
-            else:
-                resolved.append(a)
-                j += 1
-        src = entry.get("file", "")
-        if src:
-            args_by_file[os.path.normpath(os.path.join(directory, src))] = \
-                resolved
-    return args_by_file
-
-
-def libclang_engine(root, files, compile_commands, verbose):
-    try:
-        from clang import cindex
-    except ImportError as exc:
-        raise EngineError(f"python clang bindings unavailable: {exc}")
-    try:
-        index = cindex.Index.create()
-    except Exception as exc:  # library load failure
-        raise EngineError(f"libclang unavailable: {exc}")
-
-    args_by_file = load_compile_args(compile_commands, root)
-    default_args = ["-std=c++20", "-x", "c++", f"-I{root / 'src'}"]
-    if args_by_file:
-        # Borrow include/define flags from an arbitrary TU for headers.
-        default_args = ["-x", "c++"] + next(iter(args_by_file.values()))
-
-    facts = RepoFacts()
-    CK = cindex.CursorKind
-    fn_kinds = (CK.FUNCTION_DECL, CK.CXX_METHOD, CK.CONSTRUCTOR,
-                CK.DESTRUCTOR, CK.FUNCTION_TEMPLATE, CK.CONVERSION_FUNCTION)
-    class_kinds = (CK.CLASS_DECL, CK.STRUCT_DECL, CK.CLASS_TEMPLATE)
-
-    for path in files:
-        relpath = path.relative_to(root).as_posix()
-        args = args_by_file.get(str(path), default_args)
-        if path.suffix == ".h" and "-x" not in args:
-            args = ["-x", "c++"] + args
-        try:
-            tu = index.parse(str(path), args=args,
-                             options=cindex.TranslationUnit
-                             .PARSE_DETAILED_PROCESSING_RECORD)
-        except cindex.TranslationUnitLoadError as exc:
-            raise EngineError(f"{relpath}: parse failed: {exc}")
-        fatal = [d for d in tu.diagnostics if d.severity >= 4]
-        if fatal:
-            raise EngineError(
-                f"{relpath}: {fatal[0].spelling} (fatal parse diagnostic)")
-        if verbose:
-            print(f"  [libclang] {relpath}", file=sys.stderr)
-        walk_tu(tu.cursor, str(path), relpath, facts, CK, fn_kinds,
-                class_kinds)
-    return facts
-
-
-def _canonical(type_obj):
-    try:
-        return type_obj.get_canonical().spelling
-    except Exception:
-        return type_obj.spelling
-
-
-def _is_status_type(spelling):
-    base = spelling.replace("const ", "").strip().rstrip("&").strip()
-    return (base.endswith("::Status") or base == "Status"
-            or re.search(r"(^|::)Result<", base) is not None)
-
-
-def walk_tu(cursor, abspath, relpath, facts, CK, fn_kinds, class_kinds):
-    def in_file(c):
-        loc = c.location
-        return loc.file is not None and loc.file.name == abspath
-
-    def visit(node, fn_rec):
-        for child in node.get_children():
-            if not in_file(child) and child.kind not in fn_kinds \
-                    and child.kind not in class_kinds:
-                # Still descend into namespaces spanning includes.
-                if child.kind == CK.NAMESPACE:
-                    visit(child, fn_rec)
-                continue
-            handle(child, fn_rec)
-
-    def handle(node, fn_rec):
-        k = node.kind
-        if k in fn_kinds:
-            if node.is_definition() and in_file(node):
-                rec = FunctionFact(relpath, node.location.line, node.spelling,
-                                   node.spelling, set(), [])
-                facts.functions.append(rec)
-                visit(node, rec)
-            elif in_file(node):
-                check_decl_types(node)
-            return
-        if k in class_kinds and node.is_definition() and in_file(node):
-            handle_class(node)
-            visit(node, fn_rec)
-            return
-        if in_file(node):
-            if k == CK.CALL_EXPR and fn_rec is not None and node.spelling:
-                fn_rec.calls.add(node.spelling)
-            if k == CK.CXX_FOR_RANGE_STMT and fn_rec is not None:
-                handle_range_for(node, fn_rec)
-            if k == CK.COMPOUND_STMT:
-                for stmt in node.get_children():
-                    flag_discarded_status(stmt)
-            check_decl_types(node)
-        visit(node, fn_rec)
-
-    def check_decl_types(node):
-        if node.kind not in (CK.VAR_DECL, CK.FIELD_DECL, CK.PARM_DECL):
-            return
-        spelling = _canonical(node.type)
-        tm = re.search(r"\bstd::(jthread|thread)\b(?!::)", spelling)
-        if tm:
-            facts.thread_uses.append(
-                (relpath, node.location.line, "std::" + tm.group(1)))
-        mm = re.search(
-            r"\bstd::(recursive_timed_mutex|recursive_mutex|"
-            r"shared_timed_mutex|shared_mutex|timed_mutex|mutex|lock_guard|"
-            r"unique_lock|scoped_lock|shared_lock|condition_variable_any|"
-            r"condition_variable|once_flag)\b", spelling)
-        if mm:
-            facts.mutex_uses.append(
-                (relpath, node.location.line, "std::" + mm.group(1)))
-
-    def handle_range_for(node, fn_rec):
-        children = list(node.get_children())
-        for child in children[:-1]:  # last child is the loop body
-            if child.kind == CK.DECL_STMT:
-                continue
-            spelling = _canonical(child.type)
-            if "unordered_map" in spelling or "unordered_set" in spelling \
-                    or "unordered_multi" in spelling:
-                fn_rec.unordered_fors.append(
-                    (node.location.line, spelling.split("<")[0]))
-                return
-
-    def flag_discarded_status(stmt):
-        node = stmt
-        while node.kind == CK.UNEXPOSED_EXPR:
-            kids = list(node.get_children())
-            if len(kids) != 1:
-                return
-            node = kids[0]
-        if node.kind != CK.CALL_EXPR:
-            return
-        if _is_status_type(_canonical(node.type)):
-            facts.discards.append(
-                (relpath, stmt.location.line, node.spelling or "<call>"))
-
-    def handle_class(node):
-        fields = [c for c in node.get_children()
-                  if c.kind == CK.FIELD_DECL and in_file(c)]
-        rec = ClassFact(relpath, node.location.line, node.spelling, False, [])
-        for c in node.get_children():
-            if c.kind == CK.CXX_BASE_SPECIFIER:
-                spelling = re.sub(r"<.*", "", c.type.spelling)
-                base = spelling.split("::")[-1].strip()
-                base = re.sub(r"^(class|struct)\s+", "", base).strip()
-                if base:
-                    rec.bases.append(base)
-            if c.kind in (CK.CXX_METHOD, CK.FUNCTION_TEMPLATE) \
-                    and c.spelling == "Close":
-                rec.has_close = True
-        for f in fields:
-            spelling = _canonical(f.type)
-            if re.search(r"(^|::| )Mutex$", spelling):
-                rec.has_mutex = True
-        if rec.has_mutex:
-            for f in fields:
-                spelling = _canonical(f.type)
-                if ("atomic" in spelling or "CondVar" in spelling
-                        or re.search(r"(^|::| )Mutex$", spelling)
-                        or spelling.startswith("const ")
-                        or f.type.is_const_qualified()):
-                    continue
-                tokens = {t.spelling for t in f.get_tokens()}
-                guarded = bool(tokens & {"SSJOIN_GUARDED_BY",
-                                         "SSJOIN_PT_GUARDED_BY"})
-                rec.members.append(
-                    MemberFact(relpath, f.location.line, f.spelling, guarded,
-                               False))
-        facts.classes.append(rec)
-        # Status-returning methods feed the name set like the builtin does.
-        for c in node.get_children():
-            if c.kind in fn_kinds and in_file(c) \
-                    and _is_status_type(_canonical(c.result_type)):
-                facts.status_fn_names.add(c.spelling)
-
-    # Top level: also harvest free-function Status declarations.
-    def harvest(node):
-        for child in node.get_children():
-            if child.kind in fn_kinds and in_file(child):
-                if _is_status_type(_canonical(child.result_type)):
-                    facts.status_fn_names.add(child.spelling)
-            if child.kind == CK.NAMESPACE:
-                harvest(child)
-
-    harvest(cursor)
-    visit(cursor, None)
-
-
-# ---------------------------------------------------------------------------
-# Rule evaluation (engine-independent)
+# Rule evaluation
 # ---------------------------------------------------------------------------
 
 def reaches_sink(facts):
@@ -1114,42 +853,16 @@ def collect_files(root, scan_dirs):
     return files
 
 
-def run_lint(root, engine, compile_commands, scan_dirs, verbose):
-    files = collect_files(root, scan_dirs)
-    if not files:
-        raise EngineError(f"no sources found under {root} in {scan_dirs}")
-    chosen = engine
-    if engine in ("auto", "libclang"):
-        try:
-            facts = libclang_engine(root, files, compile_commands, verbose)
-            chosen = "libclang"
-        except EngineError as exc:
-            if engine == "libclang":
-                raise
-            if verbose:
-                print(f"  [auto] libclang unavailable ({exc}); "
-                      f"falling back to builtin", file=sys.stderr)
-            facts = builtin_engine(root, files, verbose)
-            chosen = "builtin"
-        except Exception as exc:  # defensive: never lose CI to binding quirks
-            if engine == "libclang":
-                raise EngineError(f"libclang engine failed: {exc}")
-            if verbose:
-                print(f"  [auto] libclang engine error ({exc}); "
-                      f"falling back to builtin", file=sys.stderr)
-            facts = builtin_engine(root, files, verbose)
-            chosen = "builtin"
-    else:
-        facts = builtin_engine(root, files, verbose)
-        chosen = "builtin"
-    return filter_findings(evaluate_rules(facts), root), chosen
+def run_lint(root, files, verbose):
+    return filter_findings(evaluate_rules(collect_facts(root, files, verbose)),
+                           root)
 
 
 EXPECT_RE = re.compile(r"//\s*expect\(([a-z-]+)\)")
 
 
-def run_self_test(root, engine, verbose):
-    """Runs the engine over tests/lint/fixtures/ast and diffs findings
+def run_self_test(root, verbose):
+    """Runs the parser over tests/lint/fixtures/ast and diffs findings
     against `// expect(<rule>)` markers in the fixtures."""
     fixture_root = root / "tests" / "lint" / "fixtures" / "ast"
     if not fixture_root.is_dir():
@@ -1180,22 +893,8 @@ def run_self_test(root, engine, verbose):
     files = [p for d in SCAN_DIRS if (fixture_root / d).is_dir()
              for p in sorted((fixture_root / d).rglob("*"))
              if p.suffix in SCAN_SUFFIXES]
-    if engine == "builtin":
-        facts = builtin_engine(fixture_root, files, verbose)
-        chosen = "builtin"
-    else:
-        try:
-            facts = libclang_engine(fixture_root, files, None, verbose)
-            chosen = "libclang"
-        except (EngineError, Exception) as exc:
-            if engine == "libclang":
-                print(f"self-test: libclang engine failed: {exc}",
-                      file=sys.stderr)
-                return 2
-            facts = builtin_engine(fixture_root, files, verbose)
-            chosen = "builtin"
     actual = {(f.file, f.line, f.rule)
-              for f in filter_findings(evaluate_rules(facts), fixture_root)}
+              for f in run_lint(fixture_root, files, verbose)}
 
     ok = True
     for miss in sorted(expected - actual):
@@ -1207,7 +906,7 @@ def run_self_test(root, engine, verbose):
               f"[{extra[2]}]", file=sys.stderr)
         ok = False
     if ok:
-        print(f"ssjoin_ast_lint self-test OK: engine={chosen}, "
+        print(f"ssjoin_ast_lint self-test OK: "
               f"{len(expected)} expected findings matched, all "
               f"{len(RULES)} rules fire, suppressions honored")
         return 0
@@ -1220,10 +919,6 @@ def main(argv=None):
     parser.add_argument("--root", type=Path,
                         default=Path(__file__).resolve().parents[2],
                         help="repository root (default: two levels up)")
-    parser.add_argument("--engine", choices=("auto", "libclang", "builtin"),
-                        default="auto")
-    parser.add_argument("--compile-commands", type=Path, default=None,
-                        help="compile_commands.json for the libclang engine")
     parser.add_argument("--self-test", action="store_true",
                         help="verify the rules against tests/lint/fixtures/ast")
     parser.add_argument("--list-rules", action="store_true")
@@ -1237,32 +932,23 @@ def main(argv=None):
 
     root = args.root.resolve()
     if args.self_test:
-        return run_self_test(root, args.engine, args.verbose)
+        return run_self_test(root, args.verbose)
 
-    compile_commands = args.compile_commands
-    if compile_commands is None:
-        for candidate in ("build/clang-tidy/compile_commands.json",
-                          "build/compile_commands.json",
-                          "compile_commands.json"):
-            if (root / candidate).exists():
-                compile_commands = root / candidate
-                break
-
-    try:
-        findings, chosen = run_lint(root, args.engine, compile_commands,
-                                    SCAN_DIRS, args.verbose)
-    except EngineError as exc:
-        print(f"ssjoin_ast_lint: {exc}", file=sys.stderr)
+    files = collect_files(root, SCAN_DIRS)
+    if not files:
+        print(f"ssjoin_ast_lint: no sources found under {root} in "
+              f"{SCAN_DIRS}", file=sys.stderr)
         return 2
+    findings = run_lint(root, files, args.verbose)
 
     for f in findings:
         print(f"{f.file}:{f.line}: [{f.rule}] {f.message}")
     if findings:
-        print(f"\nssjoin_ast_lint: {len(findings)} finding(s) "
-              f"(engine={chosen}). Suppress a justified case with "
-              f"'// ssjoin-lint: allow(<rule>)'.", file=sys.stderr)
+        print(f"\nssjoin_ast_lint: {len(findings)} finding(s). Suppress a "
+              f"justified case with '// ssjoin-lint: allow(<rule>)'.",
+              file=sys.stderr)
         return 1
-    print(f"ssjoin_ast_lint: OK (engine={chosen})")
+    print("ssjoin_ast_lint: OK")
     return 0
 
 

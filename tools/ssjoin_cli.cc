@@ -470,19 +470,65 @@ Status RunStats(Flags& flags) {
   return Status::OK();
 }
 
-// Builds a self-join JoinRequest and runs it through the unified Join()
-// facade — the CLI's single dispatch point for signature joins.
-JoinResult FacadeSelfJoin(const SetCollection& input,
-                          const SignatureScheme& scheme,
-                          const Predicate& predicate,
-                          const JoinOptions& options) {
-  JoinRequest request;
-  request.left = &input;
-  request.scheme = &scheme;
-  request.predicate = &predicate;
-  request.mode = ExecutionMode::kSelfJoin;
-  request.options = options;
-  return Join(request);
+// The guard, sinks, logger, heartbeat and explain report of one jaccard
+// or weighted join. Members are declared in dependency order: the
+// heartbeat reads the guard and metrics and writes to the logger, so it
+// is destroyed before them.
+struct JoinSession {
+  std::optional<ExecutionGuard> guard;
+  std::optional<obs::Tracer> tracer;
+  std::optional<obs::MetricsRegistry> metrics;
+  std::unique_ptr<obs::Logger> logger;
+  std::optional<obs::ProgressReporter> progress;
+  std::optional<obs::ExplainReport> explain;
+};
+
+// Set-up shared by RunJaccard and RunWeighted: builds what the flags ask
+// for in `session` and attaches it to `options`.
+Status OpenJoinSession(const GuardFlags& guard_flags,
+                       const ObsFlags& obs_flags, double gamma,
+                       const std::string& algo, JoinOptions& options,
+                       JoinSession& session) {
+  if (guard_flags.enabled) {
+    session.guard.emplace(guard_flags.budget);
+    options.guard = &*session.guard;
+  }
+  AttachObsSinks(obs_flags, session.tracer, session.metrics,
+                 &options.tracer, &options.metrics);
+  SSJOIN_ASSIGN_OR_RETURN(session.logger,
+                          MakeLogger(obs_flags, options.metrics));
+  options.log = session.logger.get();
+  StartProgress(obs_flags, session.logger.get(), options.metrics,
+                options.guard, session.progress);
+  if (obs_flags.explaining()) {
+    session.explain.emplace();
+    options.explain = &*session.explain;
+    char gamma_buf[32];
+    std::snprintf(gamma_buf, sizeof(gamma_buf), "%.6g", gamma);
+    session.explain->SetParam("gamma", gamma_buf);
+    session.explain->SetParam("algo", algo);
+  }
+  return Status::OK();
+}
+
+// Tear-down shared by RunJaccard and RunWeighted: the final heartbeat,
+// --time stats and telemetry files (written even for a tripped run),
+// then the join's status and its pairs.
+Status CloseJoinSession(JoinSession& session, const ObsFlags& obs_flags,
+                        bool time, const JoinResult& result,
+                        const std::string& out) {
+  if (session.progress) {
+    // Final beat: even a join faster than one interval leaves a progress
+    // record with the finished counters.
+    session.progress->DumpNow();
+    session.progress->Stop();
+  }
+  MaybePrintStats(time, result.stats);
+  SSJOIN_RETURN_NOT_OK(
+      WriteObsOutputs(obs_flags, session.tracer, session.metrics,
+                      session.explain ? &*session.explain : nullptr));
+  SSJOIN_RETURN_NOT_OK(result.status);
+  return WritePairs(result.pairs, out);
 }
 
 Status RunJaccard(Flags& flags) {
@@ -500,30 +546,9 @@ Status RunJaccard(Flags& flags) {
   if (gamma <= 0 || gamma > 1) {
     return Status::InvalidArgument("--gamma must be in (0, 1]");
   }
-  std::optional<ExecutionGuard> guard;
-  if (guard_flags.enabled) {
-    guard.emplace(guard_flags.budget);
-    options.guard = &*guard;
-  }
-  std::optional<obs::Tracer> tracer;
-  std::optional<obs::MetricsRegistry> metrics;
-  AttachObsSinks(obs_flags, tracer, metrics, &options.tracer,
-                 &options.metrics);
-  SSJOIN_ASSIGN_OR_RETURN(std::unique_ptr<obs::Logger> logger,
-                          MakeLogger(obs_flags, options.metrics));
-  options.log = logger.get();
-  std::optional<obs::ProgressReporter> progress;
-  StartProgress(obs_flags, logger.get(), options.metrics, options.guard,
-                progress);
-  std::optional<obs::ExplainReport> explain;
-  if (obs_flags.explaining()) {
-    explain.emplace();
-    options.explain = &*explain;
-    char gamma_buf[32];
-    std::snprintf(gamma_buf, sizeof(gamma_buf), "%.6g", gamma);
-    explain->SetParam("gamma", gamma_buf);
-    explain->SetParam("algo", algo);
-  }
+  JoinSession session;
+  SSJOIN_RETURN_NOT_OK(
+      OpenJoinSession(guard_flags, obs_flags, gamma, algo, options, session));
 
   JaccardPredicate predicate(gamma);
   JoinResult result;
@@ -533,33 +558,35 @@ Status RunJaccard(Flags& flags) {
     params.max_set_size = input.max_set_size();
     auto scheme = PartEnumJaccardScheme::Create(params);
     if (!scheme.ok()) return scheme.status();
-    result = FacadeSelfJoin(input, *scheme, predicate, options);
+    result = Join(SelfJoinRequest(input, *scheme, predicate, options));
   } else if (algo == "pf") {
     auto pred = std::make_shared<JaccardPredicate>(gamma);
     auto scheme = PrefixFilterScheme::Create(pred, input);
     if (!scheme.ok()) return scheme.status();
-    result = FacadeSelfJoin(input, *scheme, predicate, options);
+    result = Join(SelfJoinRequest(input, *scheme, predicate, options));
   } else if (algo == "lsh") {
     obs::AdvisorTrace advisor_trace;
     AdvisorOptions advisor;
-    if (explain) advisor.trace = &advisor_trace;
+    if (options.explain) advisor.trace = &advisor_trace;
     auto choice = ChooseLshParams(input, gamma, 1.0 - accuracy, 6, 0,
                                   advisor);
     LshParams params =
         choice.ok() ? choice->params
                     : LshParams::ForAccuracy(gamma, 1.0 - accuracy, 3);
-    if (explain) obs::AttachAdvisorTrace(&*explain, advisor_trace);
+    if (options.explain) {
+      obs::AttachAdvisorTrace(options.explain, advisor_trace);
+    }
     auto scheme = LshScheme::Create(params);
     if (!scheme.ok()) return scheme.status();
-    if (logger != nullptr) {
-      obs::LogEvent(logger.get(), obs::LogLevel::kWarn, "approximate_algo",
+    if (options.log != nullptr) {
+      obs::LogEvent(options.log, obs::LogLevel::kWarn, "approximate_algo",
                     {{"algo", algo}, {"recall", accuracy}});
     } else {
       std::fprintf(stderr,
                    "note: LSH is approximate (configured recall %.0f%%)\n",
                    accuracy * 100);
     }
-    result = FacadeSelfJoin(input, *scheme, predicate, options);
+    result = Join(SelfJoinRequest(input, *scheme, predicate, options));
   } else if (algo == "probecount") {
     if (guard_flags.enabled) {
       return Status::InvalidArgument(
@@ -575,17 +602,7 @@ Status RunJaccard(Flags& flags) {
   } else {
     return Status::InvalidArgument("unknown --algo " + algo);
   }
-  if (progress) {
-    // Final beat: even a join faster than one interval leaves a progress
-    // record with the finished counters.
-    progress->DumpNow();
-    progress->Stop();
-  }
-  MaybePrintStats(time, result.stats);
-  SSJOIN_RETURN_NOT_OK(WriteObsOutputs(obs_flags, tracer, metrics,
-                                       explain ? &*explain : nullptr));
-  SSJOIN_RETURN_NOT_OK(result.status);
-  return WritePairs(result.pairs, out);
+  return CloseJoinSession(session, obs_flags, time, result, out);
 }
 
 Status RunEdit(Flags& flags) {
@@ -598,6 +615,14 @@ Status RunEdit(Flags& flags) {
   SSJOIN_ASSIGN_OR_RETURN(bool time, flags.GetBool("time", false));
   SSJOIN_ASSIGN_OR_RETURN(ObsFlags obs_flags, ParseObsFlags(flags));
   SSJOIN_RETURN_NOT_OK(flags.CheckUnused());
+  constexpr int64_t kMaxU32 = std::numeric_limits<uint32_t>::max();
+  if (k < 0 || k > kMaxU32) {
+    return Status::InvalidArgument("--k must be in [0, 2^32-1]");
+  }
+  if (q < 0 || q > kMaxU32) {
+    return Status::InvalidArgument(
+        "--q must be in [0, 2^32-1] (0 = the algorithm's default)");
+  }
 
   if (obs_flags.explaining()) {
     return Status::InvalidArgument(
@@ -647,30 +672,9 @@ Status RunWeighted(Flags& flags) {
   if (gamma <= 0 || gamma > 1) {
     return Status::InvalidArgument("--gamma must be in (0, 1]");
   }
-  std::optional<ExecutionGuard> guard;
-  if (guard_flags.enabled) {
-    guard.emplace(guard_flags.budget);
-    options.guard = &*guard;
-  }
-  std::optional<obs::Tracer> tracer;
-  std::optional<obs::MetricsRegistry> metrics;
-  AttachObsSinks(obs_flags, tracer, metrics, &options.tracer,
-                 &options.metrics);
-  SSJOIN_ASSIGN_OR_RETURN(std::unique_ptr<obs::Logger> logger,
-                          MakeLogger(obs_flags, options.metrics));
-  options.log = logger.get();
-  std::optional<obs::ProgressReporter> progress;
-  StartProgress(obs_flags, logger.get(), options.metrics, options.guard,
-                progress);
-  std::optional<obs::ExplainReport> explain;
-  if (obs_flags.explaining()) {
-    explain.emplace();
-    options.explain = &*explain;
-    char gamma_buf[32];
-    std::snprintf(gamma_buf, sizeof(gamma_buf), "%.6g", gamma);
-    explain->SetParam("gamma", gamma_buf);
-    explain->SetParam("algo", algo);
-  }
+  JoinSession session;
+  SSJOIN_RETURN_NOT_OK(
+      OpenJoinSession(guard_flags, obs_flags, gamma, algo, options, session));
 
   auto idf = std::make_shared<IdfWeights>(IdfWeights::Compute(input));
   WeightFunction weights = [idf](ElementId e) {
@@ -691,18 +695,18 @@ Status RunWeighted(Flags& flags) {
     auto scheme = WtEnumScheme::CreateJaccard(weights, weights, gamma,
                                               min_ws, params);
     if (!scheme.ok()) return scheme.status();
-    result = FacadeSelfJoin(input, *scheme, predicate, options);
+    result = Join(SelfJoinRequest(input, *scheme, predicate, options));
   } else if (algo == "wpf") {
     auto scheme =
         WeightedPrefixFilterScheme::Create(gamma, weights, input, min_ws);
     if (!scheme.ok()) return scheme.status();
-    result = FacadeSelfJoin(input, *scheme, predicate, options);
+    result = Join(SelfJoinRequest(input, *scheme, predicate, options));
   } else if (algo == "wlsh") {
     LshParams params = LshParams::ForAccuracy(gamma, 1.0 - accuracy, 3);
     auto scheme = WeightedLshScheme::Create(params, weights);
     if (!scheme.ok()) return scheme.status();
-    if (logger != nullptr) {
-      obs::LogEvent(logger.get(), obs::LogLevel::kWarn, "approximate_algo",
+    if (options.log != nullptr) {
+      obs::LogEvent(options.log, obs::LogLevel::kWarn, "approximate_algo",
                     {{"algo", algo}, {"recall", accuracy}});
     } else {
       std::fprintf(stderr,
@@ -710,21 +714,11 @@ Status RunWeighted(Flags& flags) {
                    "~%.0f%%)\n",
                    accuracy * 100);
     }
-    result = FacadeSelfJoin(input, *scheme, predicate, options);
+    result = Join(SelfJoinRequest(input, *scheme, predicate, options));
   } else {
     return Status::InvalidArgument("unknown --algo " + algo);
   }
-  if (progress) {
-    // Final beat: even a join faster than one interval leaves a progress
-    // record with the finished counters.
-    progress->DumpNow();
-    progress->Stop();
-  }
-  MaybePrintStats(time, result.stats);
-  SSJOIN_RETURN_NOT_OK(WriteObsOutputs(obs_flags, tracer, metrics,
-                                       explain ? &*explain : nullptr));
-  SSJOIN_RETURN_NOT_OK(result.status);
-  return WritePairs(result.pairs, out);
+  return CloseJoinSession(session, obs_flags, time, result, out);
 }
 
 // The explain subcommand (see kUsage): tune, run, account. No pairs are
@@ -785,7 +779,7 @@ Status RunExplain(Flags& flags) {
   options.metrics = &metrics;
   options.explain = &report;
   JaccardPredicate predicate(gamma);
-  JoinResult result = FacadeSelfJoin(input, scheme, predicate, options);
+  JoinResult result = Join(SelfJoinRequest(input, scheme, predicate, options));
 
   std::string jsonl = obs::ExplainJsonl(report);
   std::printf("%s", obs::ExplainText(report, &metrics).c_str());
