@@ -4,8 +4,8 @@
 // telemetry at all, and attached sinks must not change the output. This
 // harness measures both on the paper's synthetic equi-sized workload at
 // Scaled(100000) sets: the advisor-tuned PEN self-join runs alternately
-// with null sinks and with a live Tracer + MetricsRegistry, for the
-// sorted and the pipelined driver, outputs byte-compared. The best-of-reps
+// with null sinks and with a live Tracer + MetricsRegistry, outputs
+// byte-compared. The best-of-reps
 // times and the overhead fraction land in BENCH_obs_overhead.json
 // (--json-out to override); --threads N measures the parallel drivers.
 //
@@ -270,18 +270,6 @@ int main(int argc, char** argv) {
     request.options.metrics = metrics;
     return Join(request);
   };
-  auto pipelined = [&](obs::Tracer* tracer,
-                       obs::MetricsRegistry* metrics) {
-    JoinRequest request;
-    request.left = &input;
-    request.scheme = made->scheme.get();
-    request.predicate = &predicate;
-    request.mode = ExecutionMode::kPipelinedSelfJoin;
-    request.options = base;
-    request.options.tracer = tracer;
-    request.options.metrics = metrics;
-    return Join(request);
-  };
 
   std::printf("--- Observability overhead: %s, n=%zu, gamma=%.1f, "
               "threads=%zu ---\n",
@@ -291,7 +279,6 @@ int main(int argc, char** argv) {
 
   std::vector<DriverRow> rows;
   rows.push_back(MeasureDriver("sorted", sorted));
-  rows.push_back(MeasureDriver("pipelined", pipelined));
   for (const DriverRow& r : rows) {
     std::printf("%-12s %14.3f %14.3f %9.2f%% %8llu %10s\n", r.driver,
                 r.null_sink_seconds, r.instrumented_seconds,
@@ -318,16 +305,6 @@ int main(int argc, char** argv) {
     request.options.metrics = metrics;
     return Join(request);
   };
-  auto pipelined_m = [&](obs::MetricsRegistry* metrics) {
-    JoinRequest request;
-    request.left = &input;
-    request.scheme = made->scheme.get();
-    request.predicate = &predicate;
-    request.mode = ExecutionMode::kPipelinedSelfJoin;
-    request.options = base;
-    request.options.metrics = metrics;
-    return Join(request);
-  };
 
   std::printf("--- Runtime observability overhead (metrics + per-op "
               "instruments + log + 50ms heartbeat) ---\n");
@@ -335,7 +312,6 @@ int main(int argc, char** argv) {
               "runtime_s", "overhead", "beats", "identical");
   std::vector<DriverRow> runtime_rows;
   runtime_rows.push_back(MeasureRuntime("sorted", sorted_m));
-  runtime_rows.push_back(MeasureRuntime("pipelined", pipelined_m));
   for (const DriverRow& r : runtime_rows) {
     std::printf("%-12s %14.3f %14.3f %9.2f%% %8llu %10s\n", r.driver,
                 r.null_sink_seconds, r.instrumented_seconds,

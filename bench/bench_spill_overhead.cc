@@ -6,10 +6,10 @@
 // workload (50-element sets, 10000-element domain) at Scaled(100000)
 // sets: the advisor-tuned PEN self-join runs alternately fully in memory
 // (SpillPolicy::kDisabled, immune to the SSJOIN_SPILL env hook) and
-// through the signature-hash-partitioned spill driver, for both the
-// sorted and the pipelined execution mode. Any output divergence exits
-// nonzero; the best-of-reps times, the slowdown factor, and the spill
-// traffic land in BENCH_spill_overhead.json (--json-out to override).
+// through the signature-hash-partitioned spill driver. Any output
+// divergence exits nonzero; the best-of-reps times, the slowdown factor,
+// and the spill traffic land in BENCH_spill_overhead.json (--json-out to
+// override).
 // --threads N measures the parallel drivers; --spill-partitions is
 // inherited through the common flags' defaults (8 partitions).
 
@@ -159,11 +159,6 @@ int main(int argc, char** argv) {
     options.spill.policy = policy;
     return run.SelfJoin(input, *made->scheme, predicate, options);
   };
-  auto pipelined = [&](SpillPolicy policy) {
-    JoinOptions options = base;
-    options.spill.policy = policy;
-    return run.Pipelined(input, *made->scheme, predicate, options);
-  };
 
   std::printf("--- Spill overhead: %s, n=%zu, gamma=%.1f, threads=%zu ---\n",
               made->label.c_str(), input.size(), gamma, threads);
@@ -172,7 +167,6 @@ int main(int argc, char** argv) {
 
   std::vector<DriverRow> rows;
   rows.push_back(MeasureDriver("sorted", sorted));
-  rows.push_back(MeasureDriver("pipelined", pipelined));
   for (const DriverRow& r : rows) {
     std::printf("%-12s %14.3f %14.3f %9.2fx %12.1f %10s\n", r.driver,
                 r.in_memory_seconds, r.spilled_seconds, r.Slowdown(),

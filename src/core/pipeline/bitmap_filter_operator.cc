@@ -46,16 +46,12 @@ inline bool BitmapPrunes(const kernels::BitmapTable* bm_r,
 
 }  // namespace
 
-BitmapFilterOperator::BitmapFilterOperator(ExecContext* ctx, bool eager)
+BitmapFilterOperator::BitmapFilterOperator(ExecContext* ctx)
     : Operator(ctx, "BitmapFilter",
-               std::to_string(ctx->options->bitmap_bits) + "-bit " +
-                   (eager ? "eager" : "deferred"),
-               obs::names::kOpBitmapFilter, &JoinStats::postfilter_seconds),
-      eager_(eager) {}
+               std::to_string(ctx->options->bitmap_bits) + "-bit deferred",
+               obs::names::kOpBitmapFilter, &JoinStats::postfilter_seconds) {}
 
-// Builds the tables once. Rows for the whole input are built upfront:
-// in the pipelined discipline the ids are known even though the index
-// grows incrementally.
+// Builds the tables once, for the whole input.
 void BitmapFilterOperator::Build() {
   if (ready_) return;
   ready_ = true;
@@ -69,11 +65,9 @@ void BitmapFilterOperator::Build() {
     bm_r_ = &bitmap_l_;  // self-shaped: one table serves both sides
   }
   if (ctx_->guard != nullptr) {
-    const size_t bytes =
+    ctx_->guard->ChargeMemory(
         bitmap_l_.size_bytes() +
-        (ctx_->right != nullptr ? bitmap_r_.size_bytes() : 0);
-    ctx_->guard->ChargeMemory(bytes);
-    ctx_->degrade_release_bytes += bytes;
+        (ctx_->right != nullptr ? bitmap_r_.size_bytes() : 0));
   }
 }
 
@@ -97,18 +91,12 @@ BitmapFilterOperator::RangeTally BitmapFilterOperator::FilterRange(
 
 void BitmapFilterOperator::FilterChunk(CandidateChunk* chunk) {
   std::vector<uint64_t>& packed = chunk->packed;
-  // Deferred: range-parallel over the pool. Eager chunks are one
-  // pipelined barrier group each and stay serial.
-  const size_t ranges = eager_ ? 1 : ctx_->pool->size();
+  const size_t ranges = ctx_->pool->size();
   std::vector<RangeTally> tallies(ranges);
-  auto filter = [&](size_t begin, size_t end, size_t c) {
-    tallies[c] = FilterRange({packed.data() + begin, end - begin});
-  };
-  if (ranges == 1) {
-    filter(0, packed.size(), 0);
-  } else {
-    ParallelFor(*ctx_->pool, packed.size(), filter);
-  }
+  ParallelFor(*ctx_->pool, packed.size(),
+              [&](size_t begin, size_t end, size_t c) {
+                tallies[c] = FilterRange({packed.data() + begin, end - begin});
+              });
   // Sum the tallies and compact the survivors in range order, so chunk
   // contents and stats are byte-identical at every thread count.
   size_t kept = 0;
@@ -127,8 +115,6 @@ void BitmapFilterOperator::FilterChunk(CandidateChunk* chunk) {
 }
 
 Status BitmapFilterOperator::NextBatch(Batch* out) {
-  // Eager: the charge must precede the source's first barrier.
-  if (eager_) Build();
   SSJOIN_RETURN_NOT_OK(input_->Pull(out));
   if (!ctx_->degrade) Build();
   if (out->kind != Batch::Kind::kCandidates) return Status::OK();

@@ -1,29 +1,20 @@
 // BitmapFilterOperator: the XOR-bitmap pre-filter as a pipeline stage
 // (DESIGN.md Sections 11 and 13). Only present in a plan when
-// options.verify && options.bitmap_bits != 0.
+// options.bitmap_bits != 0.
 //
-// Two build disciplines, matching the legacy drivers:
-//
-//   * Deferred (sorted and spilled modes): the tables are built when the
-//     first batch (or the end of an empty stream) arrives — i.e. after
-//     candidate generation, unless the chain degraded. Self-shaped
-//     inputs alias one table for both sides; the binary mode builds two.
-//   * Eager (pipelined mode): the table is built on the first pull,
-//     before this operator pulls its input — i.e. before the source's
-//     first barrier.
-//
-// Guard memory is charged exactly as the drivers charged it, and the
-// charge is added to ctx->degrade_release_bytes so a later auto-spill
-// degrade hands it back. The build is part of this operator's
-// self-time, which feeds JoinStats::postfilter_seconds.
+// The tables are built when the first batch (or the end of an empty
+// stream) arrives — i.e. after candidate generation, unless the chain
+// degraded. Self-shaped inputs alias one table for both sides; the
+// binary mode builds two. Guard memory is charged exactly as the
+// drivers charged it. The build is part of this operator's self-time,
+// which feeds JoinStats::postfilter_seconds.
 //
 // Per batch the operator fills chunk.bitmap_checked/bitmap_pruned and
 // compacts chunk.packed to the survivors, preserving candidate order.
-// Deferred chunks are filtered range-parallel over the pool and
-// compacted in range order; eager chunks are filtered serially.
-// It never touches JoinStats: VerifyOperator commits the tallies after
-// the chunk's guard barrier, which is what keeps partial-trip
-// accounting byte-identical to the legacy verify loop.
+// Chunks are filtered range-parallel over the pool and compacted in
+// range order. It never touches JoinStats: VerifyOperator commits the
+// tallies after the chunk's guard barrier, which is what keeps
+// partial-trip accounting byte-identical to the legacy verify loop.
 
 #pragma once
 
@@ -38,10 +29,7 @@ namespace ssjoin::pipeline {
 
 class BitmapFilterOperator : public Operator {
  public:
-  /// `eager` selects the pipelined build discipline (table built before
-  /// the first input pull); deferred is the sorted/spilled discipline
-  /// (built with the first batch).
-  BitmapFilterOperator(ExecContext* ctx, bool eager);
+  explicit BitmapFilterOperator(ExecContext* ctx);
 
   Status NextBatch(Batch* out) override;
   void Close() override;
@@ -59,7 +47,6 @@ class BitmapFilterOperator : public Operator {
   RangeTally FilterRange(std::span<uint64_t> packed) const;
   void FilterChunk(CandidateChunk* chunk);
 
-  bool eager_;
   bool ready_ = false;
   kernels::BitmapTable bitmap_l_;
   kernels::BitmapTable bitmap_r_;

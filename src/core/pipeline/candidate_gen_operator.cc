@@ -153,7 +153,7 @@ Status CandidateGenOperator::NextBatch(Batch* out) {
     out->signatures_r = nullptr;
     out->kind = Batch::Kind::kEnd;
     SSJOIN_RETURN_NOT_OK(st);
-    if (ctx_->degrade || !ctx_->options->verify) return Status::OK();
+    if (ctx_->degrade) return Status::OK();
   }
   EmitCandidateSlice(candidates_, &pos_, out);
   return Status::OK();

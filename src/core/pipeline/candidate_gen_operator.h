@@ -11,9 +11,7 @@
 // must not latch); ChargeMemory(table bytes) + the kCandGen checkpoint;
 // group/pair/union; tripped → zero the partial collision/candidate
 // counters and surface the trip; the candidate-vector memory charge.
-// With verify off the stream ends after the phase — stats are complete
-// and no chunks flow (the legacy !verify early-return). Its self-time
-// feeds JoinStats::candpair_seconds.
+// Its self-time feeds JoinStats::candpair_seconds.
 //
 // GenerateCandidates is the pair-up-and-union step itself, shared with
 // the spill layer's per-partition loop (core/spill/spill_join.cc).

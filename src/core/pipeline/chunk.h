@@ -13,9 +13,7 @@
 //     super-chunk (16384 candidates): chunk boundaries ARE the
 //     deterministic guard barriers, so the chunked verify protocol
 //     (checkpoint + breaker per boundary) falls out of the batch size
-//     instead of being re-derived inside the verifier. The pipelined
-//     source is the one exception — its deterministic unit is the
-//     barrier group, so its chunks carry one group regardless of size.
+//     instead of being re-derived inside the verifier.
 //
 // Determinism contract: every count stored here (start_offset,
 // pre_filter_count, the bitmap tallies) is derived from input order,
@@ -51,10 +49,9 @@ inline size_t SignatureChunkBytes(const SignatureChunk& chunk) {
          chunk.offsets.size() * sizeof(size_t);
 }
 
-/// Candidates per CandidateChunk on the sorted/spilled paths — the
-/// guarded verify super-chunk size. Changing this changes where trips
-/// land mid-join, which is part of the byte-identity contract the
-/// differential suite pins.
+/// Candidates per CandidateChunk — the guarded verify super-chunk size.
+/// Changing this changes where trips land mid-join, which is part of the
+/// byte-identity contract the differential suite pins.
 inline constexpr size_t kCandidateChunkCapacity = 16384;
 
 /// One verify super-chunk of packed candidate pairs.

@@ -1,17 +1,10 @@
 #include "core/pipeline/dedup_emit_operator.h"
 
-#include <algorithm>
-
 namespace ssjoin::pipeline {
 
 Status DedupEmitOperator::NextBatch(Batch* out) {
   SSJOIN_RETURN_NOT_OK(input_->Pull(out));
-  if (out->kind != Batch::Kind::kCandidates) {
-    if (sort_on_end_ && !ctx_->degrade) {
-      std::sort(ctx_->result->pairs.begin(), ctx_->result->pairs.end());
-    }
-    return Status::OK();
-  }
+  if (out->kind != Batch::Kind::kCandidates) return Status::OK();
   const CandidateChunk& chunk = out->candidates;
   rows_in_ += chunk.verified.size();
   ctx_->result->pairs.insert(ctx_->result->pairs.end(),

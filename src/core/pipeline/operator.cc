@@ -50,18 +50,12 @@ Status Plan::Run() {
     ops_[i]->BindInstrument(ctx_->telem, static_cast<uint32_t>(i));
   }
   Status status;
-  for (std::unique_ptr<Operator>& op : ops_) {
-    status = op->Open();
-    if (!status.ok()) break;
-  }
-  if (status.ok()) {
-    Operator* sink = ops_.back().get();
-    Batch batch;
-    while (true) {
-      batch.Reset();
-      status = sink->Pull(&batch);
-      if (!status.ok() || batch.kind == Batch::Kind::kEnd) break;
-    }
+  Operator* sink = ops_.back().get();
+  Batch batch;
+  while (true) {
+    batch.Reset();
+    status = sink->Pull(&batch);
+    if (!status.ok() || batch.kind == Batch::Kind::kEnd) break;
   }
   for (std::unique_ptr<Operator>& op : ops_) op->Close();
   return status;

@@ -27,9 +27,9 @@
 //     rows_in,rows_out,ns}; with a Tracer it opens one kStable span per
 //     operator, named by the tag, under the join root — the parent of
 //     the runtime samples the operator opens while inside Pull.
-//   * Lifecycle: Plan::Run() opens source-first, pulls the sink to
-//     exhaustion or error, and closes every operator on every exit path
-//     (Close must be safe after a failed or skipped Open).
+//   * Lifecycle: Plan::Run() pulls the sink to exhaustion or error, and
+//     closes every operator on every exit path (Close must be safe
+//     after an aborted or skipped pull loop).
 //
 // Contract (enforced by the `operator-contract` AST-lint rule): every
 // Operator subclass overrides Close() and finishes it with
@@ -79,10 +79,6 @@ struct ExecContext {
   /// chain winds down cleanly (no guard latch) and the driver reruns
   /// with a spilled plan.
   bool degrade = false;
-  /// Guard memory the degraded chain still holds charged; the driver
-  /// releases it before the rerun (the spilled run accounts its own
-  /// footprint from zero).
-  size_t degrade_release_bytes = 0;
 };
 
 class Operator {
@@ -90,10 +86,6 @@ class Operator {
   virtual ~Operator() = default;
   Operator(const Operator&) = delete;
   Operator& operator=(const Operator&) = delete;
-
-  /// One-time setup before the first pull (eager resource builds).
-  /// Default: nothing.
-  virtual Status Open() { return Status::OK(); }
 
   /// Produces the next batch into `*out` (Reset by the caller). An end
   /// batch (Batch::Kind::kEnd) terminates the pull loop; a non-OK
@@ -103,9 +95,9 @@ class Operator {
   /// Tears down: flushes the instrument (final row totals, span
   /// close), adds the operator's self-time to its JoinStats seconds
   /// field, and records its PlanOp and rows_out drift actual into the
-  /// explain report. Runs on every exit path, including after a failed
-  /// Open or an aborted pull loop. Subclasses MUST override (the
-  /// operator-contract lint rule) and end with Operator::Close().
+  /// explain report. Runs on every exit path, including after an
+  /// aborted pull loop. Subclasses MUST override (the operator-contract
+  /// lint rule) and end with Operator::Close().
   virtual void Close();
 
   /// Timed pull: callers (the downstream operator and Plan::Run) use
@@ -114,8 +106,8 @@ class Operator {
   Status Pull(Batch* out);
 
   /// Binds the per-operator instrument to the run's telemetry (called
-  /// once by Plan::Run before Open; `lane` is the operator's chain
-  /// position).
+  /// once by Plan::Run before the first pull; `lane` is the operator's
+  /// chain position).
   void BindInstrument(obs::JoinTelemetry* telemetry, uint32_t lane) {
     inst_.Bind(telemetry, tag_, lane);
   }
@@ -156,9 +148,9 @@ class Plan {
   /// Appends `op`, wiring its input to the previous operator.
   Operator* Add(std::unique_ptr<Operator> op);
 
-  /// Opens source-first, pulls the sink until an end batch or error,
-  /// then closes every operator in chain order (always — the close pass
-  /// is what records the executed plan tree). Returns the first error.
+  /// Pulls the sink until an end batch or error, then closes every
+  /// operator in chain order (always — the close pass is what records
+  /// the executed plan tree). Returns the first error.
   Status Run();
 
  private:

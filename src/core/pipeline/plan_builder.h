@@ -3,15 +3,12 @@
 // Plan::Run; everything the modes share — guard protocol, telemetry
 // discipline, explain plan recording — lives in the operators, once.
 //
-//   Sorted     SigGen -> CandidateGen [-> BitmapFilter -> Verify]
+//   In memory  SigGen -> CandidateGen [-> BitmapFilter] -> Verify
 //              -> DedupEmit
-//   Pipelined  PipelinedScan [-> BitmapFilter -> Verify] -> DedupEmit
-//   Spilled    SpillPartition [-> BitmapFilter -> Verify] -> DedupEmit
+//   Spilled    SpillPartition [-> BitmapFilter] -> Verify -> DedupEmit
 //
-// The bracketed tail exists only when options.verify; BitmapFilter only
-// when options.bitmap_bits != 0. The sorted and spilled chains emit
-// globally sorted candidates, so their DedupEmit appends; the pipelined
-// chain emits in discovery order and sorts at end of stream.
+// BitmapFilter is present only when options.bitmap_bits != 0. Both
+// sources emit globally sorted candidates, so DedupEmit appends.
 
 #pragma once
 
@@ -19,9 +16,8 @@
 
 namespace ssjoin::pipeline {
 
-/// Appends the chain for `mode` to `plan`: the spilled chain when
-/// `spill` (any mode — the self-join modes share one output contract),
-/// otherwise the mode's in-memory chain.
-void BuildPlan(Plan* plan, ExecContext* ctx, ExecutionMode mode, bool spill);
+/// Appends the join's chain to `plan`: the spilled chain when `spill`,
+/// otherwise the in-memory chain. ctx->right selects self or binary.
+void BuildPlan(Plan* plan, ExecContext* ctx, bool spill);
 
 }  // namespace ssjoin::pipeline

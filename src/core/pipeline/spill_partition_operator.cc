@@ -76,7 +76,6 @@ Status SpillPartitionOperator::NextBatch(Batch* out) {
   if (!produced_) {
     produced_ = true;
     SSJOIN_RETURN_NOT_OK(Produce());
-    if (!ctx_->options->verify) return Status::OK();
   }
   EmitCandidateSlice(candidates_, &pos_, out);
   return Status::OK();

@@ -48,7 +48,7 @@ void VerifyOperator::EvaluateChunk(CandidateChunk* chunk) {
     stats.results += results[c];
     stats.false_positives += false_positives[c];
   }
-  if (chunked_ && ctx_->guard != nullptr) {
+  if (ctx_->guard != nullptr) {
     ctx_->guard->ChargeMemory(appended * sizeof(SetPair));
   }
   rows_out_ += appended;
@@ -56,7 +56,7 @@ void VerifyOperator::EvaluateChunk(CandidateChunk* chunk) {
 
 Status VerifyOperator::VerifyChunk(CandidateChunk* chunk) {
   JoinStats& stats = ctx_->result->stats;
-  ExecutionGuard* guard = chunked_ ? ctx_->guard : nullptr;
+  ExecutionGuard* guard = ctx_->guard;
   if (guard != nullptr) {
     // The chunk boundary barrier: the first chunk's checkpoint is the
     // legacy pre-loop checkpoint, every later one the per-iteration
@@ -94,7 +94,7 @@ Status VerifyOperator::VerifyChunk(CandidateChunk* chunk) {
 Status VerifyOperator::NextBatch(Batch* out) {
   SSJOIN_RETURN_NOT_OK(input_->Pull(out));
   if (out->kind != Batch::Kind::kCandidates) {
-    if (chunked_ && !ctx_->degrade && ctx_->guard != nullptr) {
+    if (!ctx_->degrade && ctx_->guard != nullptr) {
       if (!any_chunk_) {
         SSJOIN_RETURN_NOT_OK(ctx_->guard->Checkpoint(JoinPhase::kVerify));
       }

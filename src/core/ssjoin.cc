@@ -159,9 +159,10 @@ void FinishJoin(obs::JoinTelemetry& telem, const JoinResult& result,
 }
 
 // The driver. `request` is validated and its spill policy resolved.
-// On an auto-spill degrade it hands back the memory the in-memory run
-// still holds charged and calls itself with SpillState::kAuto; the outer
-// root span stays open, so the spilled run's root nests under it.
+// On an auto-spill degrade it calls itself with SpillState::kAuto; the
+// outer root span stays open, so the spilled run's root nests under it.
+// The degraded chain holds no guard memory: CandidateGen degrades before
+// its first charge, and the bitmap table is only built without one.
 JoinResult RunJoin(const JoinRequest& request, SpillState spill) {
   const JoinOptions& options = request.options;
   const SetCollection& left = *request.left;
@@ -214,14 +215,13 @@ JoinResult RunJoin(const JoinRequest& request, SpillState spill) {
   ctx.telem = &telem;
   ctx.result = &result;
   pipeline::Plan plan(&ctx);
-  pipeline::BuildPlan(&plan, &ctx, request.mode, spill != SpillState::kNone);
+  pipeline::BuildPlan(&plan, &ctx, spill != SpillState::kNone);
   Status st = plan.Run();
   if (ctx.degrade) {
     // An operator found, before the guard could latch, that the
     // in-memory tables would blow the memory budget.
     obs::LogEvent(options.log, obs::LogLevel::kWarn, "spill_degrade",
                   {{"mode", mode}});
-    guard->ReleaseMemory(ctx.degrade_release_bytes);
     return RunJoin(request, SpillState::kAuto);
   }
   if (!st.ok()) {
@@ -257,11 +257,10 @@ JoinResult InvalidResult(Status st) {
 std::string_view ExecutionModeName(ExecutionMode mode) {
   switch (mode) {
     case ExecutionMode::kSelfJoin:
+    case ExecutionMode::kPipelinedSelfJoin:
       return "self";
     case ExecutionMode::kBinaryJoin:
       return "binary";
-    case ExecutionMode::kPipelinedSelfJoin:
-      return "pipelined_self";
   }
   return "unknown";
 }
@@ -343,7 +342,13 @@ JoinRequest BinaryJoinRequest(const SetCollection& r, const SetCollection& s,
 }
 
 JoinResult Join(const JoinRequest& request) {
-  if (Status st = request.Validate(); !st.ok()) {
+  // The pipelined alias runs the self-join: validation, spans, EXPLAIN
+  // and logs all see kSelfJoin.
+  JoinRequest resolved = request;
+  if (resolved.mode == ExecutionMode::kPipelinedSelfJoin) {
+    resolved.mode = ExecutionMode::kSelfJoin;
+  }
+  if (Status st = resolved.Validate(); !st.ok()) {
     // Invalid requests return before any observability attaches: the
     // explain header is only stamped for requests that will execute.
     return InvalidResult(std::move(st));
@@ -351,23 +356,21 @@ JoinResult Join(const JoinRequest& request) {
   // EXPLAIN header: the chosen driver and the stable input-size params.
   // Thread count is deliberately absent — the report's stable fields
   // must be byte-identical across thread counts (DESIGN.md Section 9).
-  if (obs::ExplainReport* ex = request.options.explain) {
-    ex->mode = std::string(ExecutionModeName(request.mode));
-    ex->SetParam("input_sets", std::to_string(request.left->size()));
-    ex->SetParam("bitmap_bits", std::to_string(request.options.bitmap_bits));
-    if (request.mode == ExecutionMode::kBinaryJoin &&
-        request.right != nullptr) {
-      ex->SetParam("input_sets_r", std::to_string(request.left->size()));
-      ex->SetParam("input_sets_s", std::to_string(request.right->size()));
+  if (obs::ExplainReport* ex = resolved.options.explain) {
+    ex->mode = std::string(ExecutionModeName(resolved.mode));
+    ex->SetParam("input_sets", std::to_string(resolved.left->size()));
+    ex->SetParam("bitmap_bits",
+                 std::to_string(resolved.options.bitmap_bits));
+    if (resolved.mode == ExecutionMode::kBinaryJoin) {
+      ex->SetParam("input_sets_r", std::to_string(resolved.left->size()));
+      ex->SetParam("input_sets_s", std::to_string(resolved.right->size()));
     }
   }
   // Resolve SpillPolicy::kDefault (the SSJOIN_SPILL env hook) once here,
   // so the driver and the spill layer only ever see explicit policies.
-  // Forcing the spill path is valid for every mode (the self-join modes
-  // share one output contract).
-  JoinRequest resolved = request;
+  // Forcing the spill path is valid for every mode.
   resolved.options.spill.policy =
-      spill::ResolvePolicy(request.options.spill.policy);
+      spill::ResolvePolicy(resolved.options.spill.policy);
   const bool forced = resolved.options.spill.policy == SpillPolicy::kForced;
   return RunJoin(resolved, forced ? SpillState::kForced : SpillState::kNone);
 }

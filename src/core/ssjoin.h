@@ -16,8 +16,8 @@
 // parallelism and the output is byte-identical for every thread count.
 //
 // Entry point: build a JoinRequest and call Join(). The request names
-// the inputs, the scheme/predicate pair, the ExecutionMode (sorted
-// binary, sorted self, pipelined self) and the JoinOptions — including
+// the inputs, the scheme/predicate pair, the ExecutionMode (self or
+// binary) and the JoinOptions — including
 // the observability sinks (obs::Tracer / obs::MetricsRegistry) every
 // execution path publishes into.
 
@@ -83,24 +83,13 @@ struct SpillOptions {
 
 /// Knobs of the generic driver.
 struct JoinOptions {
-  /// Run the PostFilter phase (step 4). false skips verification
-  /// entirely: the returned pairs are empty and results /
-  /// false_positives / postfilter_seconds stay 0, while the
-  /// signature-level accounting (signatures, collisions, candidates —
-  /// everything the Section 3.2 filtering-effectiveness measures need)
-  /// is still computed. Useful for signature-scheme studies that only
-  /// care about candidate quality. The guard's candidate-explosion
-  /// breaker is not evaluated when verification is skipped (its ratio is
-  /// candidates per *verified* pair).
-  bool verify = true;
   /// Width of the XOR bitmap pre-filter (core/kernels/bitmap_filter.h)
   /// applied between candidate generation and exact verification: 64,
   /// 128 (default) or 256 bits per set, 0 disables the filter. The
   /// filter is exact — it never rejects a true match — so the join
   /// output and all legacy stats are byte-identical for every setting;
   /// only bitmap_filter_checked / bitmap_filter_pruned and wall-clock
-  /// change. Ignored when verify == false (there is nothing to
-  /// pre-filter). Invalid widths make Join() return InvalidArgument.
+  /// change. Invalid widths make Join() return InvalidArgument.
   uint32_t bitmap_bits = 128;
   /// Worker threads for the drivers: 1 (default) runs the serial
   /// reference path on the calling thread, 0 means one thread per
@@ -169,12 +158,12 @@ struct JoinStats {
   // Join() derives them from its operator ledger: each plan operator's
   // self-time (Operator::Pull, pipeline.<op>.ns) is added to one field —
   //   siggen_seconds      siggen
-  //   candpair_seconds    candgen, spill_partition, pipelined_scan
+  //   candpair_seconds    candgen, spill_partition
   //   postfilter_seconds  bitmap_filter, verify
   // and dedup_emit feeds none (emission is not a Figure 2 step). The
-  // spilled and pipelined sources do SigGen and CandPair in one
-  // operator, so those plans report siggen_seconds == 0 and all source
-  // time as candpair_seconds; pipeline.<op>.ns and EXPLAIN keep the
+  // spilled source does SigGen and CandPair in one operator, so a
+  // spilled plan reports siggen_seconds == 0 and all source time as
+  // candpair_seconds; pipeline.<op>.ns and EXPLAIN keep the
   // per-operator split. The DBMS driver (relational/sql_ssjoin.h), which
   // is not an operator chain, times the three steps directly; the string
   // join (core/string_join.h) adds its two wrapper steps — q-gram
@@ -209,7 +198,7 @@ struct JoinStats {
   uint64_t false_positives = 0;
 
   /// Candidates examined by the bitmap pre-filter (== candidates when
-  /// the filter is on, 0 when bitmap_bits == 0 or verify == false).
+  /// the filter is on, 0 when bitmap_bits == 0).
   uint64_t bitmap_filter_checked = 0;
   /// Candidates the bitmap filter proved non-matching — these skip the
   /// exact Predicate::Evaluate but still count into false_positives, so
@@ -255,13 +244,8 @@ enum class ExecutionMode {
   /// Sorted binary join between collections R and S; the same scheme
   /// instance generates signatures for both sides.
   kBinaryJoin = 1,
-  /// Pipelined self-join: sets are processed in id order against an
-  /// incrementally-built inverted index over signatures; each probe's
-  /// candidates are verified immediately (candidate generation and
-  /// post-filtering "performed in a pipelined fashion", Section 3's
-  /// engineering note, following [6]). Identical output and
-  /// signature/candidate accounting as kSelfJoin; peak memory drops from
-  /// all-candidates to per-probe (per-block when parallel).
+  /// Runs kSelfJoin; removed with the benchmark's `plan.pipelined_*`
+  /// rows (ROADMAP item 5).
   kPipelinedSelfJoin = 2,
 };
 

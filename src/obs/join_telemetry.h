@@ -16,7 +16,7 @@
 //     construction, and the edit-distance check) around its Join().
 //   * Stable vs runtime recording: operator spans and Phase() spans are
 //     kStable (the deterministic join skeleton); Sample() opens kRuntime
-//     spans for shard/chunk/block detail and feeds latency histograms.
+//     spans for shard/chunk detail and feeds latency histograms.
 //
 // Construction opens the root span; destruction closes it.
 //

@@ -52,7 +52,6 @@ inline constexpr std::string_view kSpanCandPair = "CandPair";
 inline constexpr std::string_view kSpanPostFilter = "PostFilter";
 inline constexpr std::string_view kSpanShard = "shard";
 inline constexpr std::string_view kSpanVerifyChunk = "verify_chunk";
-inline constexpr std::string_view kSpanBlock = "block";
 
 // Span-attribute keys.
 inline constexpr std::string_view kAttrMode = "mode";
@@ -121,8 +120,6 @@ inline constexpr std::string_view kJoinShardCandidates =
 inline constexpr std::string_view kJoinShardMicros = "join.shard.micros";
 inline constexpr std::string_view kJoinVerifyChunkMicros =
     "join.verify.chunk_micros";
-inline constexpr std::string_view kJoinPipelineBlockMicros =
-    "join.pipeline.block_micros";
 // Spill accounting (emitted only when a join actually spilled): the
 // counters are deterministic for a fixed input + spill configuration.
 inline constexpr std::string_view kJoinSpillPartitions =
@@ -161,7 +158,6 @@ inline constexpr std::string_view kPipelineSuffixNs = ".ns";
 // EXPLAIN plan prints.
 inline constexpr std::string_view kOpSigGen = "siggen";
 inline constexpr std::string_view kOpCandGen = "candgen";
-inline constexpr std::string_view kOpPipelinedScan = "pipelined_scan";
 inline constexpr std::string_view kOpBitmapFilter = "bitmap_filter";
 inline constexpr std::string_view kOpVerify = "verify";
 inline constexpr std::string_view kOpDedupEmit = "dedup_emit";

@@ -1,5 +1,6 @@
 // Guardrail coverage (ctest label `guardrail`; DESIGN.md Section 7):
-// fault-injected trips in every Figure-2 phase for all three drivers,
+// fault-injected trips in every Figure-2 phase for the self and binary
+// drivers,
 // real deadline / memory-budget / breaker trips, cross-thread
 // cancellation, the PartEnum advisor-retry path, and the two determinism
 // contracts — an injected trip yields identical Status and partial stats
@@ -27,16 +28,6 @@
 
 namespace ssjoin {
 namespace {
-
-// Join()-facade shorthand for the pipelined self-join mode.
-JoinResult RunPipelined(const SetCollection& input,
-                        const SignatureScheme& scheme,
-                        const Predicate& predicate,
-                        const JoinOptions& options = {}) {
-  JoinRequest request = SelfJoinRequest(input, scheme, predicate, options);
-  request.mode = ExecutionMode::kPipelinedSelfJoin;
-  return Join(request);
-}
 
 using enum JoinPhase;
 using TripReason = ExecutionGuard::TripReason;
@@ -235,27 +226,6 @@ TEST_F(ExecutionGuardTest, InjectedTripBinaryJoin) {
   }
 }
 
-TEST_F(ExecutionGuardTest, InjectedTripPipelinedSelfJoin) {
-  SetCollection input = Workload(300);
-  IdentityScheme scheme;
-  JaccardPredicate predicate(0.9);
-  for (JoinPhase phase : {kSigGen, kCandGen, kVerify}) {
-    fault::InjectTrip(phase, StatusCode::kResourceExhausted);
-    ExecutionGuard guard(Generous());
-    JoinOptions options;
-    options.guard = &guard;
-    JoinResult result = RunPipelined(input, scheme, predicate, options);
-    EXPECT_EQ(result.status.code(), StatusCode::kResourceExhausted)
-        << JoinPhaseName(phase);
-    EXPECT_TRUE(result.pairs.empty());
-    EXPECT_EQ(guard.trip_phase(), phase);
-    // The pipelined barrier runs before any probing, so an injection
-    // armed before the run trips with nothing committed.
-    EXPECT_EQ(result.stats.results, 0u);
-    fault::Clear();
-  }
-}
-
 // The determinism contract: an injected (budget-class) trip produces the
 // same Status, the same trip phase, and the same partial stats whether
 // the join ran serial or on four workers.
@@ -264,33 +234,29 @@ TEST_F(ExecutionGuardTest, InjectedTripDeterministicAcrossThreadCounts) {
   IdentityScheme scheme;
   JaccardPredicate predicate(0.9);
   for (JoinPhase phase : {kSigGen, kCandGen, kVerify}) {
-    auto run = [&](size_t threads, bool pipelined) {
+    auto run = [&](size_t threads) {
       fault::InjectTrip(phase, StatusCode::kResourceExhausted);
       ExecutionGuard guard(Generous());
       JoinOptions options;
       options.num_threads = threads;
       options.guard = &guard;
       JoinResult result =
-          pipelined ? RunPipelined(input, scheme, predicate, options)
-                    : Join(SelfJoinRequest(input, scheme, predicate, options));
+          Join(SelfJoinRequest(input, scheme, predicate, options));
       fault::Clear();
       EXPECT_EQ(result.status.code(), StatusCode::kResourceExhausted);
       EXPECT_EQ(guard.trip_phase(), phase);
       return result;
     };
-    for (bool pipelined : {false, true}) {
-      JoinResult serial = run(1, pipelined);
-      JoinResult parallel = run(4, pipelined);
-      EXPECT_EQ(serial.pairs, parallel.pairs);  // both empty
-      ExpectSameStats(serial.stats, parallel.stats,
-                      pipelined ? "pipelined" : "sorted");
-    }
+    JoinResult serial = run(1);
+    JoinResult parallel = run(4);
+    EXPECT_EQ(serial.pairs, parallel.pairs);  // both empty
+    ExpectSameStats(serial.stats, parallel.stats, "sorted");
   }
 }
 
 // The zero-interference contract: a guard that never trips changes
 // nothing — pairs, stats, and Status match the unguarded run at every
-// thread count, for all three drivers.
+// thread count, for the self and binary drivers.
 TEST_F(ExecutionGuardTest, UntrippedGuardByteIdenticalToUnguarded) {
   SetCollection input = Workload(400, 45);
   PartEnumJaccardParams params;
@@ -315,20 +281,13 @@ TEST_F(ExecutionGuardTest, UntrippedGuardByteIdenticalToUnguarded) {
 
     ExecutionGuard guard2(Generous());
     guarded.guard = &guard2;
-    JoinResult c = RunPipelined(input, *scheme, predicate, plain);
-    JoinResult d = RunPipelined(input, *scheme, predicate, guarded);
+    JoinResult c =
+        Join(BinaryJoinRequest(input, input, *scheme, predicate, plain));
+    JoinResult d =
+        Join(BinaryJoinRequest(input, input, *scheme, predicate, guarded));
     ASSERT_TRUE(d.status.ok());
-    EXPECT_EQ(c.pairs, d.pairs) << "pipelined t=" << threads;
-    ExpectSameStats(c.stats, d.stats, "pipelined");
-    EXPECT_EQ(a.pairs, c.pairs);
-
-    ExecutionGuard guard3(Generous());
-    guarded.guard = &guard3;
-    JoinResult e = Join(BinaryJoinRequest(input, input, *scheme, predicate, plain));
-    JoinResult f = Join(BinaryJoinRequest(input, input, *scheme, predicate, guarded));
-    ASSERT_TRUE(f.status.ok());
-    EXPECT_EQ(e.pairs, f.pairs) << "binary t=" << threads;
-    ExpectSameStats(e.stats, f.stats, "binary");
+    EXPECT_EQ(c.pairs, d.pairs) << "binary t=" << threads;
+    ExpectSameStats(c.stats, d.stats, "binary");
   }
 }
 

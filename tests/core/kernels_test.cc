@@ -381,33 +381,28 @@ TEST(BitmapFilterJoin, OutputIdenticalAtEveryWidth) {
   SetCollection input = JoinWorkload();
   IdentityScheme scheme;
   JaccardPredicate predicate(0.8);
-  for (ExecutionMode mode :
-       {ExecutionMode::kSelfJoin, ExecutionMode::kPipelinedSelfJoin}) {
-    JoinRequest off;
-    off.left = &input;
-    off.scheme = &scheme;
-    off.predicate = &predicate;
-    off.mode = mode;
-    off.options.bitmap_bits = 0;
-    JoinResult baseline = Join(off);
-    ASSERT_TRUE(baseline.status.ok());
-    EXPECT_EQ(baseline.stats.bitmap_filter_checked, 0u);
-    EXPECT_EQ(baseline.stats.bitmap_filter_pruned, 0u);
-    EXPECT_GT(baseline.stats.results, 0u);
-    for (uint32_t bits : kBitmapWidths) {
-      JoinRequest on = off;
-      on.options.bitmap_bits = bits;
-      JoinResult filtered = Join(on);
-      ASSERT_TRUE(filtered.status.ok());
-      EXPECT_EQ(filtered.pairs, baseline.pairs)
-          << "mode " << ExecutionModeName(mode) << " bits " << bits;
-      ExpectLegacyStatsEqual(filtered.stats, baseline.stats);
-      // Every candidate passes through the filter exactly once.
-      EXPECT_EQ(filtered.stats.bitmap_filter_checked,
-                filtered.stats.candidates);
-      EXPECT_LE(filtered.stats.bitmap_filter_pruned,
-                filtered.stats.false_positives);
-    }
+  JoinRequest off;
+  off.left = &input;
+  off.scheme = &scheme;
+  off.predicate = &predicate;
+  off.options.bitmap_bits = 0;
+  JoinResult baseline = Join(off);
+  ASSERT_TRUE(baseline.status.ok());
+  EXPECT_EQ(baseline.stats.bitmap_filter_checked, 0u);
+  EXPECT_EQ(baseline.stats.bitmap_filter_pruned, 0u);
+  EXPECT_GT(baseline.stats.results, 0u);
+  for (uint32_t bits : kBitmapWidths) {
+    JoinRequest on = off;
+    on.options.bitmap_bits = bits;
+    JoinResult filtered = Join(on);
+    ASSERT_TRUE(filtered.status.ok());
+    EXPECT_EQ(filtered.pairs, baseline.pairs) << "bits " << bits;
+    ExpectLegacyStatsEqual(filtered.stats, baseline.stats);
+    // Every candidate passes through the filter exactly once.
+    EXPECT_EQ(filtered.stats.bitmap_filter_checked,
+              filtered.stats.candidates);
+    EXPECT_LE(filtered.stats.bitmap_filter_pruned,
+              filtered.stats.false_positives);
   }
 }
 

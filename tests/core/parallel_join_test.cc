@@ -1,10 +1,10 @@
-// Parallel execution must be invisible: for every thread count the three
-// drivers return byte-identical pairs AND byte-identical stats counters
-// (signatures, collisions, candidates, results, false positives) to the
-// num_threads == 1 serial reference — across predicate families
-// (hamming / jaccard / weighted), self- and binary joins, and degenerate
-// inputs. These tests also run under the tsan preset (ctest -L parallel)
-// to prove the pool and the stat reductions are race-free.
+// Parallel execution must be invisible: for every thread count the self
+// and binary drivers return byte-identical pairs AND byte-identical stats
+// counters (signatures, collisions, candidates, results, false
+// positives) to the num_threads == 1 serial reference — across predicate
+// families (hamming / jaccard / weighted), self- and binary joins, and
+// degenerate inputs. These tests also run under the tsan preset (ctest -L
+// parallel) to prove the pool and the stat reductions are race-free.
 
 #include <gtest/gtest.h>
 
@@ -29,16 +29,6 @@
 namespace ssjoin {
 namespace {
 
-// Join()-facade shorthand for the pipelined self-join mode.
-JoinResult RunPipelined(const SetCollection& input,
-                        const SignatureScheme& scheme,
-                        const Predicate& predicate,
-                        const JoinOptions& options = {}) {
-  JoinRequest request = SelfJoinRequest(input, scheme, predicate, options);
-  request.mode = ExecutionMode::kPipelinedSelfJoin;
-  return Join(request);
-}
-
 std::vector<size_t> ThreadGrid() {
   size_t hw = std::thread::hardware_concurrency();
   std::vector<size_t> grid = {2, 4};
@@ -58,7 +48,7 @@ void ExpectSameStats(const JoinStats& a, const JoinStats& b,
       << label << " t=" << threads;
 }
 
-// Self-join (sorted + pipelined drivers) at every thread count must match
+// The self-join at every thread count must match
 // the serial reference byte for byte.
 void ExpectSelfJoinInvariant(const SetCollection& input,
                              const SignatureScheme& scheme,
@@ -66,10 +56,6 @@ void ExpectSelfJoinInvariant(const SetCollection& input,
   JoinOptions serial;
   serial.num_threads = 1;
   JoinResult reference = Join(SelfJoinRequest(input, scheme, predicate, serial));
-  JoinResult reference_pipelined =
-      RunPipelined(input, scheme, predicate, serial);
-  EXPECT_EQ(reference.pairs, reference_pipelined.pairs) << label;
-  ExpectSameStats(reference.stats, reference_pipelined.stats, label, 1);
   for (size_t threads : ThreadGrid()) {
     JoinOptions options;
     options.num_threads = threads;
@@ -77,12 +63,6 @@ void ExpectSelfJoinInvariant(const SetCollection& input,
                                             options));
     EXPECT_EQ(reference.pairs, parallel.pairs) << label << " t=" << threads;
     ExpectSameStats(reference.stats, parallel.stats, label, threads);
-
-    JoinResult pipelined = RunPipelined(input, scheme, predicate,
-                                        options);
-    EXPECT_EQ(reference.pairs, pipelined.pairs)
-        << label << " pipelined t=" << threads;
-    ExpectSameStats(reference.stats, pipelined.stats, label, threads);
   }
 }
 
@@ -277,7 +257,7 @@ TEST(ParallelJoinTest, CollectionWithEmptySets) {
 
 TEST(ParallelJoinTest, DuplicateHeavyWorkload) {
   // Many identical sets: maximal candidate density, the stress case for
-  // the cross-shard union and for intra-block pipelined probing.
+  // the cross-shard union.
   std::vector<std::vector<ElementId>> sets(60, {1, 2, 3, 4, 5});
   sets.resize(75, {6, 7, 8});
   SetCollection input = SetCollection::FromVectors(sets);

@@ -53,11 +53,6 @@ TEST_F(RequestValidationTest, BuilderRequestsValidate) {
   EXPECT_TRUE(self.ok()) << self.ToString();
   Status binary = ValidBinary().Validate();
   EXPECT_TRUE(binary.ok()) << binary.ToString();
-
-  JoinRequest pipelined = ValidSelf();
-  pipelined.mode = ExecutionMode::kPipelinedSelfJoin;
-  Status st = pipelined.Validate();
-  EXPECT_TRUE(st.ok()) << st.ToString();
 }
 
 TEST_F(RequestValidationTest, NullLeft) {
@@ -80,15 +75,6 @@ TEST_F(RequestValidationTest, NullPredicate) {
 
 TEST_F(RequestValidationTest, SelfJoinWithForeignRight) {
   JoinRequest request = ValidSelf();
-  request.right = &other_;
-  ExpectRejected(request,
-                 "self-join modes take a single input; JoinRequest::right "
-                 "must be null or alias left");
-}
-
-TEST_F(RequestValidationTest, PipelinedSelfJoinWithForeignRight) {
-  JoinRequest request = ValidSelf();
-  request.mode = ExecutionMode::kPipelinedSelfJoin;
   request.right = &other_;
   ExpectRejected(request,
                  "self-join modes take a single input; JoinRequest::right "
@@ -212,23 +198,19 @@ TEST(ValidateJoinOptionsTest, RejectsAbsurdSpillRetryCount) {
   EXPECT_TRUE(at_cap.ok()) << at_cap.ToString();
 }
 
-// The option caps reject through Join() with the identical status, for
-// every execution mode — the single-validator guarantee.
+// The option caps reject through Join() with the identical status — the
+// single-validator guarantee.
 TEST(ValidateJoinOptionsTest, JoinRejectsWithTheSameStatus) {
   SetCollection input = TinyCollection();
   IdentityScheme scheme;
   JaccardPredicate predicate(0.5);
-  for (ExecutionMode mode : {ExecutionMode::kSelfJoin,
-                             ExecutionMode::kPipelinedSelfJoin}) {
-    JoinOptions options;
-    options.num_threads = kMaxJoinThreads + 7;
-    JoinRequest request = SelfJoinRequest(input, scheme, predicate, options);
-    request.mode = mode;
-    Status st = request.Validate();
-    JoinResult result = Join(request);
-    EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument);
-    EXPECT_EQ(result.status.message(), st.message());
-  }
+  JoinOptions options;
+  options.num_threads = kMaxJoinThreads + 7;
+  JoinRequest request = SelfJoinRequest(input, scheme, predicate, options);
+  Status st = request.Validate();
+  JoinResult result = Join(request);
+  EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(result.status.message(), st.message());
 }
 
 }  // namespace

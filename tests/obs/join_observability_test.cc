@@ -9,9 +9,7 @@
 //   * a guard trip must surface as a span event, a root-span attribute,
 //     and a guard.trips.<reason> counter;
 //   * the facade must reproduce the legacy entry points exactly and
-//     reject malformed requests with InvalidArgument;
-//   * JoinOptions::verify == false must skip PostFilter (no pairs, no
-//     verification counters) while still producing candidates.
+//     reject malformed requests with InvalidArgument.
 
 #include <gtest/gtest.h>
 
@@ -125,7 +123,7 @@ TEST(ObsDeterminismTest, BinaryJoinExportIsThreadCountInvariant) {
   EXPECT_NE(serial.find("input_sets_r"), std::string::npos);
 }
 
-TEST(ObsDeterminismTest, PipelinedExportIsThreadCountInvariant) {
+TEST(ObsDeterminismTest, SpilledExportIsThreadCountInvariant) {
   SetCollection input = Workload(350, 54);
   auto scheme = MakeScheme(input, 0.85);
   ASSERT_TRUE(scheme.ok());
@@ -135,28 +133,17 @@ TEST(ObsDeterminismTest, PipelinedExportIsThreadCountInvariant) {
   request.left = &input;
   request.scheme = &*scheme;
   request.predicate = &predicate;
-  request.mode = ExecutionMode::kPipelinedSelfJoin;
+  request.mode = ExecutionMode::kSelfJoin;
 
-  // The serial and block-parallel pipelined scans differ in loop
-  // structure, but the chain does not depend on the thread count, so
-  // the deterministic export (operator spans + attrs + metrics) is
-  // byte-identical across thread counts. The pipelined_scan source is a
-  // property of the in-memory plan, so pin the policy rather than
-  // inherit a CI-wide SSJOIN_SPILL=force.
-  request.options.spill.policy = SpillPolicy::kDisabled;
-  std::string serial = DeterministicExport(request, 1);
-  EXPECT_EQ(serial, DeterministicExport(request, 4));
-  EXPECT_NE(serial.find("\"mode\":\"pipelined_self\""), std::string::npos);
-  EXPECT_NE(serial.find("\"name\":\"pipelined_scan\""), std::string::npos);
-  EXPECT_EQ(serial.find("\"name\":\"siggen\""), std::string::npos);
-
-  // The forced-spill export must be thread-count invariant too.
+  // The forced-spill export (operator spans + attrs + metrics) is
+  // byte-identical across thread counts, whatever SSJOIN_SPILL says.
   request.options.spill.policy = SpillPolicy::kForced;
   std::string spilled = DeterministicExport(request, 1);
   EXPECT_EQ(spilled, DeterministicExport(request, 4));
-  EXPECT_NE(spilled.find("\"mode\":\"pipelined_self\""), std::string::npos);
+  EXPECT_NE(spilled.find("\"mode\":\"self\""), std::string::npos);
   EXPECT_NE(spilled.find("\"name\":\"spill_partition\""),
             std::string::npos);
+  EXPECT_EQ(spilled.find("\"name\":\"siggen\""), std::string::npos);
 }
 
 // (name, parent name) of every kStable span, in creation order.
@@ -182,19 +169,14 @@ TEST(ObsDeterminismTest, TracerOnlyRunEmitsOperatorSkeleton) {
   ASSERT_TRUE(scheme.ok());
   JaccardPredicate predicate(0.85);
   struct Plan {
-    ExecutionMode mode;
     SpillPolicy spill;
     std::vector<std::string> chain;
   };
   const std::vector<std::string> tail = {"bitmap_filter", "verify",
                                          "dedup_emit"};
   for (Plan plan :
-       {Plan{ExecutionMode::kSelfJoin, SpillPolicy::kDisabled,
-             {"siggen", "candgen"}},
-        Plan{ExecutionMode::kPipelinedSelfJoin, SpillPolicy::kDisabled,
-             {"pipelined_scan"}},
-        Plan{ExecutionMode::kSelfJoin, SpillPolicy::kForced,
-             {"spill_partition"}}}) {
+       {Plan{SpillPolicy::kDisabled, {"siggen", "candgen"}},
+        Plan{SpillPolicy::kForced, {"spill_partition"}}}) {
     plan.chain.insert(plan.chain.end(), tail.begin(), tail.end());
     SCOPED_TRACE(plan.chain.front());
     std::vector<std::pair<std::string, std::string>> expected = {
@@ -205,7 +187,6 @@ TEST(ObsDeterminismTest, TracerOnlyRunEmitsOperatorSkeleton) {
     for (size_t threads : {1u, 4u}) {
       obs::Tracer tracer;
       JoinRequest request = SelfJoinRequest(input, *scheme, predicate);
-      request.mode = plan.mode;
       request.options.spill.policy = plan.spill;
       request.options.num_threads = threads;
       request.options.tracer = &tracer;
@@ -231,7 +212,7 @@ TEST(ObsDeterminismTest, TracerOnlyRunEmitsOperatorSkeleton) {
 
 // Runtime samples nest under the span of the operator that ran them:
 // shard spans under candgen, verify_chunk spans (guarded runs) under
-// verify, block spans (parallel pipelined scan) under pipelined_scan.
+// verify.
 TEST(ObsDeterminismTest, SamplesNestUnderTheirOperatorSpan) {
   SetCollection input = Workload(400, 63);
   auto scheme = MakeScheme(input, 0.85);
@@ -239,33 +220,25 @@ TEST(ObsDeterminismTest, SamplesNestUnderTheirOperatorSpan) {
   JaccardPredicate predicate(0.85);
   ExecutionGuard guard(ExecutionBudget{});
 
-  for (ExecutionMode mode :
-       {ExecutionMode::kSelfJoin, ExecutionMode::kPipelinedSelfJoin}) {
-    obs::Tracer tracer;
-    JoinRequest request = SelfJoinRequest(input, *scheme, predicate);
-    request.mode = mode;
-    request.options.spill.policy = SpillPolicy::kDisabled;
-    request.options.num_threads = 4;
-    request.options.tracer = &tracer;
-    request.options.guard = &guard;
-    JoinResult result = Join(request);
-    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  obs::Tracer tracer;
+  JoinRequest request = SelfJoinRequest(input, *scheme, predicate);
+  request.options.spill.policy = SpillPolicy::kDisabled;
+  request.options.num_threads = 4;
+  request.options.tracer = &tracer;
+  request.options.guard = &guard;
+  JoinResult result = Join(request);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
 
-    std::vector<obs::SpanRecord> spans = tracer.Snapshot();
-    std::map<std::string, std::set<std::string>> parents;
-    for (const obs::SpanRecord& span : spans) {
-      if (span.stability != obs::Stability::kRuntime) continue;
-      ASSERT_NE(span.parent, obs::kNoSpan) << span.name;
-      parents[span.name].insert(spans[span.parent - 1].name);
-    }
-    using Parents = std::set<std::string>;
-    if (mode == ExecutionMode::kSelfJoin) {
-      EXPECT_EQ(parents["shard"], Parents{"candgen"});
-      EXPECT_EQ(parents["verify_chunk"], Parents{"verify"});
-    } else {
-      EXPECT_EQ(parents["block"], Parents{"pipelined_scan"});
-    }
+  std::vector<obs::SpanRecord> spans = tracer.Snapshot();
+  std::map<std::string, std::set<std::string>> parents;
+  for (const obs::SpanRecord& span : spans) {
+    if (span.stability != obs::Stability::kRuntime) continue;
+    ASSERT_NE(span.parent, obs::kNoSpan) << span.name;
+    parents[span.name].insert(spans[span.parent - 1].name);
   }
+  using Parents = std::set<std::string>;
+  EXPECT_EQ(parents["shard"], Parents{"candgen"});
+  EXPECT_EQ(parents["verify_chunk"], Parents{"verify"});
 }
 
 TEST(ObsDeterminismTest, GuardTripSurfacesEverywhere) {
@@ -343,19 +316,6 @@ TEST(JoinFacadeTest, BuildersMatchExplicitRequests) {
     EXPECT_EQ(facade.pairs, legacy.pairs);
     EXPECT_EQ(facade.stats.results, legacy.stats.results);
   }
-  {
-    JoinRequest request;
-    request.left = &input;
-    request.scheme = &*scheme;
-    request.predicate = &predicate;
-    request.mode = ExecutionMode::kPipelinedSelfJoin;
-    JoinResult facade = Join(request);
-    JoinRequest built = SelfJoinRequest(input, *scheme, predicate);
-    built.mode = ExecutionMode::kPipelinedSelfJoin;
-    JoinResult legacy = Join(built);
-    EXPECT_EQ(facade.pairs, legacy.pairs);
-    EXPECT_EQ(facade.stats.results, legacy.stats.results);
-  }
 }
 
 TEST(JoinFacadeTest, RejectsMalformedRequests) {
@@ -406,56 +366,6 @@ TEST(JoinFacadeTest, RejectsMalformedRequests) {
 TEST(JoinFacadeTest, ExecutionModeNames) {
   EXPECT_EQ(ExecutionModeName(ExecutionMode::kSelfJoin), "self");
   EXPECT_EQ(ExecutionModeName(ExecutionMode::kBinaryJoin), "binary");
-  EXPECT_EQ(ExecutionModeName(ExecutionMode::kPipelinedSelfJoin),
-            "pipelined_self");
-}
-
-// Regression: JoinOptions::verify was documented but never read. With
-// verify == false the join must stop after candidate generation —
-// signatures and candidates as in a full run, but no pairs, no
-// results/false_positives, and no PostFilter time.
-TEST(JoinVerifyOptionTest, VerifyFalseSkipsPostFilter) {
-  SetCollection input = Workload(300, 60);
-  auto scheme = MakeScheme(input, 0.85);
-  ASSERT_TRUE(scheme.ok());
-  JaccardPredicate predicate(0.85);
-
-  JoinResult full = Join(SelfJoinRequest(input, *scheme, predicate));
-  ASSERT_GT(full.stats.candidates, 0u);
-  ASSERT_GT(full.stats.results, 0u);
-
-  for (ExecutionMode mode : {ExecutionMode::kSelfJoin,
-                             ExecutionMode::kPipelinedSelfJoin}) {
-    JoinRequest request;
-    request.left = &input;
-    request.scheme = &*scheme;
-    request.predicate = &predicate;
-    request.mode = mode;
-    request.options.verify = false;
-    JoinResult result = Join(request);
-    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-    EXPECT_TRUE(result.pairs.empty()) << ExecutionModeName(mode);
-    EXPECT_EQ(result.stats.results, 0u) << ExecutionModeName(mode);
-    EXPECT_EQ(result.stats.false_positives, 0u) << ExecutionModeName(mode);
-    EXPECT_EQ(result.stats.postfilter_seconds, 0.0)
-        << ExecutionModeName(mode);
-    EXPECT_EQ(result.stats.candidates, full.stats.candidates)
-        << ExecutionModeName(mode);
-    EXPECT_EQ(result.stats.signatures_r, full.stats.signatures_r)
-        << ExecutionModeName(mode);
-  }
-
-  // Parallel verify=false must agree with serial verify=false.
-  JoinRequest request;
-  request.left = &input;
-  request.scheme = &*scheme;
-  request.predicate = &predicate;
-  request.options.verify = false;
-  request.options.num_threads = 4;
-  JoinResult parallel = Join(request);
-  ASSERT_TRUE(parallel.status.ok());
-  EXPECT_EQ(parallel.stats.candidates, full.stats.candidates);
-  EXPECT_TRUE(parallel.pairs.empty());
 }
 
 TEST(ObsIntegrationTest, StringJoinEmitsPhaseSkeleton) {

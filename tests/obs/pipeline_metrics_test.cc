@@ -53,14 +53,12 @@ struct PipelineCounters {
 PipelineCounters RunAndCollect(const SetCollection& input,
                                const PartEnumJaccardScheme& scheme,
                                const JaccardPredicate& predicate,
-                               ExecutionMode mode, size_t threads,
-                               SpillPolicy spill) {
+                               size_t threads, SpillPolicy spill) {
   MetricsRegistry metrics;
   JoinRequest request;
   request.left = &input;
   request.scheme = &scheme;
   request.predicate = &predicate;
-  request.mode = mode;
   request.options.num_threads = threads;
   request.options.metrics = &metrics;
   request.options.spill.policy = spill;
@@ -103,32 +101,24 @@ class PipelineMetricsTest : public ::testing::Test {
 };
 
 TEST_F(PipelineMetricsTest, RowCountersExactlyEqualAcrossThreadCounts) {
-  for (ExecutionMode mode : {ExecutionMode::kSelfJoin,
-                             ExecutionMode::kPipelinedSelfJoin}) {
-    PipelineCounters serial = RunAndCollect(
-        input_, *scheme_, predicate_, mode, 1, SpillPolicy::kDisabled);
-    ASSERT_FALSE(serial.stable_rows.empty()) << ExecutionModeName(mode);
-    for (size_t threads : {2u, 4u}) {
-      PipelineCounters parallel = RunAndCollect(
-          input_, *scheme_, predicate_, mode, threads,
-          SpillPolicy::kDisabled);
-      EXPECT_EQ(serial.stable_rows, parallel.stable_rows)
-          << ExecutionModeName(mode) << " threads=" << threads;
-      EXPECT_EQ(serial.results, parallel.results);
-    }
+  PipelineCounters serial =
+      RunAndCollect(input_, *scheme_, predicate_, 1, SpillPolicy::kDisabled);
+  ASSERT_FALSE(serial.stable_rows.empty());
+  for (size_t threads : {2u, 4u}) {
+    PipelineCounters parallel = RunAndCollect(input_, *scheme_, predicate_,
+                                              threads, SpillPolicy::kDisabled);
+    EXPECT_EQ(serial.stable_rows, parallel.stable_rows)
+        << "threads=" << threads;
+    EXPECT_EQ(serial.results, parallel.results);
   }
 }
 
 TEST_F(PipelineMetricsTest, RowCountersExactlyEqualUnderForcedSpill) {
   PipelineCounters serial =
-      RunAndCollect(input_, *scheme_, predicate_,
-                    ExecutionMode::kPipelinedSelfJoin, 1,
-                    SpillPolicy::kForced);
+      RunAndCollect(input_, *scheme_, predicate_, 1, SpillPolicy::kForced);
   ASSERT_FALSE(serial.stable_rows.empty());
   PipelineCounters parallel =
-      RunAndCollect(input_, *scheme_, predicate_,
-                    ExecutionMode::kPipelinedSelfJoin, 4,
-                    SpillPolicy::kForced);
+      RunAndCollect(input_, *scheme_, predicate_, 4, SpillPolicy::kForced);
   EXPECT_EQ(serial.stable_rows, parallel.stable_rows);
   EXPECT_EQ(serial.results, parallel.results);
 }
@@ -137,7 +127,7 @@ TEST_F(PipelineMetricsTest, RowCountersExactlyEqualUnderForcedSpill) {
 // (core/ssjoin.h); dedup_emit feeds none.
 double JoinStats::*FeedOf(std::string_view op) {
   if (op == "siggen") return &JoinStats::siggen_seconds;
-  if (op == "candgen" || op == "spill_partition" || op == "pipelined_scan") {
+  if (op == "candgen" || op == "spill_partition") {
     return &JoinStats::candpair_seconds;
   }
   if (op == "bitmap_filter" || op == "verify") {
@@ -149,22 +139,17 @@ double JoinStats::*FeedOf(std::string_view op) {
 TEST_F(PipelineMetricsTest, CountersTieOutToJoinStats) {
   struct Plan {
     const char* name;
-    ExecutionMode mode;
     SpillPolicy spill;
     const char* source;  // the chain's source operator
   };
   for (const Plan& plan :
-       {Plan{"sorted", ExecutionMode::kSelfJoin, SpillPolicy::kDisabled,
-             "siggen"},
-        Plan{"pipelined", ExecutionMode::kPipelinedSelfJoin,
-             SpillPolicy::kDisabled, "pipelined_scan"},
-        Plan{"spilled", ExecutionMode::kSelfJoin, SpillPolicy::kForced,
-             "spill_partition"}}) {
+       {Plan{"sorted", SpillPolicy::kDisabled, "siggen"},
+        Plan{"spilled", SpillPolicy::kForced, "spill_partition"}}) {
     for (size_t threads : {1u, 4u}) {
       SCOPED_TRACE(std::string(plan.name) +
                    " threads=" + std::to_string(threads));
       PipelineCounters c = RunAndCollect(input_, *scheme_, predicate_,
-                                         plan.mode, threads, plan.spill);
+                                         threads, plan.spill);
       ASSERT_TRUE(c.runtime.count(std::string("pipeline.") + plan.source +
                                   ".ns"));
       // Each seconds field is derived from the ledger, never timed on
@@ -184,16 +169,15 @@ TEST_F(PipelineMetricsTest, CountersTieOutToJoinStats) {
       EXPECT_GT(c.stats.candpair_seconds, 0.0);
       EXPECT_GT(c.stats.postfilter_seconds, 0.0);
       if (std::string_view(plan.source) != "siggen") {
-        // The fused sources do SigGen and CandPair together; their whole
-        // self-time is CandPair.
+        // The spilled source does SigGen and CandPair together; its
+        // whole self-time is CandPair.
         EXPECT_EQ(c.stats.siggen_seconds, 0.0);
       }
     }
   }
 
   PipelineCounters c =
-      RunAndCollect(input_, *scheme_, predicate_, ExecutionMode::kSelfJoin,
-                    1, SpillPolicy::kDisabled);
+      RunAndCollect(input_, *scheme_, predicate_, 1, SpillPolicy::kDisabled);
   // The verify operator consumes every deduplicated candidate and emits
   // every result; the emit operator passes the results through.
   ASSERT_TRUE(c.stable_rows.count("pipeline.verify.rows_out"));

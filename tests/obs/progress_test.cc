@@ -197,29 +197,24 @@ TEST(ProgressTest, CleanShutdownOnGuardTripExitPath) {
   ASSERT_TRUE(scheme.ok());
   JaccardPredicate predicate(0.85);
 
-  for (ExecutionMode mode : {ExecutionMode::kSelfJoin,
-                             ExecutionMode::kPipelinedSelfJoin}) {
-    ExecutionGuard guard(ExecutionBudget{});
-    ProgressReporter progress(log.logger.get(), &metrics, &guard,
-                              /*interval_ms=*/1);
-    progress.Start();
-    fault::SetPlan({{fault::CheckpointTrip(JoinPhase::kCandGen,
-                                           StatusCode::kResourceExhausted)}});
-    JoinRequest request;
-    request.left = &input;
-    request.scheme = &*scheme;
-    request.predicate = &predicate;
-    request.mode = mode;
-    request.options.metrics = &metrics;
-    request.options.guard = &guard;
-    JoinResult result = Join(request);
-    fault::Clear();
-    EXPECT_EQ(result.status.code(), StatusCode::kResourceExhausted)
-        << ExecutionModeName(mode);
-    EXPECT_TRUE(guard.tripped()) << ExecutionModeName(mode);
-    progress.DumpNow();  // the reporter outlives the aborted join cleanly
-    progress.Stop();
-  }
+  ExecutionGuard guard(ExecutionBudget{});
+  ProgressReporter progress(log.logger.get(), &metrics, &guard,
+                            /*interval_ms=*/1);
+  progress.Start();
+  fault::SetPlan({{fault::CheckpointTrip(JoinPhase::kCandGen,
+                                         StatusCode::kResourceExhausted)}});
+  JoinRequest request;
+  request.left = &input;
+  request.scheme = &*scheme;
+  request.predicate = &predicate;
+  request.options.metrics = &metrics;
+  request.options.guard = &guard;
+  JoinResult result = Join(request);
+  fault::Clear();
+  EXPECT_EQ(result.status.code(), StatusCode::kResourceExhausted);
+  EXPECT_TRUE(guard.tripped());
+  progress.DumpNow();  // the reporter outlives the aborted join cleanly
+  progress.Stop();
 }
 
 TEST(ProgressTest, DestructorStopsWithoutExplicitStop) {

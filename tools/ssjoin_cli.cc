@@ -198,7 +198,7 @@ Result<JoinOptions> ThreadedJoinOptions(Flags& flags) {
   }
   SSJOIN_ASSIGN_OR_RETURN(int64_t bitmap_bits,
                           flags.GetInt("bitmap-bits", 128));
-  if (bitmap_bits < 0 ||
+  if (bitmap_bits < 0 || bitmap_bits > std::numeric_limits<uint32_t>::max() ||
       !kernels::IsValidBitmapBits(static_cast<uint32_t>(bitmap_bits))) {
     return Status::InvalidArgument(
         "--bitmap-bits must be 0 (off), 64, 128, or 256");
@@ -248,14 +248,18 @@ Result<GuardFlags> ParseGuardFlags(Flags& flags) {
   if (deadline_ms < 0) {
     return Status::InvalidArgument("--deadline-ms must be >= 0");
   }
-  if (budget_mb < 0) {
-    return Status::InvalidArgument("--memory-budget-mb must be >= 0");
+  // Larger megabyte counts would wrap the byte conversion (to 0 = off).
+  constexpr uint64_t kMaxMb = std::numeric_limits<size_t>::max() >> 20;
+  if (budget_mb < 0 || static_cast<uint64_t>(budget_mb) > kMaxMb) {
+    return Status::InvalidArgument("--memory-budget-mb must be in [0, " +
+                                   std::to_string(kMaxMb) + "]");
   }
   if (ratio < 0) {
     return Status::InvalidArgument("--max-candidate-ratio must be >= 0");
   }
-  if (disk_mb < 0) {
-    return Status::InvalidArgument("--disk-budget-mb must be >= 0");
+  if (disk_mb < 0 || static_cast<uint64_t>(disk_mb) > kMaxMb) {
+    return Status::InvalidArgument("--disk-budget-mb must be in [0, " +
+                                   std::to_string(kMaxMb) + "]");
   }
   GuardFlags out;
   out.budget.deadline_ms = deadline_ms;
@@ -431,6 +435,13 @@ Status RunGenerate(Flags& flags) {
   SSJOIN_ASSIGN_OR_RETURN(int64_t typos, flags.GetInt("typos", 3));
   if (out.empty()) return Status::InvalidArgument("--out is required");
   SSJOIN_RETURN_NOT_OK(flags.CheckUnused());
+  if (n < 0) return Status::InvalidArgument("--n must be >= 0");
+  if (!(dup_fraction >= 0 && dup_fraction <= 1)) {
+    return Status::InvalidArgument("--dup-fraction must be in [0, 1]");
+  }
+  if (typos < 1 || typos > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument("--typos must be in [1, 2^32-1]");
+  }
 
   if (kind == "address") {
     AddressOptions options;
