@@ -24,7 +24,7 @@
 #include "text/qgram.h"
 #include "text/tokenizer.h"
 #include "util/ams_sketch.h"
-#include "util/bit_vector.h"
+#include "util/sorted_sets.h"
 #include "util/random.h"
 
 namespace ssjoin {

@@ -8,7 +8,7 @@
 
 #include "bench_common.h"
 #include "core/partenum.h"
-#include "util/bit_vector.h"
+#include "util/sorted_sets.h"
 #include "util/random.h"
 
 using namespace ssjoin;

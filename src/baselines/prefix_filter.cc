@@ -182,7 +182,7 @@ void PrefixFilterScheme::Generate(std::span<const ElementId> set,
 Result<WeightedPrefixFilterScheme> WeightedPrefixFilterScheme::Create(
     double gamma, WeightFunction weights, const SetCollection& input,
     double min_weighted_size, const PrefixFilterParams& params) {
-  if (gamma <= 0 || gamma > 1) {
+  if (!(gamma > 0 && gamma <= 1)) {
     return Status::InvalidArgument(
         "WeightedPrefixFilter: gamma must be in (0,1]");
   }

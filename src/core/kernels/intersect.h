@@ -4,7 +4,7 @@
 // (Predicate::Evaluate -> SortedIntersectionSize). This module offers
 // two bit-exact kernels and a per-pair dispatch policy:
 //
-//   * kScalar    — the two-pointer merge (mirrors util/bit_vector.cc),
+//   * kScalar    — the two-pointer merge (mirrors util/sorted_sets.cc),
 //                  kept as the semantics oracle galloping must match.
 //   * kGalloping — for skewed size ratios (|b| >= kGallopRatio * |a|):
 //                  binary-search each element of the small side in the

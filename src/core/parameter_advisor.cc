@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "obs/explain.h"
 #include "util/ams_sketch.h"
@@ -84,12 +83,6 @@ std::string PartEnumLabel(const PartEnumParams& params) {
 std::string LshLabel(const LshParams& params) {
   return "g=" + std::to_string(params.g) +
          ",l=" + std::to_string(params.l);
-}
-
-std::string WtEnumLabel(double pruning_threshold) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "th=%.6g", pruning_threshold);
-  return buf;
 }
 
 // Fills the search-wide trace header. Candidates are appended by the
@@ -240,63 +233,6 @@ std::vector<LshChoice> EvaluateLshParams(const SetCollection& input,
               return a.params.l < b.params.l;
             });
   return choices;
-}
-
-std::vector<WtEnumChoice> EvaluateWtEnumPruningThresholds(
-    const SetCollection& input, const WeightFunction& size_weights,
-    const WeightFunction& order_weights, double overlap_threshold,
-    const std::vector<double>& candidates, size_t target_input_size,
-    const AdvisorOptions& options) {
-  if (target_input_size == 0) target_input_size = input.size();
-  SetCollection sample = input.Sample(options.sample_size, options.seed);
-  BeginTrace(options.trace, "wtenum", sample.size(), target_input_size,
-             options);
-  std::vector<WtEnumChoice> choices;
-  for (double th : candidates) {
-    WtEnumParams params;
-    params.pruning_threshold = th;
-    params.seed = options.seed;
-    auto scheme = WtEnumScheme::CreateOverlap(size_weights, order_weights,
-                                              overlap_threshold, params);
-    if (!scheme.ok()) continue;
-    SampleStats stats = ComputeSampleStats(sample, *scheme, options);
-    if (scheme->overflowed()) continue;  // TH too high for this data
-    WtEnumChoice choice;
-    choice.pruning_threshold = th;
-    choice.estimated_f2 =
-        Extrapolate(stats, sample.size(), target_input_size);
-    choices.push_back(choice);
-    TraceCandidate(options.trace, WtEnumLabel(th), /*signatures_per_set=*/0,
-                   stats, sample.size(), target_input_size,
-                   choice.estimated_f2);
-  }
-  std::sort(choices.begin(), choices.end(),
-            [](const WtEnumChoice& a, const WtEnumChoice& b) {
-              if (a.estimated_f2 != b.estimated_f2) {
-                return a.estimated_f2 < b.estimated_f2;
-              }
-              return a.pruning_threshold < b.pruning_threshold;
-            });
-  return choices;
-}
-
-Result<WtEnumChoice> ChooseWtEnumPruningThreshold(
-    const SetCollection& input, const WeightFunction& size_weights,
-    const WeightFunction& order_weights, double overlap_threshold,
-    const std::vector<double>& candidates, size_t target_input_size,
-    const AdvisorOptions& options) {
-  size_t first_candidate =
-      options.trace != nullptr ? options.trace->candidates.size() : 0;
-  std::vector<WtEnumChoice> choices = EvaluateWtEnumPruningThresholds(
-      input, size_weights, order_weights, overlap_threshold, candidates,
-      target_input_size, options);
-  if (choices.empty()) {
-    return Status::NotFound(
-        "no WtEnum pruning threshold within the enumeration budget");
-  }
-  MarkChosen(options.trace, first_candidate,
-             WtEnumLabel(choices.front().pruning_threshold));
-  return choices.front();
 }
 
 Result<LshChoice> ChooseLshParams(const SetCollection& input, double gamma,

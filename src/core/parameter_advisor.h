@@ -28,7 +28,6 @@
 #include "core/partenum.h"
 #include "core/partenum_jaccard.h"
 #include "core/ssjoin.h"
-#include "core/wtenum.h"
 #include "data/collection.h"
 #include "util/status.h"
 
@@ -101,27 +100,6 @@ double EstimateSchemeF2(const SetCollection& input,
                         const SignatureScheme& scheme,
                         size_t target_input_size,
                         const AdvisorOptions& options = {});
-
-/// WtEnum's TH knob ("a parameter that can be used to control WTENUM",
-/// Section 7) trades signatures per set (lower TH = shorter, fewer
-/// prefixes) against filtering effectiveness. Evaluates candidate TH
-/// values for an intersection-mode WtEnum by the same sampled-F2 method.
-struct WtEnumChoice {
-  double pruning_threshold = 0;
-  double estimated_f2 = 0;
-};
-
-std::vector<WtEnumChoice> EvaluateWtEnumPruningThresholds(
-    const SetCollection& input, const WeightFunction& size_weights,
-    const WeightFunction& order_weights, double overlap_threshold,
-    const std::vector<double>& candidates, size_t target_input_size = 0,
-    const AdvisorOptions& options = {});
-
-Result<WtEnumChoice> ChooseWtEnumPruningThreshold(
-    const SetCollection& input, const WeightFunction& size_weights,
-    const WeightFunction& order_weights, double overlap_threshold,
-    const std::vector<double>& candidates, size_t target_input_size = 0,
-    const AdvisorOptions& options = {});
 
 /// Outcome of PartEnumJaccardSelfJoinWithRetry.
 struct GuardedPartEnumResult {

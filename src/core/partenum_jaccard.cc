@@ -54,7 +54,7 @@ uint32_t PartEnumJaccardScheme::EquisizedHammingThreshold(uint32_t set_size,
 
 Result<PartEnumJaccardScheme> PartEnumJaccardScheme::Create(
     const PartEnumJaccardParams& params) {
-  if (params.gamma <= 0.0 || params.gamma > 1.0) {
+  if (!(params.gamma > 0.0 && params.gamma <= 1.0)) {
     return Status::InvalidArgument("PartEnumJaccard: gamma must be in (0,1]");
   }
   if (params.max_set_size == 0) {

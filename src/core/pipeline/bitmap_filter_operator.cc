@@ -125,6 +125,4 @@ Status BitmapFilterOperator::NextBatch(Batch* out) {
   return Status::OK();
 }
 
-void BitmapFilterOperator::Close() { Operator::Close(); }
-
 }  // namespace ssjoin::pipeline

@@ -32,7 +32,6 @@ class BitmapFilterOperator : public Operator {
   explicit BitmapFilterOperator(ExecContext* ctx);
 
   Status NextBatch(Batch* out) override;
-  void Close() override;
 
  private:
   // Survivors and bitmap tallies of one contiguous range of a chunk.

@@ -159,6 +159,4 @@ Status CandidateGenOperator::NextBatch(Batch* out) {
   return Status::OK();
 }
 
-void CandidateGenOperator::Close() { Operator::Close(); }
-
 }  // namespace ssjoin::pipeline

@@ -48,7 +48,6 @@ class CandidateGenOperator : public Operator {
                  obs::names::kOpCandGen, &JoinStats::candpair_seconds) {}
 
   Status NextBatch(Batch* out) override;
-  void Close() override;
 
  private:
   Status Produce(Batch* sigs);

@@ -13,6 +13,4 @@ Status DedupEmitOperator::NextBatch(Batch* out) {
   return Status::OK();
 }
 
-void DedupEmitOperator::Close() { Operator::Close(); }
-
 }  // namespace ssjoin::pipeline

@@ -19,7 +19,6 @@ class DedupEmitOperator : public Operator {
                  /*seconds=*/nullptr) {}
 
   Status NextBatch(Batch* out) override;
-  void Close() override;
 };
 
 }  // namespace ssjoin::pipeline

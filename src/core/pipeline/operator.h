@@ -31,10 +31,9 @@
 //     closes every operator on every exit path (Close must be safe
 //     after an aborted or skipped pull loop).
 //
-// Contract (enforced by the `operator-contract` AST-lint rule): every
-// Operator subclass overrides Close() and finishes it with
-// Operator::Close(); operators never read clocks directly (Pull times
-// them) and never emit unregistered metric names.
+// Contract: Close() is not virtual, so no subclass can skip the derived
+// accounting; operators never read clocks directly (Pull times them) and
+// never emit unregistered metric names.
 //
 // Thread-safety: operators run on the control thread; they fan work out
 // through ParallelFor/RunOnAll internally, exactly as the drivers did.
@@ -95,10 +94,9 @@ class Operator {
   /// Tears down: flushes the instrument (final row totals, span
   /// close), adds the operator's self-time to its JoinStats seconds
   /// field, and records its PlanOp and rows_out drift actual into the
-  /// explain report. Runs on every exit path, including after an
-  /// aborted pull loop. Subclasses MUST override (the operator-contract
-  /// lint rule) and end with Operator::Close().
-  virtual void Close();
+  /// explain report. Plan::Run calls it on every exit path, including
+  /// after an aborted pull loop.
+  void Close();
 
   /// Timed pull: callers (the downstream operator and Plan::Run) use
   /// this, never NextBatch directly. Accounts the pull into the

@@ -1,5 +1,6 @@
 #include "core/pipeline/siggen_operator.h"
 
+#include <utility>
 #include <vector>
 
 #include "core/execution_guard.h"
@@ -10,40 +11,25 @@ namespace ssjoin::pipeline {
 namespace {
 
 // Signature generation, fanned out per set into thread-local CSR chunks
-// that are stitched back in set order — the layout is identical to the
-// serial loop for any thread count. A tripped/cancelled guard stops the
-// pass early; the caller must discard the (incomplete) chunk when
-// guard->tripped().
+// that are stitched back in set order — the layout is the same for any
+// thread count (a 1-thread pool runs the one chunk inline). A
+// tripped/cancelled guard stops the pass early; the caller must discard
+// the (incomplete) chunk when guard->tripped().
 SignatureChunk GenerateAll(const SetCollection& input,
                            const SignatureScheme& scheme, ThreadPool& pool,
                            ExecutionGuard* guard) {
-  size_t chunks = pool.size();
-  if (chunks == 1 || input.size() < 2 * chunks) {
-    SignatureChunk table;
-    table.offsets.reserve(input.size() + 1);
-    table.offsets.push_back(0);
-    std::vector<Signature> scratch;
-    for (SetId id = 0; id < input.size(); ++id) {
-      if (guard != nullptr && (id & 255u) == 0 &&
-          guard->ShouldStop(JoinPhase::kSigGen)) {
-        break;
-      }
-      GenerateSorted(scheme, input.set(id), &scratch);
-      table.values.insert(table.values.end(), scratch.begin(),
-                          scratch.end());
-      table.offsets.push_back(table.values.size());
-    }
-    return table;
-  }
-
-  std::vector<SignatureChunk> parts(chunks);
+  std::vector<SignatureChunk> parts(pool.size());
   ParallelFor(
       pool, input.size(),
       [&](size_t begin, size_t end, size_t c) {
         SignatureChunk& part = parts[c];
         // With a guard the chunk arrives as several sub-blocks; only the
         // first one plants the leading CSR offset.
-        if (part.offsets.empty()) part.offsets.push_back(0);
+        if (part.offsets.empty()) {
+          part.offsets.reserve(
+              ChunkOf(input.size(), parts.size(), c).size() + 1);
+          part.offsets.push_back(0);
+        }
         std::vector<Signature> scratch;
         for (size_t id = begin; id < end; ++id) {
           GenerateSorted(scheme, input.set(static_cast<SetId>(id)), &scratch);
@@ -54,6 +40,11 @@ SignatureChunk GenerateAll(const SetCollection& input,
       },
       StopFn(guard, JoinPhase::kSigGen));
 
+  if (parts.size() == 1) {
+    // The one part already is the table: move it rather than copy.
+    if (parts[0].offsets.empty()) parts[0].offsets.push_back(0);
+    return std::move(parts[0]);
+  }
   SignatureChunk table;
   size_t total = 0;
   for (const SignatureChunk& part : parts) total += part.values.size();
@@ -99,7 +90,5 @@ Status SigGenOperator::NextBatch(Batch* out) {
   out->signatures_r = binary ? &right_ : nullptr;
   return Status::OK();
 }
-
-void SigGenOperator::Close() { Operator::Close(); }
 
 }  // namespace ssjoin::pipeline

@@ -22,7 +22,6 @@ class SigGenOperator : public Operator {
                  &JoinStats::siggen_seconds) {}
 
   Status NextBatch(Batch* out) override;
-  void Close() override;
 
  private:
   bool done_ = false;

@@ -46,7 +46,7 @@ Status SpillPartitionOperator::Produce() {
     // only I/O failures are transient; everything else surrenders too.
     const bool retryable = st.code() == StatusCode::kIOError &&
                            (guard == nullptr || !guard->tripped()) &&
-                           retries < options.spill.max_retries;
+                           retries < spill::kMaxRetries;
     if (!retryable) {
       // A trip or exhausted retry keeps the completed-signature counts
       // (deterministic: the write stage either finished or reports 0)
@@ -80,7 +80,5 @@ Status SpillPartitionOperator::NextBatch(Batch* out) {
   EmitCandidateSlice(candidates_, &pos_, out);
   return Status::OK();
 }
-
-void SpillPartitionOperator::Close() { Operator::Close(); }
 
 }  // namespace ssjoin::pipeline

@@ -28,7 +28,6 @@ class SpillPartitionOperator : public Operator {
                  &JoinStats::candpair_seconds) {}
 
   Status NextBatch(Batch* out) override;
-  void Close() override;
 
  private:
   Status Produce();

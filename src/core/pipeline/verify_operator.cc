@@ -110,6 +110,4 @@ Status VerifyOperator::NextBatch(Batch* out) {
   return VerifyChunk(&out->candidates);
 }
 
-void VerifyOperator::Close() { Operator::Close(); }
-
 }  // namespace ssjoin::pipeline

@@ -35,7 +35,6 @@ class VerifyOperator : public Operator {
                  &JoinStats::postfilter_seconds) {}
 
   Status NextBatch(Batch* out) override;
-  void Close() override;
 
  private:
   Status VerifyChunk(CandidateChunk* chunk);

@@ -28,7 +28,7 @@ bool Predicate::Matches(uint32_t size_r, uint32_t size_s,
 bool Predicate::Evaluate(std::span<const ElementId> r,
                          std::span<const ElementId> s) const {
   // Dispatched kernel (scalar merge / galloping, core/kernels/intersect.h);
-  // bit-exact with util/bit_vector.h's scalar SortedIntersectionSize.
+  // bit-exact with util/sorted_sets.h's SortedIntersectionSize.
   uint32_t overlap = kernels::IntersectSize(r, s);
   return Matches(static_cast<uint32_t>(r.size()),
                  static_cast<uint32_t>(s.size()), overlap);

@@ -25,7 +25,7 @@
 // (success, trip, I/O failure), disk usage is charged against the
 // guard's disk budget at deterministic JoinPhase::kSpill checkpoints,
 // and an I/O failure retries with half the partitions (bounded by
-// SpillOptions::max_retries) before surrendering with kIOError.
+// spill::kMaxRetries) before surrendering with kIOError.
 
 #pragma once
 
@@ -44,6 +44,11 @@ namespace ssjoin::spill {
 
 /// Partition count used when SpillOptions::partitions is 0.
 inline constexpr uint32_t kDefaultPartitions = 8;
+
+/// I/O-failure retries: each retry halves the partition count (fewer,
+/// larger files — the failure mode is usually per-file overhead or
+/// file-count limits) before the join surrenders with kIOError.
+inline constexpr uint32_t kMaxRetries = 2;
 
 /// Resolves SpillPolicy::kDefault through the SSJOIN_SPILL environment
 /// variable ("off" / "auto" / "force"; unset or unrecognized reads as

@@ -278,10 +278,6 @@ Status ValidateJoinOptions(const JoinOptions& options) {
     return Status::InvalidArgument(
         "SpillOptions::partitions must be at most 4096 (0 = default)");
   }
-  if (options.spill.max_retries > kMaxSpillRetries) {
-    return Status::InvalidArgument(
-        "SpillOptions::max_retries must be at most 16");
-  }
   return Status::OK();
 }
 

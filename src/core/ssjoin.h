@@ -75,10 +75,6 @@ struct SpillOptions {
   /// routed by signature hash, so every signature group lands in one
   /// partition and per-partition results merge exactly.
   uint32_t partitions = 0;
-  /// I/O-failure retries: each retry halves the partition count (fewer,
-  /// larger files — the failure mode is usually per-file overhead or
-  /// file-count limits) before the join surrenders with kIOError.
-  uint32_t max_retries = 2;
 };
 
 /// Knobs of the generic driver.
@@ -144,7 +140,6 @@ struct JoinOptions {
 /// files) before it allocates, not to tune anything.
 inline constexpr size_t kMaxJoinThreads = 4096;
 inline constexpr uint32_t kMaxSpillPartitions = 4096;
-inline constexpr uint32_t kMaxSpillRetries = 16;
 
 /// Validates the option combinations every execution path relies on —
 /// bitmap width, thread-count and spill caps — in one place. Join()

@@ -193,10 +193,10 @@ Result<WtEnumScheme> WtEnumScheme::CreateJaccard(WeightFunction size_weights,
   if (!size_weights || !order_weights) {
     return Status::InvalidArgument("WtEnum: weight function is null");
   }
-  if (gamma <= 0 || gamma > 1) {
+  if (!(gamma > 0 && gamma <= 1)) {
     return Status::InvalidArgument("WtEnum: gamma must be in (0,1]");
   }
-  if (min_weighted_size <= 0) {
+  if (!(min_weighted_size > 0)) {
     return Status::InvalidArgument(
         "WtEnum: min_weighted_size must be positive");
   }

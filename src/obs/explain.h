@@ -45,11 +45,11 @@ class MetricsRegistry;
 
 /// One candidate setting the parameter advisor evaluated. `label` is the
 /// advisor's deterministic rendering of the setting ("n1=2,n2=6" /
-/// "g=2,l=16" / "th=0.25").
+/// "g=2,l=16").
 struct AdvisorCandidate {
   std::string label;
-  /// Theorem-2 signatures per set for this setting (0 when the scheme
-  /// has no closed form, e.g. WtEnum).
+  /// Signatures per set for this setting: Theorem 2's count for
+  /// PartEnum, the table count l for LSH.
   uint64_t signatures_per_set = 0;
   /// Sample statistics: total deduplicated signatures S and pairwise
   /// collision count C over the sampled sets (C is a double because the
@@ -72,7 +72,7 @@ struct AdvisorCandidate {
 /// sequence. Attach one to AdvisorOptions::trace to capture it; repeated
 /// searches append their candidates.
 struct AdvisorTrace {
-  /// "partenum", "lsh", or "wtenum" (the last search recorded).
+  /// "partenum" or "lsh" (the last search recorded).
   std::string method;
   /// Sets actually sampled (after clamping to the input size).
   uint64_t sample_size = 0;
@@ -155,16 +155,8 @@ struct ExplainReport {
   const DriftEntry* Find(std::string_view name) const;
 };
 
-/// Null-safe seams for instrumented code: one pointer compare when no
+/// Null-safe seam for instrumented code: one pointer compare when no
 /// report is attached (the null-sink contract).
-inline void RecordParam(ExplainReport* report, std::string_view key,
-                        std::string_view value) {
-  if (report != nullptr) report->SetParam(key, value);
-}
-inline void RecordPrediction(ExplainReport* report, std::string_view name,
-                             double value) {
-  if (report != nullptr) report->Predict(name, value);
-}
 inline void RecordActual(ExplainReport* report, std::string_view name,
                          double value) {
   if (report != nullptr) report->Actual(name, value);

@@ -1,7 +1,5 @@
 #include "relational/operators.h"
 
-#include <algorithm>
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -147,180 +145,6 @@ Result<Table> GroupByCount(const Table& input,
   return output;
 }
 
-namespace {
-
-// Running aggregate state for one group x one aggregate.
-struct AggState {
-  int64_t count = 0;
-  double sum = 0;
-  std::optional<Value> min;
-  std::optional<Value> max;
-};
-
-Result<ValueType> AggOutputType(const Table& input, const Aggregate& agg,
-                                int column) {
-  switch (agg.op) {
-    case AggOp::kCount:
-      return ValueType::kInt64;
-    case AggOp::kAvg:
-      return ValueType::kDouble;
-    case AggOp::kSum: {
-      ValueType t = input.schema().column(column).type;
-      if (t == ValueType::kString) {
-        return Status::InvalidArgument("SUM over string column '" +
-                                       agg.column + "'");
-      }
-      return t;
-    }
-    case AggOp::kMin:
-    case AggOp::kMax:
-      return input.schema().column(column).type;
-  }
-  return Status::InvalidArgument("unknown aggregate op");
-}
-
-double NumericValue(const Value& v) {
-  return std::holds_alternative<int64_t>(v)
-             ? static_cast<double>(std::get<int64_t>(v))
-             : std::get<double>(v);
-}
-
-}  // namespace
-
-Result<Table> GroupByAggregate(
-    const Table& input, const std::vector<std::string>& group_columns,
-    const std::vector<Aggregate>& aggregates) {
-  SSJOIN_ASSIGN_OR_RETURN(std::vector<int> gcols,
-                          ResolveColumns(input.schema(), group_columns));
-  std::vector<int> acols(aggregates.size(), -1);
-  std::vector<Column> out_columns;
-  for (int c : gcols) out_columns.push_back(input.schema().column(c));
-  for (size_t a = 0; a < aggregates.size(); ++a) {
-    const Aggregate& agg = aggregates[a];
-    if (agg.op != AggOp::kCount) {
-      SSJOIN_ASSIGN_OR_RETURN(std::vector<int> resolved,
-                              ResolveColumns(input.schema(), {agg.column}));
-      acols[a] = resolved[0];
-    }
-    SSJOIN_ASSIGN_OR_RETURN(ValueType type,
-                            AggOutputType(input, agg, acols[a]));
-    out_columns.push_back(Column{agg.output, type});
-  }
-
-  // Group index: hash -> group ordinal (chained for exact key equality).
-  std::vector<Row> keys;
-  std::vector<std::vector<AggState>> states;
-  std::unordered_multimap<size_t, size_t> groups;
-  for (size_t i = 0; i < input.num_rows(); ++i) {
-    const Row& row = input.row(i);
-    size_t h = HashKey(row, gcols);
-    size_t group = SIZE_MAX;
-    auto [lo, hi] = groups.equal_range(h);
-    for (auto it = lo; it != hi; ++it) {
-      bool equal = true;
-      for (size_t g = 0; g < gcols.size(); ++g) {
-        if (!(keys[it->second][g] == row[gcols[g]])) {
-          equal = false;
-          break;
-        }
-      }
-      if (equal) {
-        group = it->second;
-        break;
-      }
-    }
-    if (group == SIZE_MAX) {
-      group = keys.size();
-      Row key;
-      for (int c : gcols) key.push_back(row[c]);
-      keys.push_back(std::move(key));
-      states.emplace_back(aggregates.size());
-      groups.emplace(h, group);
-    }
-    for (size_t a = 0; a < aggregates.size(); ++a) {
-      AggState& state = states[group][a];
-      ++state.count;
-      if (aggregates[a].op == AggOp::kCount) continue;
-      const Value& v = row[acols[a]];
-      if (aggregates[a].op == AggOp::kSum ||
-          aggregates[a].op == AggOp::kAvg) {
-        state.sum += NumericValue(v);
-      }
-      if (!state.min || v < *state.min) state.min = v;
-      if (!state.max || *state.max < v) state.max = v;
-    }
-  }
-
-  Table output((Schema(out_columns)));
-  output.Reserve(keys.size());
-  for (size_t group = 0; group < keys.size(); ++group) {
-    Row row = keys[group];
-    for (size_t a = 0; a < aggregates.size(); ++a) {
-      const AggState& state = states[group][a];
-      switch (aggregates[a].op) {
-        case AggOp::kCount:
-          row.push_back(state.count);
-          break;
-        case AggOp::kAvg:
-          row.push_back(state.sum / static_cast<double>(state.count));
-          break;
-        case AggOp::kSum:
-          if (input.schema().column(acols[a]).type == ValueType::kInt64) {
-            row.push_back(static_cast<int64_t>(state.sum));
-          } else {
-            row.push_back(state.sum);
-          }
-          break;
-        case AggOp::kMin:
-          row.push_back(*state.min);
-          break;
-        case AggOp::kMax:
-          row.push_back(*state.max);
-          break;
-      }
-    }
-    output.AppendUnchecked(std::move(row));
-  }
-  return output;
-}
-
-Result<Table> OrderBy(const Table& input,
-                      const std::vector<std::string>& columns) {
-  std::vector<int> cols;
-  std::vector<bool> descending;
-  for (const std::string& name : columns) {
-    bool desc = !name.empty() && name[0] == '-';
-    std::string bare = desc ? name.substr(1) : name;
-    SSJOIN_ASSIGN_OR_RETURN(std::vector<int> resolved,
-                            ResolveColumns(input.schema(), {bare}));
-    cols.push_back(resolved[0]);
-    descending.push_back(desc);
-  }
-  Table output(input.schema());
-  output.Reserve(input.num_rows());
-  std::vector<size_t> order(input.num_rows());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    for (size_t c = 0; c < cols.size(); ++c) {
-      const Value& va = input.row(a)[cols[c]];
-      const Value& vb = input.row(b)[cols[c]];
-      if (va < vb) return !descending[c];
-      if (vb < va) return static_cast<bool>(descending[c]);
-    }
-    return false;
-  });
-  for (size_t i : order) output.AppendUnchecked(input.row(i));
-  return output;
-}
-
-Table Limit(const Table& input, size_t n) {
-  Table output(input.schema());
-  size_t keep = std::min(n, input.num_rows());
-  output.Reserve(keep);
-  for (size_t i = 0; i < keep; ++i) output.AppendUnchecked(input.row(i));
-  return output;
-}
-
 Result<Table> Distinct(const Table& input,
                        const std::vector<std::string>& columns) {
   SSJOIN_ASSIGN_OR_RETURN(std::vector<int> cols,
@@ -356,32 +180,6 @@ Result<Table> Distinct(const Table& input,
       output.AppendUnchecked(std::move(orow));
       seen.emplace(h, output.num_rows() - 1);
     }
-  }
-  return output;
-}
-
-Table Filter(const Table& input,
-             const std::function<bool(const Row&)>& predicate) {
-  Table output(input.schema());
-  for (size_t i = 0; i < input.num_rows(); ++i) {
-    if (predicate(input.row(i))) output.AppendUnchecked(input.row(i));
-  }
-  return output;
-}
-
-Result<Table> Project(const Table& input,
-                      const std::vector<std::string>& columns) {
-  SSJOIN_ASSIGN_OR_RETURN(std::vector<int> cols,
-                          ResolveColumns(input.schema(), columns));
-  std::vector<Column> out_columns;
-  for (int c : cols) out_columns.push_back(input.schema().column(c));
-  Table output((Schema(out_columns)));
-  output.Reserve(input.num_rows());
-  for (size_t i = 0; i < input.num_rows(); ++i) {
-    Row orow;
-    orow.reserve(cols.size());
-    for (int c : cols) orow.push_back(input.row(i)[c]);
-    output.AppendUnchecked(std::move(orow));
   }
   return output;
 }

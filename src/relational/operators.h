@@ -1,10 +1,11 @@
 // Physical operators of the mini relational engine.
 //
-// Exactly the operator set the paper's query plans require (Figures 10/11
-// and 16/17): equi hash-join, group-by with COUNT(*), DISTINCT projection,
-// selection (filter), and projection. All operators are blocking
-// (materialize their output), which matches how the intermediate tables
-// (CandPair, CandPairIntersect) appear in the paper's implementation.
+// Exactly the operators the paper's query plans use (Figures 10/11 and
+// 16/17): equi hash-join, GROUP BY with COUNT(*) and DISTINCT projection.
+// The clustered index those plans scan lives in relational/index.h. All
+// operators are blocking (materialize their output), which matches how the
+// intermediate tables (CandPair, CandPairIntersect) appear in the paper's
+// implementation.
 
 #pragma once
 
@@ -34,43 +35,8 @@ Result<Table> GroupByCount(const Table& input,
                            const std::vector<std::string>& group_columns,
                            const std::string& count_name = "count");
 
-/// Aggregate operations for GroupByAggregate.
-enum class AggOp { kCount, kSum, kMin, kMax, kAvg };
-
-struct Aggregate {
-  AggOp op = AggOp::kCount;
-  /// Input column (ignored for kCount).
-  std::string column;
-  /// Output column name.
-  std::string output;
-};
-
-/// GROUP BY with arbitrary aggregates. Output schema: the group columns
-/// followed by one column per aggregate (kCount -> int64; kSum/kMin/kMax
-/// preserve the input column's type for int64/double inputs; kAvg ->
-/// double). Aggregating a string column is only valid for kMin/kMax.
-Result<Table> GroupByAggregate(const Table& input,
-                               const std::vector<std::string>& group_columns,
-                               const std::vector<Aggregate>& aggregates);
-
-/// ORDER BY the given columns ascending (descending where the name is
-/// prefixed with '-', e.g. "-count"). Stable.
-Result<Table> OrderBy(const Table& input,
-                      const std::vector<std::string>& columns);
-
-/// LIMIT n.
-Table Limit(const Table& input, size_t n);
-
 /// SELECT DISTINCT `columns`.
 Result<Table> Distinct(const Table& input,
                        const std::vector<std::string>& columns);
-
-/// SELECT * WHERE predicate(row).
-Table Filter(const Table& input,
-             const std::function<bool(const Row&)>& predicate);
-
-/// SELECT `columns`.
-Result<Table> Project(const Table& input,
-                      const std::vector<std::string>& columns);
 
 }  // namespace ssjoin::relational

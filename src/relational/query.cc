@@ -15,16 +15,6 @@ Query Query::Join(const Table& right,
                         right_prefix, residual));
 }
 
-Query Query::Where(const std::function<bool(const Row&)>& predicate) && {
-  if (!state_.ok()) return Query(std::move(state_));
-  return Query(Filter(*state_, predicate));
-}
-
-Query Query::Select(const std::vector<std::string>& columns) && {
-  if (!state_.ok()) return Query(std::move(state_));
-  return Query(Project(*state_, columns));
-}
-
 Query Query::SelectDistinct(const std::vector<std::string>& columns) && {
   if (!state_.ok()) return Query(std::move(state_));
   return Query(Distinct(*state_, columns));
@@ -35,22 +25,6 @@ Query Query::GroupByCount(const std::vector<std::string>& group_columns,
   if (!state_.ok()) return Query(std::move(state_));
   return Query(
       relational::GroupByCount(*state_, group_columns, count_name));
-}
-
-Query Query::GroupBy(const std::vector<std::string>& group_columns,
-                     const std::vector<Aggregate>& aggregates) && {
-  if (!state_.ok()) return Query(std::move(state_));
-  return Query(GroupByAggregate(*state_, group_columns, aggregates));
-}
-
-Query Query::OrderBy(const std::vector<std::string>& columns) && {
-  if (!state_.ok()) return Query(std::move(state_));
-  return Query(relational::OrderBy(*state_, columns));
-}
-
-Query Query::Limit(size_t n) && {
-  if (!state_.ok()) return Query(std::move(state_));
-  return Query(relational::Limit(*state_, n));
 }
 
 Result<Table> Query::Run() && { return std::move(state_); }

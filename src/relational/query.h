@@ -37,21 +37,10 @@ class Query {
              const std::string& right_prefix = "r.",
              const std::function<bool(const Row&)>& residual = nullptr) &&;
 
-  Query Where(const std::function<bool(const Row&)>& predicate) &&;
-
-  Query Select(const std::vector<std::string>& columns) &&;
-
   Query SelectDistinct(const std::vector<std::string>& columns) &&;
 
   Query GroupByCount(const std::vector<std::string>& group_columns,
                      const std::string& count_name = "count") &&;
-
-  Query GroupBy(const std::vector<std::string>& group_columns,
-                const std::vector<Aggregate>& aggregates) &&;
-
-  Query OrderBy(const std::vector<std::string>& columns) &&;
-
-  Query Limit(size_t n) &&;
 
   /// Finishes the pipeline.
   Result<Table> Run() &&;

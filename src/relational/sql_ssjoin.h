@@ -20,8 +20,8 @@
 #include "core/signature_scheme.h"
 #include "core/ssjoin.h"
 #include "data/collection.h"
-#include "relational/catalog.h"
 #include "relational/plan_explain.h"
+#include "relational/table.h"
 #include "util/status.h"
 
 namespace ssjoin::relational {

@@ -43,14 +43,4 @@ double IdfWeights::DefaultPruningThreshold() const {
   return std::log(std::max<double>(2.0, static_cast<double>(num_documents_)));
 }
 
-void SortByRarity(const IdfWeights& idf, std::vector<ElementId>* elements) {
-  std::sort(elements->begin(), elements->end(),
-            [&](ElementId a, ElementId b) {
-              uint32_t fa = idf.DocumentFrequency(a);
-              uint32_t fb = idf.DocumentFrequency(b);
-              if (fa != fb) return fa < fb;
-              return a < b;
-            });
-}
-
 }  // namespace ssjoin

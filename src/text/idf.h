@@ -90,9 +90,4 @@ class IdfWeights {
   std::vector<Slot> slots_ = std::vector<Slot>(2, Slot{0, 0, 0});
 };
 
-/// Orders `elements` by ascending document frequency (rarest first), the
-/// ordering prefix filter uses for its signature prefixes; ties broken by
-/// element id ("arbitrarily but consistently", paper Section 3.3).
-void SortByRarity(const IdfWeights& idf, std::vector<ElementId>* elements);
-
 }  // namespace ssjoin

@@ -9,23 +9,14 @@ namespace ssjoin {
 std::vector<std::string> WordTokenizer::Split(std::string_view text) const {
   std::vector<std::string> tokens;
   std::string current;
-  auto is_sep = [&](char c) {
-    if (options_.split_on_all_whitespace) {
-      return std::isspace(static_cast<unsigned char>(c)) != 0;
-    }
-    return c == ' ';
-  };
   for (char c : text) {
-    if (is_sep(c)) {
+    if (std::isspace(static_cast<unsigned char>(c)) != 0) {
       if (!current.empty()) {
         tokens.push_back(std::move(current));
         current.clear();
       }
     } else {
-      current.push_back(options_.lowercase
-                            ? static_cast<char>(std::tolower(
-                                  static_cast<unsigned char>(c)))
-                            : c);
+      current.push_back(c);
     }
   }
   if (!current.empty()) tokens.push_back(std::move(current));

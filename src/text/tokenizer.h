@@ -14,21 +14,11 @@
 
 namespace ssjoin {
 
-/// Options controlling word tokenization.
-struct TokenizerOptions {
-  /// Lower-case tokens before hashing, so "Seattle" == "seattle".
-  bool lowercase = false;
-  /// Treat any character for which std::isspace is true as a separator.
-  /// When false, only ' ' separates tokens.
-  bool split_on_all_whitespace = true;
-};
-
-/// \brief Whitespace word tokenizer with 32-bit token hashing.
+/// \brief Whitespace word tokenizer with 32-bit token hashing. Every
+/// character for which std::isspace is true separates tokens; case is
+/// kept, so "Seattle" and "seattle" are different tokens.
 class WordTokenizer {
  public:
-  explicit WordTokenizer(TokenizerOptions options = {})
-      : options_(options) {}
-
   /// Splits `text` into word tokens (no hashing).
   std::vector<std::string> Split(std::string_view text) const;
 
@@ -39,9 +29,6 @@ class WordTokenizer {
   /// Tokenizes every string and builds a SetCollection (set semantics:
   /// duplicate tokens within one string collapse).
   SetCollection TokenizeAll(const std::vector<std::string>& texts) const;
-
- private:
-  const TokenizerOptions options_;
 };
 
 }  // namespace ssjoin

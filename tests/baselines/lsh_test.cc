@@ -9,7 +9,7 @@
 #include "baselines/nested_loop.h"
 #include "core/ssjoin.h"
 #include "text/idf.h"
-#include "util/bit_vector.h"
+#include "util/sorted_sets.h"
 #include "util/random.h"
 
 namespace ssjoin {

@@ -207,6 +207,15 @@ TEST(WeightedPrefixFilterTest, CreateValidation) {
       WeightedPrefixFilterScheme::Create(0.8, unit, input, 1.0).ok());
 }
 
+TEST(WeightedPrefixFilterTest, CreateRejectsNanGamma) {
+  SetCollection input = SetCollection::FromVectors({{1, 2}});
+  WeightFunction unit = [](ElementId) { return 1.0; };
+  auto scheme = WeightedPrefixFilterScheme::Create(
+      std::numeric_limits<double>::quiet_NaN(), unit, input, 1.0);
+  ASSERT_FALSE(scheme.ok());
+  EXPECT_EQ(scheme.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(PrefixFilterTest, BinaryCreateUsesBothSides) {
   SetCollection r = SetCollection::FromVectors({{1, 2, 3}});
   SetCollection s = SetCollection::FromVectors({{1, 4, 5}, {1, 6, 7}});

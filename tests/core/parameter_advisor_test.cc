@@ -105,36 +105,6 @@ TEST(AdvisorTest, LshChoicesRespectAccuracy) {
   EXPECT_EQ(best->params.g, choices.front().params.g);
 }
 
-TEST(AdvisorTest, WtEnumThresholdSweep) {
-  SetCollection input = Synthetic(300);
-  WeightFunction weights = [](ElementId e) {
-    return 1.0 + static_cast<double>(e % 5);
-  };
-  std::vector<double> candidates = {3.0, 6.0, 9.0, 12.0};
-  std::vector<WtEnumChoice> choices = EvaluateWtEnumPruningThresholds(
-      input, weights, weights, 20.0, candidates);
-  ASSERT_FALSE(choices.empty());
-  for (size_t i = 1; i < choices.size(); ++i) {
-    EXPECT_LE(choices[i - 1].estimated_f2, choices[i].estimated_f2);
-  }
-  auto best = ChooseWtEnumPruningThreshold(input, weights, weights, 20.0,
-                                           candidates);
-  ASSERT_TRUE(best.ok());
-  EXPECT_EQ(best->pruning_threshold, choices.front().pruning_threshold);
-  // The winner must be one of the candidates.
-  EXPECT_NE(std::find(candidates.begin(), candidates.end(),
-                      best->pruning_threshold),
-            candidates.end());
-}
-
-TEST(AdvisorTest, WtEnumEmptyCandidatesIsNotFound) {
-  SetCollection input = Synthetic(50);
-  WeightFunction unit = [](ElementId) { return 1.0; };
-  auto best =
-      ChooseWtEnumPruningThreshold(input, unit, unit, 5.0, {});
-  EXPECT_FALSE(best.ok());
-}
-
 TEST(AdvisorTest, NoValidSettingIsNotFound) {
   SetCollection input = Synthetic(50);
   AdvisorOptions options;

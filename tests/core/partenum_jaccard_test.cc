@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "baselines/nested_loop.h"
 #include "core/ssjoin.h"
@@ -62,6 +63,15 @@ TEST(PartEnumJaccardSchemeTest, CreateValidation) {
   EXPECT_FALSE(PartEnumJaccardScheme::Create(params).ok());
   params.gamma = 0.9;
   EXPECT_TRUE(PartEnumJaccardScheme::Create(params).ok());
+}
+
+TEST(PartEnumJaccardSchemeTest, CreateRejectsNanGamma) {
+  PartEnumJaccardParams params;
+  params.gamma = std::numeric_limits<double>::quiet_NaN();
+  params.max_set_size = 100;
+  auto scheme = PartEnumJaccardScheme::Create(params);
+  ASSERT_FALSE(scheme.ok());
+  EXPECT_EQ(scheme.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(PartEnumJaccardSchemeTest, IntervalIndexLookup) {

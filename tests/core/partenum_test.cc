@@ -6,7 +6,7 @@
 #include <set>
 #include <vector>
 
-#include "util/bit_vector.h"
+#include "util/sorted_sets.h"
 #include "util/random.h"
 
 namespace ssjoin {

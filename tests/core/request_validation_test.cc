@@ -186,20 +186,6 @@ TEST(ValidateJoinOptionsTest, RejectsAbsurdSpillPartitionCount) {
   EXPECT_TRUE(at_cap.ok()) << at_cap.ToString();
 }
 
-TEST(ValidateJoinOptionsTest, RejectsAbsurdSpillRetryCount) {
-  JoinOptions options;
-  options.spill.max_retries = kMaxSpillRetries + 1;
-  Status st = ValidateJoinOptions(options);
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(st.message(), "SpillOptions::max_retries must be at most 16");
-
-  options.spill.max_retries = kMaxSpillRetries;
-  Status at_cap = ValidateJoinOptions(options);
-  EXPECT_TRUE(at_cap.ok()) << at_cap.ToString();
-}
-
-// The option caps reject through Join() with the identical status — the
-// single-validator guarantee.
 TEST(ValidateJoinOptionsTest, JoinRejectsWithTheSameStatus) {
   SetCollection input = TinyCollection();
   IdentityScheme scheme;

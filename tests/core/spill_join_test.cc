@@ -245,17 +245,18 @@ TEST_F(SpillJoinTest, EveryIoFaultSurfacesStructuredAndLeaksNothing) {
       {IoOp::kRead, IoFault::kCorruptRead, "corrupt_read"},
   };
   for (const Case& c : cases) {
+    // One fault per attempt: the first attempt and both retries fail.
     fault::FaultPlan plan;
-    plan.specs.push_back(fault::IoFaultAfter(c.op, c.io));
+    for (uint32_t i = 0; i <= spill::kMaxRetries; ++i) {
+      plan.specs.push_back(fault::IoFaultAfter(c.op, c.io));
+    }
     fault::SetPlan(plan);
-    JoinRequest request =
-        Request(input, ExecutionMode::kSelfJoin, SpillPolicy::kForced);
-    request.options.spill.max_retries = 0;
-    JoinResult result = Join(request);
+    JoinResult result =
+        Join(Request(input, ExecutionMode::kSelfJoin, SpillPolicy::kForced));
     ASSERT_FALSE(result.status.ok()) << c.name;
     EXPECT_EQ(result.status.code(), StatusCode::kIOError) << c.name;
     EXPECT_TRUE(result.pairs.empty()) << c.name;
-    EXPECT_EQ(result.stats.spill_retries, 0u) << c.name;
+    EXPECT_EQ(result.stats.spill_retries, 2u) << c.name;
     EXPECT_EQ(DirEntryCount(spill_base_.path()), 0u)
         << c.name << ": leaked spill files";
     fault::Clear();
@@ -315,7 +316,7 @@ TEST_F(SpillJoinTest, ExhaustedRetriesSurfaceIOError) {
   fault::SetPlan(plan);
   JoinRequest request =
       Request(input, ExecutionMode::kSelfJoin, SpillPolicy::kForced);
-  // max_retries defaults to 2: three faulted attempts exhaust it.
+  // spill::kMaxRetries is 2: three faulted attempts exhaust it.
   JoinResult result = Join(request);
   ASSERT_FALSE(result.status.ok());
   EXPECT_EQ(result.status.code(), StatusCode::kIOError);

@@ -95,6 +95,20 @@ TEST(WtEnumTest, CreateValidation) {
                    .ok());
 }
 
+TEST(WtEnumTest, CreateJaccardRejectsNan) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  WtEnumParams params;
+  params.pruning_threshold = 3.0;
+  auto nan_gamma = WtEnumScheme::CreateJaccard(
+      ExampleSixWeights(), ExampleSixWeights(), nan, 1.0, params);
+  ASSERT_FALSE(nan_gamma.ok());
+  EXPECT_EQ(nan_gamma.status().code(), StatusCode::kInvalidArgument);
+  auto nan_size = WtEnumScheme::CreateJaccard(
+      ExampleSixWeights(), ExampleSixWeights(), 0.8, nan, params);
+  ASSERT_FALSE(nan_size.ok());
+  EXPECT_EQ(nan_size.status().code(), StatusCode::kInvalidArgument);
+}
+
 // Exactness of the overlap mode: WtEnum + driver = brute force, on random
 // weighted workloads with planted overlaps.
 TEST(WtEnumTest, OverlapModeExactOnRandomData) {

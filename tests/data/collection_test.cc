@@ -4,7 +4,7 @@
 
 #include <algorithm>
 
-#include "util/bit_vector.h"
+#include "util/sorted_sets.h"
 
 namespace ssjoin {
 namespace {

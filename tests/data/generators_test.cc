@@ -5,7 +5,7 @@
 #include "core/predicate.h"
 #include "text/edit_distance.h"
 #include "text/tokenizer.h"
-#include "util/bit_vector.h"
+#include "util/sorted_sets.h"
 
 namespace ssjoin {
 namespace {

@@ -40,7 +40,6 @@ TEST(EndToEndTest, FigureOneStateExpansionScenario) {
       {"salem", "Oregon"},             {"portland", "Oregon"},
       {"eugene", "Oregon"}};
 
-  WordTokenizer tokenizer;
   auto group = [&](const auto& table, std::vector<std::string>* names) {
     std::map<std::string, std::vector<ElementId>> by_state;
     for (const auto& [city, state] : table) {

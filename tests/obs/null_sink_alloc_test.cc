@@ -102,13 +102,11 @@ TEST(NullSinkAllocTest, TelemetryCallsNeverAllocate) {
 
 TEST(NullSinkAllocTest, ExplainSeamsNeverAllocate) {
   // Same contract as JoinTelemetry (obs/explain.h): a null ExplainReport
-  // costs one pointer compare per Record* call. The drivers call these
+  // costs one pointer compare per RecordActual call. The drivers call these
   // seams on every join exit, so a regression here taxes every un-explained
   // join.
   AdvisorTrace trace;  // empty: attaching it must still be free
   AllocationGuard guard;
-  RecordParam(nullptr, "gamma", "0.9");
-  RecordPrediction(nullptr, "join.signatures", 1000.0);
   RecordActual(nullptr, "join.signatures", 990.0);
   AttachAdvisorTrace(nullptr, trace);
   EXPECT_EQ(guard.count(), 0u)

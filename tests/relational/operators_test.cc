@@ -90,23 +90,6 @@ TEST(DistinctTest, RemovesDuplicates) {
   EXPECT_EQ(one_col->num_rows(), 1u);
 }
 
-TEST(FilterTest, KeepsMatchingRows) {
-  Table t = MakeTable("a", "b", {{1, 1}, {2, 2}, {3, 3}});
-  Table filtered =
-      Filter(t, [](const Row& row) { return GetInt64(row, 0) >= 2; });
-  EXPECT_EQ(filtered.num_rows(), 2u);
-}
-
-TEST(ProjectTest, SelectsAndReordersColumns) {
-  Table t = MakeTable("a", "b", {{1, 10}, {2, 20}});
-  auto projected = Project(t, {"b", "a"});
-  ASSERT_TRUE(projected.ok());
-  EXPECT_EQ(projected->schema().IndexOf("b"), 0);
-  EXPECT_EQ(GetInt64(projected->row(1), 0), 20);
-  EXPECT_EQ(GetInt64(projected->row(1), 1), 2);
-  EXPECT_FALSE(Project(t, {"zzz"}).ok());
-}
-
 TEST(OperatorsTest, StringKeysJoin) {
   Table left(Schema{{"name", ValueType::kString},
                     {"v", ValueType::kInt64}});

@@ -61,21 +61,6 @@ TEST(IdfTest, DefaultPruningThreshold) {
   EXPECT_NEAR(idf.DefaultPruningThreshold(), std::log(4.0), 1e-12);
 }
 
-TEST(IdfTest, SortByRarity) {
-  IdfWeights idf = IdfWeights::Compute(MakeCollection());
-  std::vector<ElementId> elements = {1, 2, 3};
-  SortByRarity(idf, &elements);
-  EXPECT_EQ(elements, (std::vector<ElementId>{3, 2, 1}));
-}
-
-TEST(IdfTest, SortByRarityTieBreaksById) {
-  SetCollection sets = SetCollection::FromVectors({{5, 7}, {5, 7}});
-  IdfWeights idf = IdfWeights::Compute(sets);
-  std::vector<ElementId> elements = {7, 5};
-  SortByRarity(idf, &elements);
-  EXPECT_EQ(elements, (std::vector<ElementId>{5, 7}));
-}
-
 // ---------------------------------------------------------------------------
 // Exactness of the precomputed table against a hash-map reference.
 

@@ -5,7 +5,7 @@
 #include <algorithm>
 
 #include "text/edit_distance.h"
-#include "util/bit_vector.h"
+#include "util/sorted_sets.h"
 #include "util/random.h"
 #include "data/generators.h"
 

@@ -22,23 +22,6 @@ TEST(TokenizerTest, EmptyAndWhitespaceOnly) {
   EXPECT_TRUE(tokenizer.Split("   \t\n ").empty());
 }
 
-TEST(TokenizerTest, LowercaseOption) {
-  WordTokenizer plain;
-  WordTokenizer lower(TokenizerOptions{.lowercase = true});
-  EXPECT_EQ(lower.Split("Seattle WA")[0], "seattle");
-  EXPECT_EQ(plain.Split("Seattle WA")[0], "Seattle");
-  // Hashes differ accordingly.
-  EXPECT_NE(plain.Tokenize("Seattle")[0], lower.Tokenize("Seattle")[0]);
-}
-
-TEST(TokenizerTest, SpaceOnlySeparator) {
-  WordTokenizer tokenizer(
-      TokenizerOptions{.split_on_all_whitespace = false});
-  std::vector<std::string> tokens = tokenizer.Split("a b\tc");
-  ASSERT_EQ(tokens.size(), 2u);
-  EXPECT_EQ(tokens[1], "b\tc");
-}
-
 TEST(TokenizerTest, TokenizePreservesDuplicates) {
   WordTokenizer tokenizer;
   std::vector<ElementId> ids = tokenizer.Tokenize("ave 148th ave");

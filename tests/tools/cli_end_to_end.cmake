@@ -69,5 +69,25 @@ run_cli_expect_error(--memory-budget-mb jaccard --input "${DATA}" --gamma 0.8
                      --memory-budget-mb 17592186044416 --out "${BAD}")
 run_cli_expect_error(--disk-budget-mb jaccard --input "${DATA}" --gamma 0.8
                      --disk-budget-mb 17592186044416 --out "${BAD}")
+# NaN fails every ordered comparison, so a range check written as
+# `x <= 0 || x > 1` lets it through to a contract abort.
+foreach(algo pen pf lsh probecount paircount)
+  run_cli_expect_error(--gamma jaccard --input "${DATA}" --gamma nan
+                       --algo ${algo} --out "${BAD}")
+endforeach()
+foreach(algo wen wpf wlsh)
+  run_cli_expect_error(--gamma weighted --input "${DATA}" --gamma nan
+                       --algo ${algo} --out "${BAD}")
+endforeach()
+run_cli_expect_error(--gamma explain --input "${DATA}" --gamma nan)
+foreach(accuracy 2 nan -1)
+  run_cli_expect_error(--accuracy jaccard --input "${DATA}" --gamma 0.8
+                       --algo lsh --accuracy ${accuracy} --out "${BAD}")
+endforeach()
+run_cli_expect_error(--accuracy weighted --input "${DATA}" --gamma 0.8
+                     --algo wlsh --accuracy 2 --out "${BAD}")
+# NaN would silently switch the breaker off.
+run_cli_expect_error(--max-candidate-ratio jaccard --input "${DATA}"
+                     --gamma 0.8 --max-candidate-ratio nan --out "${BAD}")
 
 message(STATUS "cli_end_to_end passed")

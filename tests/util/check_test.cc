@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/bit_vector.h"
 #include "util/status.h"
 
 namespace ssjoin {
@@ -89,25 +88,6 @@ TEST(CheckTest, DcheckCompilesOutInRelease) {
   SUCCEED();
 }
 
-#endif  // SSJOIN_DCHECKS_ENABLED
-
-// bit_vector carries SSJOIN_*CHECK contracts on its indexing paths; the
-// bounds violations must abort (in DCHECK-enabled builds for the
-// per-element accessors, unconditionally for the domain-mismatch checks).
-TEST(BitVectorDeathTest, MismatchedDomainsAbort) {
-  BitVector a(64);
-  BitVector b(128);
-  EXPECT_DEATH(BitVector::HammingDistance(a, b), "mismatched domains");
-  EXPECT_DEATH(BitVector::IntersectionSize(a, b), "mismatched domains");
-}
-
-#if SSJOIN_DCHECKS_ENABLED
-TEST(BitVectorDeathTest, OutOfRangeAccessAborts) {
-  BitVector v(10);
-  EXPECT_DEATH(v.Set(10), "out of bounds");
-  EXPECT_DEATH(v.Clear(64), "out of bounds");
-  EXPECT_DEATH(v.Test(1u << 20), "out of bounds");
-}
 #endif  // SSJOIN_DCHECKS_ENABLED
 
 TEST(CheckDeathTest, FailedResultValueAborts) {

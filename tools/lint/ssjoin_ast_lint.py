@@ -39,14 +39,6 @@ Rules
                            makes *deleting* a GUARDED_BY a test failure
                            (members of atomic, Mutex, CondVar, or const
                            type are exempt — they need no capability).
-  operator-contract        A class deriving from the pipeline Operator
-                           base must override Close(). Close() is where
-                           an operator records its PlanOp in the explain
-                           plan tree and releases per-operator state;
-                           Plan::Run closes every operator on every exit
-                           path, so a subclass that inherits the base
-                           no-op silently drops its row counts from
-                           EXPLAIN output (src/core/pipeline/operator.h).
 
 Suppression: append `// ssjoin-lint: allow(<rule>)` to the offending
 line, with a justification.
@@ -75,7 +67,6 @@ RULES = (
     "status-must-use",
     "mutex-wrapper-only",
     "guarded-by-required",
-    "operator-contract",
 )
 
 # Directories (relative to --root) each rule patrols.
@@ -85,12 +76,7 @@ RULE_SCOPES = {
     "status-must-use": ("src", "tools"),
     "mutex-wrapper-only": ("src", "tools"),
     "guarded-by-required": ("src",),
-    "operator-contract": ("src",),
 }
-
-# The pipeline Operator base: subclasses are identified by this exact
-# unqualified base-class name.
-OPERATOR_BASE = "Operator"
 
 # Files exempt from a rule outright (the implementation sites).
 RULE_EXEMPT_FILES = {
@@ -172,8 +158,6 @@ class ClassFact:
     name: str
     has_mutex: bool
     members: list
-    bases: list = dataclasses.field(default_factory=list)
-    has_close: bool = False
 
 
 @dataclasses.dataclass
@@ -392,27 +376,6 @@ def class_header_name(seg):
     return words[-1] if words else None
 
 
-def class_header_bases(seg):
-    """Unqualified base-class names from a class header's base clause
-    (the part after the ':'), template arguments stripped."""
-    s = re.sub(r"^\s*(?:public|private|protected)\s*:", " ", seg)
-    kw = re.search(r"\b(class|struct|union)\b", s)
-    if not kw:
-        return []
-    colon = top_level_colon(s[kw.end():])
-    if colon < 0:
-        return []
-    bases = []
-    for part in s[kw.end() + colon + 1:].split(","):
-        part = re.sub(r"<[^<>]*>", " ", part)
-        words = [w for w in re.findall(r"[A-Za-z_]\w*", part)
-                 if w not in ("public", "private", "protected", "virtual",
-                              "final", "struct", "class")]
-        if words:
-            bases.append(words[-1])
-    return bases
-
-
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
@@ -476,8 +439,7 @@ def parse_file(relpath, code, offsets, facts, unordered_vars,
                     cls = class_header_name(seg)
                     if cls is not None:
                         rec = ClassFact(relpath, line_of(offsets, i), cls,
-                                        False, [],
-                                        bases=class_header_bases(seg))
+                                        False, [])
                         stack.append(_Scope("class", cls, i))
                         open_records.append(rec)
                         classes.append((rec, i))
@@ -579,11 +541,6 @@ def analyze_class_body(rec, body, base, offsets):
         else:
             out.append(ch)
     flat = "".join(out)
-
-    # Direct member declarations only survive the collapse, so a Close
-    # token here is the subclass's own override, not a call in a body.
-    if re.search(r"\bClose\s*\(", flat):
-        rec.has_close = True
 
     pos = 0
     for seg in flat.split(";"):
@@ -785,18 +742,6 @@ def evaluate_rules(facts):
                 f"member '{member.name}' of mutex-owning class '{cls.name}' "
                 f"lacks SSJOIN_GUARDED_BY (annotate, make it atomic/const, "
                 f"or allow with a justification)"))
-
-    for cls in facts.classes:
-        if OPERATOR_BASE not in cls.bases or cls.name == OPERATOR_BASE:
-            continue
-        if cls.has_close:
-            continue
-        findings.append(Finding(
-            "operator-contract", cls.file, cls.line,
-            f"'{cls.name}' derives from the pipeline Operator but does not "
-            f"override Close(); every operator must override Close() — and "
-            f"finish it with Operator::Close() — so its PlanOp row counts "
-            f"reach the explain plan tree"))
     return findings
 
 

@@ -81,7 +81,7 @@ STABILITY_HEADER = ("src", "obs", "stability.h")
 # name: JoinTelemetry (Phase/Time/Sample/PhaseAttr/Attr/Event/AddCount/
 # SetGauge), Tracer (StartSpan/SetAttr/AddEvent), MetricsRegistry
 # (counter/gauge/histogram), the explain seams (SetParam/Predict/
-# Actual + their null-safe Record* wrappers), and the structured-log
+# Actual + the null-safe RecordActual wrapper), and the structured-log
 # seams (Logger::Log / the null-safe LogEvent wrapper, whose event name
 # is the first literal after the level). Calls that pass a
 # names:: constant (or any non-literal) are skipped — they are registered
@@ -89,7 +89,7 @@ STABILITY_HEADER = ("src", "obs", "stability.h")
 TELEMETRY_CALL_RE = re.compile(
     r"(?<![\w:])(?:StartSpan|PhaseAttr|AddCount|SetGauge|SetAttr|AddEvent|"
     r"Attr|LogEvent|Log|Event|Sample|Phase|Time|counter|gauge|histogram|"
-    r"RecordParam|RecordPrediction|RecordActual|SetParam|Predict|Actual)"
+    r"RecordActual|SetParam|Predict|Actual)"
     r"\s*\(")
 STRING_LIT_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
 

@@ -254,7 +254,7 @@ Result<GuardFlags> ParseGuardFlags(Flags& flags) {
     return Status::InvalidArgument("--memory-budget-mb must be in [0, " +
                                    std::to_string(kMaxMb) + "]");
   }
-  if (ratio < 0) {
+  if (!(ratio >= 0)) {
     return Status::InvalidArgument("--max-candidate-ratio must be >= 0");
   }
   if (disk_mb < 0 || static_cast<uint64_t>(disk_mb) > kMaxMb) {
@@ -554,8 +554,11 @@ Status RunJaccard(Flags& flags) {
   SSJOIN_ASSIGN_OR_RETURN(GuardFlags guard_flags, ParseGuardFlags(flags));
   SSJOIN_ASSIGN_OR_RETURN(ObsFlags obs_flags, ParseObsFlags(flags));
   SSJOIN_RETURN_NOT_OK(flags.CheckUnused());
-  if (gamma <= 0 || gamma > 1) {
+  if (!(gamma > 0 && gamma <= 1)) {
     return Status::InvalidArgument("--gamma must be in (0, 1]");
+  }
+  if (!(accuracy > 0 && accuracy < 1)) {
+    return Status::InvalidArgument("--accuracy must be in (0, 1)");
   }
   JoinSession session;
   SSJOIN_RETURN_NOT_OK(
@@ -680,8 +683,11 @@ Status RunWeighted(Flags& flags) {
   SSJOIN_ASSIGN_OR_RETURN(GuardFlags guard_flags, ParseGuardFlags(flags));
   SSJOIN_ASSIGN_OR_RETURN(ObsFlags obs_flags, ParseObsFlags(flags));
   SSJOIN_RETURN_NOT_OK(flags.CheckUnused());
-  if (gamma <= 0 || gamma > 1) {
+  if (!(gamma > 0 && gamma <= 1)) {
     return Status::InvalidArgument("--gamma must be in (0, 1]");
+  }
+  if (!(accuracy > 0 && accuracy < 1)) {
+    return Status::InvalidArgument("--accuracy must be in (0, 1)");
   }
   JoinSession session;
   SSJOIN_RETURN_NOT_OK(
@@ -743,7 +749,7 @@ Status RunExplain(Flags& flags) {
   SSJOIN_ASSIGN_OR_RETURN(bool dbms, flags.GetBool("dbms", false));
   SSJOIN_ASSIGN_OR_RETURN(JoinOptions options, ThreadedJoinOptions(flags));
   SSJOIN_RETURN_NOT_OK(flags.CheckUnused());
-  if (gamma <= 0 || gamma > 1) {
+  if (!(gamma > 0 && gamma <= 1)) {
     return Status::InvalidArgument("--gamma must be in (0, 1]");
   }
   if (sample <= 0) {
