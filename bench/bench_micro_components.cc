@@ -1,7 +1,8 @@
 // Component micro-benchmarks (google-benchmark): the primitives whose
 // costs compose into the figure-level results — signature generation per
-// scheme, banded edit distance, minhashing, tokenization, intersection
-// kernels, and the AMS sketch.
+// scheme, banded edit distance, minhashing, tokenization and q-gram bags,
+// the parameter advisor's search, intersection kernels, and the AMS
+// sketch.
 
 #include <benchmark/benchmark.h>
 
@@ -15,6 +16,7 @@
 #include "core/kernels/bitmap_filter.h"
 #include "core/kernels/hash_kernels.h"
 #include "core/kernels/intersect.h"
+#include "core/parameter_advisor.h"
 #include "core/partenum.h"
 #include "core/partenum_jaccard.h"
 #include "core/wtenum.h"
@@ -185,19 +187,54 @@ void BM_Tokenize(benchmark::State& state) {
 }
 BENCHMARK(BM_Tokenize);
 
+void BM_TokenizeAll(benchmark::State& state) {
+  AddressOptions options;
+  options.num_strings = 512;
+  std::vector<std::string> strings = GenerateAddressStrings(options);
+  WordTokenizer tokenizer;
+  for (auto _ : state) {
+    SetCollection sets = tokenizer.TokenizeAll(strings);
+    benchmark::DoNotOptimize(sets.set(0).data());
+  }
+  state.SetItemsProcessed(state.iterations() * strings.size());
+}
+BENCHMARK(BM_TokenizeAll);
+
 void BM_QgramBags(benchmark::State& state) {
   AddressOptions options;
   options.num_strings = 512;
   std::vector<std::string> strings = GenerateAddressStrings(options);
   QgramExtractor extractor(
       QgramOptions{.q = static_cast<uint32_t>(state.range(0))});
-  size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(extractor.Extract(strings[i++ % strings.size()]));
+    SetCollection bags = extractor.ExtractAllAsBags(strings);
+    benchmark::DoNotOptimize(bags.set(0).data());
+  }
+  state.SetItemsProcessed(state.iterations() * strings.size());
+}
+BENCHMARK(BM_QgramBags)->Arg(1)->Arg(3);
+
+// The advisor's full (n1, n2) search over a 2000-set Fig-14 sample
+// (50-element sets, γ = 0.8 equi-sized hamming threshold), capped at 64
+// signatures per set: the setup cost of the synthetic workload.
+void BM_ChoosePartEnumParams(benchmark::State& state) {
+  SetCollection sets = GenerateUniformSets({.num_sets = 2000,
+                                            .set_size = 50,
+                                            .domain_size = 10000,
+                                            .similar_fraction = 0.02,
+                                            .mutations = 2,
+                                            .seed = 8});
+  uint32_t k = PartEnumJaccardScheme::EquisizedHammingThreshold(50, 0.8);
+  AdvisorOptions advisor;
+  advisor.sample_size = 2000;
+  advisor.max_signatures_per_set = 64;
+  for (auto _ : state) {
+    auto choice = ChoosePartEnumParams(sets, k, 100000, advisor);
+    benchmark::DoNotOptimize(choice.ok());
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_QgramBags)->Arg(1)->Arg(3);
+BENCHMARK(BM_ChoosePartEnumParams)->Unit(benchmark::kMillisecond);
 
 void BM_SortedIntersection(benchmark::State& state) {
   SetCollection sets = MakeSets(256, 50, 10000);

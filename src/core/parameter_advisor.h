@@ -94,8 +94,9 @@ Result<LshChoice> ChooseLshParams(const SetCollection& input, double gamma,
                                   size_t target_input_size = 0,
                                   const AdvisorOptions& options = {});
 
-/// Estimates the full-input F2 of an arbitrary scheme from a sample.
-/// Exposed for the Figure 13/14 benches and tests.
+/// Estimates the full-input F2 of an arbitrary scheme from a sample, the
+/// same estimate the Evaluate* searches rank settings by. Only tests call
+/// it: it is the seam that checks the estimate against a reference.
 double EstimateSchemeF2(const SetCollection& input,
                         const SignatureScheme& scheme,
                         size_t target_input_size,

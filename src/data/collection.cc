@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "util/check.h"
@@ -48,13 +47,13 @@ SetCollection SetCollection::Sample(size_t k, uint64_t seed) const {
   return builder.Build();
 }
 
-SetId SetCollectionBuilder::Add(std::vector<ElementId> elements) {
-  std::sort(elements.begin(), elements.end());
-  elements.erase(std::unique(elements.begin(), elements.end()),
-                 elements.end());
-  collection_.elements_.insert(collection_.elements_.end(), elements.begin(),
-                               elements.end());
-  collection_.offsets_.push_back(collection_.elements_.size());
+SetId SetCollectionBuilder::Add(std::span<const ElementId> elements) {
+  std::vector<ElementId>& all = collection_.elements_;
+  auto begin = static_cast<std::ptrdiff_t>(all.size());
+  all.insert(all.end(), elements.begin(), elements.end());
+  std::sort(all.begin() + begin, all.end());
+  all.erase(std::unique(all.begin() + begin, all.end()), all.end());
+  collection_.offsets_.push_back(all.size());
   return static_cast<SetId>(collection_.size() - 1);
 }
 
@@ -63,17 +62,21 @@ SetId SetCollectionBuilder::AddBag(std::span<const ElementId> elements) {
   // survives set semantics. The encoding is consistent across sets, so
   // bag-symmetric-difference equals set-symmetric-difference of the
   // encodings (up to negligible hash collisions, which can only shrink the
-  // apparent distance and therefore never lose candidates).
-  std::unordered_map<ElementId, uint32_t> occurrence;
-  occurrence.reserve(elements.size());
-  std::vector<ElementId> encoded;
-  encoded.reserve(elements.size());
-  for (ElementId e : elements) {
-    uint32_t j = occurrence[e]++;
+  // apparent distance and therefore never lose candidates). Sorting puts
+  // the copies of e next to each other; which copy gets which j does not
+  // change the encoded set.
+  bag_scratch_.assign(elements.begin(), elements.end());
+  std::sort(bag_scratch_.begin(), bag_scratch_.end());
+  ElementId previous = 0;
+  uint32_t j = 0;
+  for (size_t i = 0; i < bag_scratch_.size(); ++i) {
+    ElementId e = bag_scratch_[i];
+    j = (i > 0 && e == previous) ? j + 1 : 0;
+    previous = e;
     uint64_t h = HashCombine(Mix64(e), j);
-    encoded.push_back(static_cast<ElementId>(h ^ (h >> 32)));
+    bag_scratch_[i] = static_cast<ElementId>(h ^ (h >> 32));
   }
-  return Add(std::move(encoded));
+  return Add(bag_scratch_);
 }
 
 SetCollection SetCollectionBuilder::Build() {

@@ -31,10 +31,11 @@ Result<SetCollection> LoadSets(const std::string& path) {
   if (!in) return Status::IOError("cannot open " + path);
   SetCollectionBuilder builder;
   std::string line;
+  std::vector<ElementId> elements;
   size_t line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
-    std::vector<ElementId> elements;
+    elements.clear();
     std::istringstream ls(line);
     std::string token;
     while (ls >> token) {
@@ -48,7 +49,7 @@ Result<SetCollection> LoadSets(const std::string& path) {
       }
       elements.push_back(value);
     }
-    builder.Add(std::move(elements));
+    builder.Add(elements);
   }
   return builder.Build();
 }

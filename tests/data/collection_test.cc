@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "util/hashing.h"
 #include "util/sorted_sets.h"
 
 namespace ssjoin {
@@ -116,6 +117,35 @@ TEST(AddBagTest, IdenticalBagsIdenticalSets) {
   builder.AddBag(bag);
   SetCollection c = builder.Build();
   EXPECT_EQ(SparseHammingDistance(c.set(0), c.set(1)), 0u);
+}
+
+TEST(AddBagTest, RepeatsEncodeAsExplicitHashCombine) {
+  // The j-th copy of e (j from 0, in any order) becomes
+  // HashCombine(Mix64(e), j) folded to 32 bits.
+  auto encode = [](ElementId e, uint32_t j) {
+    uint64_t h = HashCombine(Mix64(e), j);
+    return static_cast<ElementId>(h ^ (h >> 32));
+  };
+  std::vector<ElementId> bag = {5, 0, 5, 9, 5, 0, 4294967295u};
+  std::vector<ElementId> expected = {encode(5, 0), encode(5, 1),
+                                     encode(5, 2), encode(0, 0),
+                                     encode(0, 1), encode(9, 0),
+                                     encode(4294967295u, 0)};
+  std::sort(expected.begin(), expected.end());
+  expected.erase(std::unique(expected.begin(), expected.end()),
+                 expected.end());
+
+  SetCollectionBuilder builder;
+  builder.AddBag(bag);
+  builder.AddBag({});
+  builder.AddBag(std::vector<ElementId>{9, 0, 5, 5, 0, 4294967295u, 5});
+  SetCollection c = builder.Build();
+  ASSERT_EQ(c.size(), 3u);
+  EXPECT_TRUE(std::equal(c.set(0).begin(), c.set(0).end(), expected.begin(),
+                         expected.end()));
+  EXPECT_EQ(c.set_size(1), 0u);
+  EXPECT_TRUE(std::equal(c.set(2).begin(), c.set(2).end(), expected.begin(),
+                         expected.end()));
 }
 
 }  // namespace
