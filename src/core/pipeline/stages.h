@@ -1,0 +1,233 @@
+// The join's stages as plain functions (DESIGN.md Section 13).
+//
+// Join() runs one fixed stage sequence, driven straight-line by RunJoin
+// in core/ssjoin.cc:
+//
+//   in memory  siggen -> candgen [-> bitmap_filter] -> verify -> dedup_emit
+//   spilled    spill_partition [-> bitmap_filter] -> verify -> dedup_emit
+//
+// The source (candgen or spill_partition) materializes the whole sorted,
+// duplicate-free candidate vector. The driver builds the bitmap tables,
+// then walks the vector in kVerifySpan-candidate spans: each span is
+// filtered in place, verified behind its guard barrier, and its pairs
+// are appended to the result. bitmap_filter is present only when
+// options.bitmap_bits != 0.
+//
+// Every stage function keeps its Stage ledger: it times itself with a
+// Stage::Timed scope and maintains the stage's row totals.
+//
+// Determinism contract: every count a stage commits is derived from
+// input order, never from scheduling, so pairs, JoinStats and the
+// stable telemetry are byte-identical at any thread count.
+
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <span>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "core/kernels/bitmap_filter.h"
+#include "core/kernels/posting_groups.h"
+#include "core/ssjoin.h"
+#include "obs/join_telemetry.h"
+#include "util/status.h"
+
+namespace ssjoin {
+class ExecutionGuard;
+class ThreadPool;
+}  // namespace ssjoin
+
+namespace ssjoin::pipeline {
+
+/// Everything the stages share for one join execution. Plain pointers:
+/// the driver owns all of it.
+struct ExecContext {
+  const SetCollection* left = nullptr;
+  /// Null for the self-join (the spilled self path included).
+  const SetCollection* right = nullptr;
+  const SignatureScheme* scheme = nullptr;
+  const Predicate* predicate = nullptr;
+  /// Spill policy already resolved (never SpillPolicy::kDefault).
+  const JoinOptions* options = nullptr;
+  ThreadPool* pool = nullptr;
+  ExecutionGuard* guard = nullptr;
+  obs::JoinTelemetry* telem = nullptr;
+  JoinResult* result = nullptr;
+};
+
+/// One stage's ledger (DESIGN.md Section 14): the obs::OpInstrument that
+/// times it, plus the deterministic row totals that flowed through it
+/// (signatures, candidates, pairs; never batch counts, which vary with
+/// scheduling). The driver binds every stage of the chain in chain order
+/// and closes every one of them, in the same order, on every exit path.
+class Stage {
+ public:
+  /// `tag` is the stage's one name: its metric, span and EXPLAIN name (a
+  /// names::kOp* constant from obs/stability.h). `seconds` is the
+  /// JoinStats field its time feeds, or null for a stage outside the
+  /// Figure 2 steps.
+  Stage(std::string_view tag, std::string detail, double JoinStats::*seconds)
+      : tag_(tag), detail_(std::move(detail)), seconds_(seconds) {}
+  Stage(const Stage&) = delete;
+  Stage& operator=(const Stage&) = delete;
+
+  /// Times one call into the stage: construction starts the clock and
+  /// makes the stage's span the current span; destruction adds the
+  /// elapsed time, the batches counted with Produced() and the current
+  /// row totals to the instrument.
+  class Timed {
+   public:
+    explicit Timed(Stage* stage)
+        : stage_(stage), start_(stage->inst_.Begin()) {}
+    ~Timed() {
+      stage_->inst_.End(start_, batches_, stage_->rows_in,
+                        stage_->rows_out);
+    }
+    Timed(const Timed&) = delete;
+    Timed& operator=(const Timed&) = delete;
+
+    /// Counts `batches` data batches the call handed down the chain.
+    void Produced(uint64_t batches = 1) { batches_ += batches; }
+
+   private:
+    Stage* stage_;
+    obs::OpInstrument::Start start_;
+    uint64_t batches_ = 0;
+  };
+
+  /// Binds the instrument to the run's telemetry; `lane` is the stage's
+  /// chain position.
+  void Bind(obs::JoinTelemetry* telemetry, uint32_t lane) {
+    inst_.Bind(telemetry, tag_, lane);
+  }
+
+  /// Flushes the instrument (final row totals, span close), adds the
+  /// stage's time to its JoinStats seconds field, and records its
+  /// EXPLAIN plan row and rows_out drift actual.
+  void Close(const ExecContext& ctx);
+
+  uint64_t rows_in = 0;
+  uint64_t rows_out = 0;
+
+ private:
+  std::string_view tag_;  // static-storage names:: constant
+  std::string detail_;
+  double JoinStats::*seconds_;
+  obs::OpInstrument inst_;
+};
+
+/// One input side's flattened per-set signature lists (CSR): `values`
+/// holds the concatenated, per-set-deduplicated Sign(set) lists;
+/// `offsets` has collection.size() + 1 entries.
+struct SignatureTable {
+  std::vector<Signature> values;
+  std::vector<size_t> offsets;
+
+  uint64_t total() const { return values.size(); }
+};
+
+/// Candidates per verify span: the guarded verify barrier falls every
+/// kVerifySpan candidates. Changing it moves where trips land mid-join,
+/// which is part of the byte-identity contract the differential suite
+/// pins.
+inline constexpr size_t kVerifySpan = 16384;
+
+/// siggen: Checkpoint(kSigGen), then each side's signatures into a CSR
+/// table, fanned out per set and stitched in set order. `right` stays
+/// empty for the self-join. signatures_r/s are committed only when
+/// generation completed untripped.
+Status GenerateSignatures(const ExecContext& ctx, Stage* stage,
+                          SignatureTable* left, SignatureTable* right);
+
+/// The auto-spill budget check (DESIGN.md Section 12): true when, with
+/// SpillPolicy::kAuto and a memory budget, charging the signature tables
+/// would exceed the budget, so the join should rerun spilled rather than
+/// trip the guard. The footprint is thread-count-independent, so the
+/// decision is deterministic.
+bool ExceedsSpillBudget(const ExecContext& ctx, const SignatureTable& left,
+                        const SignatureTable& right);
+
+/// candgen: charges the tables, Checkpoint(kCandGen), groups each
+/// table's postings (freeing the table), pairs them up and unions the
+/// shards into the sorted candidate vector, then charges it. A trip
+/// zeroes the partial collision and candidate counters.
+Status PairCandidates(const ExecContext& ctx, Stage* stage,
+                      SignatureTable* left, SignatureTable* right,
+                      std::vector<uint64_t>* candidates);
+
+/// The pair-up-and-union step of candgen, shared with the spill layer's
+/// per-partition loop (core/spill/spill_join.cc): pairs up every pool
+/// shard (self-join over `shards_l` when `shards_r` is null, otherwise
+/// the binary merge of the two sides), then unions the sorted shard
+/// outputs in log2(shards) pairwise set_union rounds, each round's
+/// merges running in parallel. Adds into stats->signature_collisions,
+/// sets stats->candidates, and returns the global sorted duplicate-free
+/// candidate vector.
+std::vector<uint64_t> GenerateCandidates(
+    const std::vector<kernels::PostingShard>& shards_l,
+    const std::vector<kernels::PostingShard>* shards_r, ThreadPool& pool,
+    const std::function<bool()>& stop, JoinStats* stats,
+    obs::JoinTelemetry* telem);
+
+/// spill_partition: the out-of-core source (DESIGN.md Section 12).
+/// Checkpoint(kSigGen), then the retry loop around spill::RunAttempt,
+/// halving the partition count after a transient I/O failure. Guard
+/// trips are final; exhausted retries surrender with the
+/// completed-signature counts but no candidate accounting. Signature
+/// generation happens inside the attempts, so the stage's whole time
+/// feeds candpair_seconds and siggen_seconds stays 0.
+Status PartitionCandidates(const ExecContext& ctx, Stage* stage,
+                           std::vector<uint64_t>* candidates);
+
+/// bitmap_filter's XOR bitmap tables. The self-join leaves `right` empty
+/// and uses `left` for both sides.
+struct BitmapTables {
+  kernels::BitmapTable left;
+  kernels::BitmapTable right;
+};
+
+/// The bitmap pre-filter tallies of one span.
+struct BitmapTally {
+  uint64_t checked = 0;
+  uint64_t pruned = 0;
+};
+
+/// bitmap_filter, once: builds the tables range-parallel and charges
+/// them to the guard.
+void BuildBitmaps(const ExecContext& ctx, Stage* stage, BitmapTables* tables);
+
+/// bitmap_filter, per span: compacts `span` in place to the candidates
+/// the bitmaps cannot rule out, preserving candidate order, and returns
+/// how many survived. Fills `tally` but never touches JoinStats: verify
+/// commits it after the span's barrier.
+size_t FilterSpan(const ExecContext& ctx, Stage* stage,
+                  const BitmapTables& tables, std::span<uint64_t> span,
+                  BitmapTally* tally);
+
+/// verify, per span: the span's guard barrier (Checkpoint(kVerify), then
+/// CheckBreaker at `start`, the span's pre-filter offset, against the
+/// results so far), then commits `tally`, then evaluates `survivors`
+/// range-parallel into `verified` (one vector per range, in candidate
+/// order) and charges the pairs.
+Status VerifySpan(const ExecContext& ctx, Stage* stage, size_t start,
+                  std::span<const uint64_t> survivors,
+                  const BitmapTally& tally,
+                  std::vector<std::vector<SetPair>>* verified);
+
+/// verify, after the last span: the final barrier over all `candidates`
+/// (a checkpoint first when there were none, so no span ran), so a join
+/// whose explosion only crosses the ratio in its last span still trips.
+Status FinishVerify(const ExecContext& ctx, Stage* stage, size_t candidates);
+
+/// dedup_emit: appends the span's `verified` pairs to the result in
+/// range order. Both sources emit sorted, duplicate-free candidates, so
+/// appending yields the final sorted pair vector.
+void EmitPairs(const ExecContext& ctx, Stage* stage,
+               const std::vector<std::vector<SetPair>>& verified);
+
+}  // namespace ssjoin::pipeline

@@ -10,7 +10,7 @@
 
 #include "core/execution_guard.h"
 #include "core/kernels/posting_groups.h"
-#include "core/pipeline/candidate_gen_operator.h"
+#include "core/pipeline/stages.h"
 #include "core/spill/spill_file.h"
 #include "obs/join_telemetry.h"
 #include "util/hashing.h"

@@ -1,14 +1,16 @@
 #include "core/ssjoin.h"
 
+#include <algorithm>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/execution_guard.h"
 #include "core/kernels/bitmap_filter.h"
 #include "core/kernels/intersect.h"
-#include "core/pipeline/operator.h"
-#include "core/pipeline/plan_builder.h"
+#include "core/pipeline/stages.h"
 #include "core/spill/spill_join.h"
 #include "obs/explain.h"
 #include "obs/join_telemetry.h"
@@ -16,10 +18,10 @@
 #include "util/thread_pool.h"
 
 // The public API — request validation — and the one Figure-2 driver.
-// Every execution mode is an operator chain (core/pipeline, DESIGN.md
-// Section 13); the driver sets up telemetry, the pool and the guard,
-// builds the chain, runs it, and publishes the accounting. An
-// out-of-core run (core/spill) is the same driver with a spilled chain.
+// The driver sets up telemetry and the guard, runs the join's fixed
+// stage sequence (core/pipeline/stages.h, DESIGN.md Section 13) as
+// plain function calls, and publishes the accounting. An out-of-core
+// run (core/spill) is the same driver with the spilled source.
 
 namespace ssjoin {
 
@@ -158,12 +160,82 @@ void FinishJoin(obs::JoinTelemetry& telem, const JoinResult& result,
   }
 }
 
+// The ledgers of every stage a pass can run; the chain built in RunJoin
+// picks the ones that do.
+struct Stages {
+  explicit Stages(uint32_t bitmap_bits)
+      : filter(obs::names::kOpBitmapFilter,
+               std::to_string(bitmap_bits) + "-bit deferred",
+               &JoinStats::postfilter_seconds) {}
+
+  pipeline::Stage siggen{obs::names::kOpSigGen, "csr",
+                         &JoinStats::siggen_seconds};
+  pipeline::Stage candgen{obs::names::kOpCandGen, "sorted shards",
+                          &JoinStats::candpair_seconds};
+  pipeline::Stage partition{obs::names::kOpSpillPartition, "partitioned",
+                            &JoinStats::candpair_seconds};
+  pipeline::Stage filter;
+  pipeline::Stage verify{obs::names::kOpVerify, "chunked",
+                         &JoinStats::postfilter_seconds};
+  pipeline::Stage emit{obs::names::kOpDedupEmit, "append", nullptr};
+};
+
+// How a pass over the stages ended when no stage failed.
+enum class PassEnd { kDone, kRerunSpilled };
+
+// The stage sequence (DESIGN.md Section 13): candidates from the source,
+// the bitmap tables, then per kVerifySpan-candidate span the filter, the
+// verify barrier and evaluation, and the append; the final verify
+// barrier last. Returns kRerunSpilled when the auto-spill budget check
+// fires after SigGen.
+Result<PassEnd> RunStages(const pipeline::ExecContext& ctx, bool spilled,
+                          Stages& stages) {
+  const bool bitmap = ctx.options->bitmap_bits != 0;
+  std::vector<uint64_t> candidates;
+  if (spilled) {
+    SSJOIN_RETURN_NOT_OK(
+        pipeline::PartitionCandidates(ctx, &stages.partition, &candidates));
+  } else {
+    pipeline::SignatureTable left, right;
+    SSJOIN_RETURN_NOT_OK(
+        pipeline::GenerateSignatures(ctx, &stages.siggen, &left, &right));
+    stages.candgen.rows_in = left.total() + right.total();
+    if (pipeline::ExceedsSpillBudget(ctx, left, right)) {
+      return PassEnd::kRerunSpilled;
+    }
+    SSJOIN_RETURN_NOT_OK(pipeline::PairCandidates(ctx, &stages.candgen, &left,
+                                                  &right, &candidates));
+  }
+  pipeline::BitmapTables bitmaps;
+  if (bitmap) pipeline::BuildBitmaps(ctx, &stages.filter, &bitmaps);
+  std::vector<std::vector<SetPair>> verified;
+  for (size_t start = 0; start < candidates.size();
+       start += pipeline::kVerifySpan) {
+    std::span<uint64_t> span(
+        candidates.data() + start,
+        std::min(pipeline::kVerifySpan, candidates.size() - start));
+    pipeline::BitmapTally tally;
+    if (bitmap) {
+      span = span.first(
+          pipeline::FilterSpan(ctx, &stages.filter, bitmaps, span, &tally));
+    }
+    SSJOIN_RETURN_NOT_OK(pipeline::VerifySpan(ctx, &stages.verify, start,
+                                              span, tally, &verified));
+    pipeline::EmitPairs(ctx, &stages.emit, verified);
+  }
+  SSJOIN_RETURN_NOT_OK(
+      pipeline::FinishVerify(ctx, &stages.verify, candidates.size()));
+  return PassEnd::kDone;
+}
+
 // The driver. `request` is validated and its spill policy resolved.
-// On an auto-spill degrade it calls itself with SpillState::kAuto; the
-// outer root span stays open, so the spilled run's root nests under it.
-// The degraded chain holds no guard memory: CandidateGen degrades before
-// its first charge, and the bitmap table is only built without one.
-JoinResult RunJoin(const JoinRequest& request, SpillState spill) {
+// When the auto-spill budget check fires it calls itself with
+// SpillState::kAuto on the same pool; the outer root span stays open,
+// so the spilled run's root nests under it. The degraded pass holds no
+// guard memory: it stops before candgen's first charge, and the bitmap
+// tables are never built.
+JoinResult RunJoin(const JoinRequest& request, SpillState spill,
+                   ThreadPool& pool) {
   const JoinOptions& options = request.options;
   const SetCollection& left = *request.left;
   const SetCollection* right =
@@ -190,7 +262,6 @@ JoinResult RunJoin(const JoinRequest& request, SpillState spill) {
                    {"spill", SpillStateName(spill)},
                    {"input_sets", input_sets}});
   }
-  ThreadPool pool(ResolveThreadCount(options.num_threads));
   pool.BindMetrics(options.metrics);
   ExecutionGuard* guard = options.guard;
   if (guard != nullptr) guard->BindMetrics(options.metrics);
@@ -214,19 +285,38 @@ JoinResult RunJoin(const JoinRequest& request, SpillState spill) {
   ctx.guard = guard;
   ctx.telem = &telem;
   ctx.result = &result;
-  pipeline::Plan plan(&ctx);
-  pipeline::BuildPlan(&plan, &ctx, spill != SpillState::kNone);
-  Status st = plan.Run();
-  if (ctx.degrade) {
-    // An operator found, before the guard could latch, that the
-    // in-memory tables would blow the memory budget.
+  // The chain, source first. Its order is the stages' span order and
+  // trace lanes and the EXPLAIN plan rows; every stage in it is bound
+  // before the first runs and closed, in order, on every exit path.
+  const bool spilled = spill != SpillState::kNone;
+  Stages stages(options.bitmap_bits);
+  std::vector<pipeline::Stage*> chain;
+  if (spilled) {
+    chain = {&stages.partition};
+  } else {
+    chain = {&stages.siggen, &stages.candgen};
+  }
+  if (options.bitmap_bits != 0) chain.push_back(&stages.filter);
+  chain.push_back(&stages.verify);
+  chain.push_back(&stages.emit);
+  // The executed plan replaces any previous join's rows (accumulated
+  // explain reports show the last plan; see obs/explain.h).
+  if (options.explain != nullptr) options.explain->plan.clear();
+  for (size_t i = 0; i < chain.size(); ++i) {
+    chain[i]->Bind(&telem, static_cast<uint32_t>(i));
+  }
+  Result<PassEnd> end = RunStages(ctx, spilled, stages);
+  for (pipeline::Stage* stage : chain) stage->Close(ctx);
+  if (end.ok() && *end == PassEnd::kRerunSpilled) {
+    // SigGen found, before the guard could latch, that the in-memory
+    // tables would blow the memory budget.
     obs::LogEvent(options.log, obs::LogLevel::kWarn, "spill_degrade",
                   {{"mode", mode}});
-    return RunJoin(request, SpillState::kAuto);
+    return RunJoin(request, SpillState::kAuto, pool);
   }
-  if (!st.ok()) {
+  if (!end.ok()) {
     result.pairs.clear();
-    result.status = std::move(st);
+    result.status = end.status();
   }
   FinishJoin(telem, result, guard, options.explain, isect0);
   if (!result.status.ok()) {
@@ -368,7 +458,10 @@ JoinResult Join(const JoinRequest& request) {
   resolved.options.spill.policy =
       spill::ResolvePolicy(resolved.options.spill.policy);
   const bool forced = resolved.options.spill.policy == SpillPolicy::kForced;
-  return RunJoin(resolved, forced ? SpillState::kForced : SpillState::kNone);
+  // One pool per Join(): an auto-spill rerun reuses it.
+  ThreadPool pool(ResolveThreadCount(resolved.options.num_threads));
+  return RunJoin(resolved, forced ? SpillState::kForced : SpillState::kNone,
+                 pool);
 }
 
 }  // namespace ssjoin

@@ -108,7 +108,7 @@ void OpInstrument::Bind(JoinTelemetry* telemetry, std::string_view tag,
   if (MetricsRegistry* metrics = telemetry->metrics(); metrics != nullptr) {
     std::string base(names::kPipelinePrefix);
     base += tag;
-    // Row totals are functions of the input and plan — stable. Batch
+    // Row totals are functions of the input and stages — stable. Batch
     // granularity and self-time vary with thread count and the wall
     // clock — runtime (see obs/stability.h).
     batches_counter_ =
@@ -130,8 +130,8 @@ void OpInstrument::Bind(JoinTelemetry* telemetry, std::string_view tag,
   }
 }
 
-OpInstrument::PullStart OpInstrument::BeginPull() {
-  PullStart start;
+OpInstrument::Start OpInstrument::Begin() {
+  Start start;
   if (span_ != kNoSpan) {
     start.outer_span = telemetry_->current_span_;
     telemetry_->current_span_ = span_;
@@ -140,19 +140,16 @@ OpInstrument::PullStart OpInstrument::BeginPull() {
   return start;
 }
 
-void OpInstrument::EndPull(const PullStart& start, uint64_t nested_ns,
-                           bool produced, uint64_t rows_in,
-                           uint64_t rows_out) {
+void OpInstrument::End(const Start& start, uint64_t batches,
+                       uint64_t rows_in, uint64_t rows_out) {
   const uint64_t elapsed =
       static_cast<uint64_t>(std::max<int64_t>(0, NowNs() - start.ns));
-  const uint64_t self = elapsed >= nested_ns ? elapsed - nested_ns : 0;
-  inclusive_ns_ += elapsed;
-  self_ns_ += self;
-  if (produced) ++batches_;
+  self_ns_ += elapsed;
+  batches_ += batches;
   if (span_ != kNoSpan) telemetry_->current_span_ = start.outer_span;
   if (publishing()) {
-    self_ns_counter_->Add(self);
-    if (produced) batches_counter_->Add();
+    self_ns_counter_->Add(elapsed);
+    if (batches > 0) batches_counter_->Add(batches);
     PublishRows(rows_in, rows_out);
   }
 }

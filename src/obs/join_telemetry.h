@@ -7,14 +7,14 @@
 //   * Null sinks cost nothing: every call is a branch on a null pointer;
 //     no allocation, no locking. The zero-allocation property is
 //     enforced by tests/obs.
-//   * One clock per operator chain: a Join() plan is timed only at
-//     Operator::Pull, by the OpInstrument below; JoinStats seconds, the
-//     operator spans and pipeline.<op>.ns are all derived from that one
-//     ledger. Phase() scopes time what is not an operator chain
-//     straight into JoinStats: the DBMS driver's three steps, and the
-//     string join's two wrapper steps (q-gram extraction with scheme
-//     construction, and the edit-distance check) around its Join().
-//   * Stable vs runtime recording: operator spans and Phase() spans are
+//   * One clock per stage: a Join() stage sequence is timed only by the
+//     OpInstrument below, one per stage; JoinStats seconds, the stage
+//     spans and pipeline.<tag>.ns are all derived from that one ledger.
+//     Phase() scopes time what is not a Join() stage straight into
+//     JoinStats: the DBMS driver's three steps, and the string join's
+//     two wrapper steps (q-gram extraction with scheme construction,
+//     and the edit-distance check) around its Join().
+//   * Stable vs runtime recording: stage spans and Phase() spans are
 //     kStable (the deterministic join skeleton); Sample() opens kRuntime
 //     spans for shard/chunk detail and feeds latency histograms.
 //
@@ -23,7 +23,7 @@
 // Thread-safety (DESIGN.md Section 10): JoinTelemetry itself holds no
 // lock because it owns no shared mutable state — root_ is written once
 // in the constructor, and current_span_ is *control-thread-confined*:
-// only Phase() and the operator pull loop, both on the driver's control
+// only Phase() and the stage instruments, both on the driver's control
 // thread between parallel regions, write it. Worker threads may use
 // Sample(), Event(), Attr(), AddCount() and SetGauge() freely: those
 // delegate to the Tracer and MetricsRegistry sinks, whose capabilities
@@ -80,18 +80,18 @@ class JoinTelemetry {
   };
 
   /// Opens a kStable phase span under the root and times it into
-  /// `*seconds`. For work outside an operator chain (the DBMS driver,
-  /// the string join's wrapper steps); a Join() plan is timed by its
-  /// OpInstruments instead. Must be called from the control thread; the phase span
-  /// becomes the parent for Sample() scopes and PhaseAttr().
+  /// `*seconds`. For work outside the Join() stages (the DBMS driver,
+  /// the string join's wrapper steps); Join() stages are timed by their
+  /// OpInstruments instead. Must be called from the control thread; the
+  /// phase span becomes the parent for Sample() scopes and PhaseAttr().
   PhaseScope Phase(std::string_view name, double* seconds);
 
   /// Sets an attribute on the most recent Phase() span (no-op untraced).
   void PhaseAttr(std::string_view key, uint64_t value);
 
   /// RAII sampling scope for runtime detail: opens a kRuntime span (when
-  /// tracing) under the current span — the span of the operator inside
-  /// Pull, or the most recent Phase() span, or else the root — and, when
+  /// tracing) under the current span — the span of the running stage,
+  /// or the most recent Phase() span, or else the root — and, when
   /// `latency` is non-null, records the elapsed microseconds into it on
   /// destruction. Safe to use from worker threads (lane disambiguates
   /// concurrent scopes).
@@ -130,7 +130,7 @@ class JoinTelemetry {
                 Stability stability = Stability::kStable);
 
  private:
-  friend class OpInstrument;  // swaps current_span_ around each pull
+  friend class OpInstrument;  // swaps current_span_ around each section
 
   Tracer* tracer_;
   MetricsRegistry* metrics_;
@@ -140,41 +140,40 @@ class JoinTelemetry {
   SpanId current_span_ = kNoSpan;
 };
 
-/// Per-operator pipeline instrumentation (DESIGN.md Section 14): the one
-/// ledger a Join() plan keeps. One OpInstrument lives in each pipeline
-/// Operator and Operator::Pull wraps every NextBatch in BeginPull /
-/// EndPull, so each operator's self-time, inclusive time and batch count
-/// are accounted whatever sinks are attached. Everything else derives
-/// from it at Close: the JoinStats seconds field the operator feeds,
-/// EXPLAIN's per-operator self time, and — when bound — the published
-/// counters and the operator span.
+/// Per-stage instrumentation (DESIGN.md Section 14): the one ledger a
+/// Join() keeps. One OpInstrument lives in each stage's ledger
+/// (core/pipeline/stages.h), and every call into the stage is one timed
+/// section, Begin() to End(), so each stage's time and batch count are
+/// accounted whatever sinks are attached. Everything else derives from
+/// it when the stage closes: the JoinStats seconds field the stage
+/// feeds, EXPLAIN's per-stage time, and — when bound — the published
+/// counters and the stage span.
 ///
 /// Bind() attaches the run's sinks. With a MetricsRegistry it publishes
 /// four counters named "pipeline.<tag>." + {batches, rows_in, rows_out,
-/// ns}: row totals are kStable (functions of input and plan, exactly
-/// equal at any thread count / spill mode), batch counts and self-time
-/// kRuntime (batch granularity is thread-count-dependent, ns is wall
-/// clock). With a Tracer it opens one kStable span named by the tag
-/// under the join root, in chain order; while the operator is inside
-/// Pull that span is the parent of runtime Sample() spans, and Close()
-/// closes it with the stable rows_in/rows_out attributes.
+/// ns}: row totals are kStable (functions of input and stage sequence,
+/// exactly equal at any thread count / spill mode), batch counts and
+/// time kRuntime (batch granularity is thread-count-dependent, ns is
+/// wall clock). With a Tracer it opens one kStable span named by the tag
+/// under the join root, in chain order; during a timed section that span
+/// is the parent of runtime Sample() spans, and Close() closes it with
+/// the stable rows_in/rows_out attributes.
 ///
 /// The clock reads live here, in the obs layer, so src/core stays clean
-/// under the `no-raw-timing` lint. Self-time attribution: Pull passes
-/// the inclusive time of the nested input Pull (via inclusive_ns()) and
-/// EndPull charges only the difference, so operator times sum to the
-/// chain's wall time instead of multiply counting. Cost: two clock reads
-/// per pull, and no allocation unless bound to a sink.
+/// under the `no-raw-timing` lint. Stages run one after another, never
+/// inside each other, so a section's elapsed time is the stage's own.
+/// Cost: two clock reads per section, and no allocation unless bound to
+/// a sink.
 ///
 /// Thread-confinement: like JoinTelemetry's current span, an OpInstrument
-/// is control-thread-confined — the Volcano pull loop is single-threaded
-/// (parallelism lives inside operators), so the members need no lock.
-/// The counters it publishes to are atomic, which is what the heartbeat
-/// thread reads.
+/// is control-thread-confined: the driver calls the stages on its control
+/// thread (parallelism lives inside the stages), so the members need no
+/// lock. The counters it publishes to are atomic, which is what the
+/// heartbeat thread reads.
 class OpInstrument {
  public:
-  /// What BeginPull hands to the matching EndPull.
-  struct PullStart {
+  /// What Begin hands to the matching End.
+  struct Start {
     int64_t ns = 0;
     SpanId outer_span = kNoSpan;
   };
@@ -184,45 +183,40 @@ class OpInstrument {
   OpInstrument& operator=(const OpInstrument&) = delete;
 
   /// Binds to the run's sinks: registers the four pipeline.<tag>.*
-  /// counters in telemetry->metrics() (when set) and opens the
-  /// operator's kStable span under the root (when tracing). `lane` is
-  /// the operator's position in the chain (its trace lane). A null
-  /// telemetry leaves the instrument unbound: it still keeps the ledger.
+  /// counters in telemetry->metrics() (when set) and opens the stage's
+  /// kStable span under the root (when tracing). `lane` is the stage's
+  /// position in the chain (its trace lane). A null telemetry leaves the
+  /// instrument unbound: it still keeps the ledger.
   void Bind(JoinTelemetry* telemetry, std::string_view tag, uint32_t lane);
 
   /// True when bound to a MetricsRegistry (the counters are published).
   bool publishing() const { return self_ns_counter_ != nullptr; }
 
-  /// Starts one pull: reads the clock and makes this operator's span the
-  /// current span of the bound telemetry.
-  PullStart BeginPull();
+  /// Starts one timed section: reads the clock and makes this stage's
+  /// span the current span of the bound telemetry.
+  Start Begin();
 
-  /// Ends the pull BeginPull started: `nested_ns` is the inclusive time
-  /// the input operator consumed inside this pull, `produced` whether a
-  /// data batch came out. Restores the outer current span and, when
-  /// publishing, adds the pull to the counters — row totals as deltas
+  /// Ends the section Begin started: `batches` is the number of data
+  /// batches it produced. Restores the outer current span and, when
+  /// publishing, adds the section to the counters — row totals as deltas
   /// against the last published values, so the heartbeat sees live
   /// counts mid-join.
-  void EndPull(const PullStart& start, uint64_t nested_ns, bool produced,
-               uint64_t rows_in, uint64_t rows_out);
+  void End(const Start& start, uint64_t batches, uint64_t rows_in,
+           uint64_t rows_out);
 
-  /// Total time spent inside this operator's Pull calls (including its
-  /// inputs) — the parent's nested_ns.
-  uint64_t inclusive_ns() const { return inclusive_ns_; }
-  /// Time spent in this operator's own code across all its pulls.
+  /// Time spent in this stage across all its sections.
   uint64_t self_ns() const { return self_ns_; }
-  /// Pulls that produced a data batch.
+  /// Data batches the stage produced.
   uint64_t batches() const { return batches_; }
 
-  /// Flushes the final row totals and closes the operator span with its
-  /// rows_in/rows_out attributes. Called from Operator::Close on every
+  /// Flushes the final row totals and closes the stage span with its
+  /// rows_in/rows_out attributes. Called when the stage closes, on every
   /// exit path; idempotent.
   void Close(uint64_t rows_in, uint64_t rows_out);
 
  private:
   void PublishRows(uint64_t rows_in, uint64_t rows_out);
 
-  uint64_t inclusive_ns_ = 0;
   uint64_t self_ns_ = 0;
   uint64_t batches_ = 0;
   JoinTelemetry* telemetry_ = nullptr;

@@ -170,9 +170,9 @@ TEST(PlanEquivalenceTest, PipelinedModeRunsTheSelfJoinPlan) {
     std::vector<std::string> chain;
     for (const obs::PlanOp& op : alias_explain.plan) chain.push_back(op.op);
     EXPECT_EQ(chain,
-              (std::vector<std::string>{"SigGen", "CandidateGen",
-                                        "BitmapFilter", "Verify",
-                                        "DedupEmit"}));
+              (std::vector<std::string>{"siggen", "candgen",
+                                        "bitmap_filter", "verify",
+                                        "dedup_emit"}));
     EXPECT_EQ(obs::ExplainJsonl(alias_explain),
               obs::ExplainJsonl(self_explain));
   }

@@ -187,10 +187,10 @@ TEST(ExplainDeterminismTest, PlanSelfTimeIsTextOnly) {
   JoinResult result = Join(request);
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
 
-  ASSERT_EQ(report.plan.size(), 5u);  // SigGen .. DedupEmit
-  EXPECT_EQ(report.plan[0].op, "SigGen");
+  ASSERT_EQ(report.plan.size(), 5u);  // siggen .. dedup_emit
+  EXPECT_EQ(report.plan[0].op, "siggen");
   EXPECT_DOUBLE_EQ(report.plan[0].self_seconds, result.stats.siggen_seconds);
-  EXPECT_EQ(report.plan[1].op, "CandidateGen");
+  EXPECT_EQ(report.plan[1].op, "candgen");
   EXPECT_DOUBLE_EQ(report.plan[1].self_seconds,
                    result.stats.candpair_seconds);
   EXPECT_DOUBLE_EQ(report.plan[2].self_seconds + report.plan[3].self_seconds,

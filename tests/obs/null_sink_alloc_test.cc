@@ -128,21 +128,20 @@ TEST(NullSinkAllocTest, NullLoggerSeamNeverAllocates) {
 }
 
 TEST(NullSinkAllocTest, UnboundOpInstrumentNeverAllocates) {
-  // Operator::Pull accounts every pull into the ledger whatever sinks
-  // are attached — the unbound path is the one every un-metered join
-  // takes for every batch, so it must stay off the heap.
+  // Every timed stage section is accounted into the ledger whatever
+  // sinks are attached — the unbound path is the one every un-metered
+  // join takes for every batch, so it must stay off the heap.
   OpInstrument inst;
   AllocationGuard guard;
   for (int i = 0; i < 1000; ++i) {
-    OpInstrument::PullStart start = inst.BeginPull();
-    inst.EndPull(start, /*nested_ns=*/0, /*produced=*/i % 2 == 0,
-                 /*rows_in=*/static_cast<uint64_t>(i),
-                 /*rows_out=*/static_cast<uint64_t>(i));
+    OpInstrument::Start start = inst.Begin();
+    inst.End(start, /*batches=*/i % 2 == 0 ? 1 : 0,
+             /*rows_in=*/static_cast<uint64_t>(i),
+             /*rows_out=*/static_cast<uint64_t>(i));
   }
   inst.Close(100, 50);  // on every Close path
   EXPECT_FALSE(inst.publishing());
   EXPECT_EQ(inst.batches(), 500u);
-  EXPECT_EQ(inst.self_ns(), inst.inclusive_ns());  // nothing nested
   EXPECT_EQ(guard.count(), 0u)
       << "unbound OpInstrument must not touch the heap";
 }
@@ -155,8 +154,8 @@ TEST(NullSinkAllocTest, OpInstrumentBindToNullSinksIsFreeAndStaysOff) {
   EXPECT_FALSE(inst.publishing());
   inst.Bind(nullptr, "siggen", 0);
   EXPECT_FALSE(inst.publishing());
-  OpInstrument::PullStart start = inst.BeginPull();
-  inst.EndPull(start, 0, /*produced=*/true, 1, 1);
+  OpInstrument::Start start = inst.Begin();
+  inst.End(start, /*batches=*/1, 1, 1);
   inst.Close(1, 1);
   EXPECT_EQ(inst.batches(), 1u);
   EXPECT_EQ(guard.count(), 0u);
