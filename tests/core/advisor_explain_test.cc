@@ -65,6 +65,9 @@ TEST(AdvisorExplainTest, FullSamplePredictionsMatchActuals) {
   obs::AdvisorTrace trace;
   AdvisorOptions options;
   options.sample_size = input.size();  // sample == input: scale is 1
+  // The chosen (7,8) spends 7 signatures/set; the uncapped 4096 search
+  // only adds seconds.
+  options.max_signatures_per_set = 128;
   options.trace = &trace;
   auto choice = ChoosePartEnumParams(input, k, 0, options);
   ASSERT_TRUE(choice.ok()) << choice.status().ToString();

@@ -41,11 +41,19 @@ TEST(AdvisorTest, EvaluateReturnsSortedChoices) {
   }
 }
 
+// The advisor tests below cap the search at 128 signatures/set: the
+// settings they choose spend at most 18, and the uncapped 4096 search
+// costs seconds per test for the same choice.
+constexpr uint64_t kTestSignatureCap = 128;
+
 TEST(AdvisorTest, ChooseReturnsBest) {
   SetCollection input = Synthetic(400);
-  auto best = ChoosePartEnumParams(input, 6);
+  AdvisorOptions options;
+  options.max_signatures_per_set = kTestSignatureCap;
+  auto best = ChoosePartEnumParams(input, 6, 0, options);
   ASSERT_TRUE(best.ok());
-  std::vector<PartEnumChoice> all = EvaluatePartEnumParams(input, 6, 0, {});
+  std::vector<PartEnumChoice> all =
+      EvaluatePartEnumParams(input, 6, 0, options);
   EXPECT_EQ(best->params.n1, all.front().params.n1);
   EXPECT_EQ(best->params.n2, all.front().params.n2);
 }
@@ -56,6 +64,7 @@ TEST(AdvisorTest, LargerTargetPrefersMoreSignatures) {
   SetCollection input = Synthetic(500);
   AdvisorOptions options;
   options.sample_size = 300;
+  options.max_signatures_per_set = kTestSignatureCap;
   auto small = ChoosePartEnumParams(input, 8, 2000, options);
   auto large = ChoosePartEnumParams(input, 8, 2000000, options);
   ASSERT_TRUE(small.ok());
