@@ -58,7 +58,7 @@ class SignatureScheme {
 using SignatureSchemePtr = std::shared_ptr<const SignatureScheme>;
 
 /// Replaces *scratch with the deduplicated, sorted Sign(set) — the form
-/// the join operators and the spill writer consume.
+/// the join stages and the spill writer consume.
 void GenerateSorted(const SignatureScheme& scheme,
                     std::span<const ElementId> set,
                     std::vector<Signature>* scratch);

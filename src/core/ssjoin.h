@@ -103,8 +103,8 @@ struct JoinOptions {
   /// run. nullptr = no guardrails (zero overhead).
   ExecutionGuard* guard = nullptr;
   /// Optional span sink (DESIGN.md Section 8). When set, the driver
-  /// records a join → operator span skeleton (one span per plan
-  /// operator, named by its tag) plus runtime shard/chunk/block detail
+  /// records a join → stage span skeleton (one span per stage, named
+  /// by its tag) plus runtime shard/chunk/block detail
   /// into it. Not owned; must outlive the call. nullptr = no
   /// tracing (the null-sink default, within measurement noise of the
   /// pre-observability driver).
@@ -150,17 +150,17 @@ Status ValidateJoinOptions(const JoinOptions& options);
 /// Evaluation measures of one join execution (paper Section 3.2).
 struct JoinStats {
   // Phase wall-clock seconds (the stacked bars of Figures 12/18/19).
-  // Join() derives them from its operator ledger: each plan operator's
-  // self-time (Operator::Pull, pipeline.<op>.ns) is added to one field —
+  // Join() derives them from its stage ledger: each stage's time
+  // (pipeline.<tag>.ns) is added to one field —
   //   siggen_seconds      siggen
   //   candpair_seconds    candgen, spill_partition
   //   postfilter_seconds  bitmap_filter, verify
   // and dedup_emit feeds none (emission is not a Figure 2 step). The
-  // spilled source does SigGen and CandPair in one operator, so a
-  // spilled plan reports siggen_seconds == 0 and all source time as
-  // candpair_seconds; pipeline.<op>.ns and EXPLAIN keep the
-  // per-operator split. The DBMS driver (relational/sql_ssjoin.h), which
-  // is not an operator chain, times the three steps directly; the string
+  // spilled source does SigGen and CandPair in one stage, so a spilled
+  // join reports siggen_seconds == 0 and all source time as
+  // candpair_seconds; pipeline.<tag>.ns and EXPLAIN keep the per-stage
+  // split. The DBMS driver (relational/sql_ssjoin.h), which does not run
+  // the Join() stages, times the three steps directly; the string
   // join (core/string_join.h) adds its two wrapper steps — q-gram
   // extraction and the edit-distance check — to the fields of its inner
   // Join().

@@ -4,8 +4,8 @@
 // q-grams on each side, so the q-gram *bags* of s1 and s2 have hamming
 // distance <= 2qk. A hamming SSJoin over the q-gram bags with threshold
 // 2qk is therefore a complete filter. Both entry points run that SSJoin
-// through Join() — the same operator chain, bitmap pre-filter, spill
-// path and per-operator ledger as every other join — and then check the
+// through Join() — the same stage sequence, bitmap pre-filter, spill
+// path and per-stage ledger as every other join — and then check the
 // exact banded edit distance over its pairs ("in application code",
 // Figure 16). Because the hamming check is complete, Join()'s pairs are
 // an exact superset of the edit-distance matches.
@@ -13,7 +13,7 @@
 // Accounting: `results` counts the edit-distance matches, and every
 // candidate that is not one — rejected by the hamming check or by the
 // edit check — counts as a false positive. The JoinStats seconds are
-// Join()'s operator times plus the wrapper's own two steps: q-gram
+// Join()'s stage times plus the wrapper's own two steps: q-gram
 // extraction and scheme construction add to siggen_seconds, the edit
 // check to postfilter_seconds.
 //

@@ -42,7 +42,7 @@ struct Enumeration {
   // include/exclude tree and their prefixes differ in at least one
   // included element. Equal signatures therefore mean a 64-bit hash
   // collision, which the two tags of a set could produce just the same;
-  // GenerateSorted deduplicates before any operator sees the output.
+  // GenerateSorted deduplicates before any stage sees the output.
   void Emit(Signature sig) { out->push_back(sig); }
 
   // Does any X ⊆ entries[idx..] complete `chosen` (with total size weight

@@ -38,7 +38,7 @@
 //     branch that made it, so two emissions differ in at least one
 //     included element and their prefix hashes agree only on a 64-bit
 //     collision — the same event that can already merge signatures across
-//     the two tags. GenerateSorted deduplicates before any operator runs.
+//     the two tags. GenerateSorted deduplicates before any stage runs.
 //   - Enumeration is budgeted (`max_nodes_per_set`, per set per tag: each
 //     instance starts with the full budget). Exceeding the budget
 //     (pathological weight distributions only; see DESIGN.md) sets

@@ -214,7 +214,7 @@ std::string ExplainText(const ExplainReport& report,
     }
   }
   if (!report.plan.empty()) {
-    out += "  plan (executed operator chain, source first):\n";
+    out += "  plan (executed stage chain, source first):\n";
     for (size_t i = 0; i < report.plan.size(); ++i) {
       const PlanOp& op = report.plan[i];
       std::snprintf(buf, sizeof(buf),

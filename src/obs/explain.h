@@ -103,15 +103,15 @@ struct DriftEntry {
   double Ratio() const;
 };
 
-/// One operator of the executed pipeline plan, recorded by the operator
-/// base class when it closes (src/core/pipeline/operator.h). `rows_in` /
+/// One stage of the executed join, recorded by its ledger when the stage
+/// closes (pipeline::Stage in src/core/pipeline/stages.h). `rows_in` /
 /// `rows_out` are the deterministic row counts that flowed through the
-/// operator (signatures, candidates, pairs — never batch counts, which
-/// would vary with scheduling). `self_seconds` is the operator's own
-/// wall time from the pull ledger: runtime-only, rendered by
-/// ExplainText() and never by ExplainJsonl().
+/// stage (signatures, candidates, pairs — never batch counts, which
+/// would vary with scheduling). `self_seconds` is the stage's own wall
+/// time from the stage ledger: runtime-only, rendered by ExplainText()
+/// and never by ExplainJsonl().
 struct PlanOp {
-  std::string op;      // operator name, e.g. "SigGen", "Verify"
+  std::string op;      // stage tag, e.g. "siggen", "verify"
   std::string detail;  // variant note, e.g. "sorted" / "deferred bitmap"
   uint64_t rows_in = 0;
   uint64_t rows_out = 0;
@@ -128,7 +128,7 @@ struct ExplainReport {
   /// key in place.
   std::vector<std::pair<std::string, std::string>> params;
   AdvisorTrace advisor;
-  /// The executed operator chain, source first. Replaced (not appended)
+  /// The executed stage chain, source first. Replaced (not appended)
   /// by each join so an accumulated report shows the last plan; empty
   /// when the join ran without an explain report attached mid-plan.
   std::vector<PlanOp> plan;
@@ -174,7 +174,7 @@ void AttachAdvisorTrace(ExplainReport* report, const AdvisorTrace& trace);
 /// emitted (they are not valid JSON).
 std::string ExplainJsonl(const ExplainReport& report);
 
-/// Human rendering: parameters, the executed plan with each operator's
+/// Human rendering: parameters, the executed plan with each stage's
 /// self time, the advisor search table with the chosen row marked, the
 /// drift table, then a runtime section (phase seconds and, when
 /// `metrics` is given, p50/p95/p99 of the per-shard/chunk latency

@@ -191,9 +191,9 @@ std::string RunReportText(const Tracer* tracer,
   std::string out;
   if (tracer != nullptr) {
     std::vector<SpanRecord> spans = tracer->Snapshot();
-    // Depth-first, children in creation order: a join's operator spans
-    // all open before its first pull, so a sample span starts after its
-    // operator's later siblings and creation order alone would misplace
+    // Depth-first, children in creation order: a join's stage spans all
+    // open before its first stage runs, so a sample span starts after its
+    // stage's later siblings and creation order alone would misplace
     // it. Span ids are creation index + 1 (0 = no parent); a parent id
     // not created before its child (one dropped by Tracer::Reset) reads
     // as a root.

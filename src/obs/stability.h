@@ -44,8 +44,8 @@ enum class Stability {
 // these constants.
 namespace names {
 
-// Span names. Each operator of a Join() plan also opens one kStable
-// span named by its tag (the kOp* constants below).
+// Span names. Each stage of a Join() also opens one kStable span named
+// by its tag (the kOp* constants below).
 inline constexpr std::string_view kSpanJoin = "join";
 inline constexpr std::string_view kSpanSigGen = "SigGen";
 inline constexpr std::string_view kSpanCandPair = "CandPair";
@@ -72,8 +72,8 @@ inline constexpr std::string_view kAttrBitmapFilterChecked =
 inline constexpr std::string_view kAttrBitmapFilterPruned =
     "bitmap_filter_pruned";
 inline constexpr std::string_view kAttrRows = "rows";
-// An operator span's deterministic row totals (the same values as the
-// pipeline.<op>.rows_in / rows_out counters).
+// A stage span's deterministic row totals (the same values as the
+// pipeline.<tag>.rows_in / rows_out counters).
 inline constexpr std::string_view kAttrRowsIn = "rows_in";
 inline constexpr std::string_view kAttrRowsOut = "rows_out";
 // Out-of-core execution (core/spill, DESIGN.md Section 12). "spill"
@@ -140,11 +140,11 @@ inline constexpr std::string_view kThreadpoolForkjoins =
     "threadpool.forkjoins";
 inline constexpr std::string_view kThreadpoolSize = "threadpool.size";
 
-// Per-operator pipeline metrics (core/pipeline + obs/join_telemetry's
-// OpInstrument). Dynamic family: "pipeline." + <op tag> + suffix, e.g.
+// Per-stage pipeline metrics (core/pipeline + obs/join_telemetry's
+// OpInstrument). Dynamic family: "pipeline." + <stage tag> + suffix, e.g.
 // "pipeline.verify.rows_out". The prefix is the registered name; the
 // lint accepts the prefix literal at the construction site. Row totals
-// (.rows_in/.rows_out) are functions of the input and plan, hence
+// (.rows_in/.rows_out) are functions of the input and stages, hence
 // kStable and exactly equal at any thread count / spill mode; batch
 // counts and self-time (.batches/.ns) depend on batch granularity and
 // the wall clock, hence kRuntime.
@@ -153,9 +153,8 @@ inline constexpr std::string_view kPipelineSuffixBatches = ".batches";
 inline constexpr std::string_view kPipelineSuffixRowsIn = ".rows_in";
 inline constexpr std::string_view kPipelineSuffixRowsOut = ".rows_out";
 inline constexpr std::string_view kPipelineSuffixNs = ".ns";
-// Operator metric tags (the <op> component). Tags are stable lowercase
-// identifiers, distinct from the human-facing operator names that the
-// EXPLAIN plan prints.
+// Stage tags (the <stage tag> component): each stage's one name, used by
+// its metrics, its span and its EXPLAIN plan row.
 inline constexpr std::string_view kOpSigGen = "siggen";
 inline constexpr std::string_view kOpCandGen = "candgen";
 inline constexpr std::string_view kOpBitmapFilter = "bitmap_filter";

@@ -1,6 +1,6 @@
 // Hierarchical tracing spans for join execution.
 //
-// A Tracer records a tree of spans (join → operator → shard/chunk) with
+// A Tracer records a tree of spans (join → stage → shard/chunk) with
 // wall-clock intervals, attributes, and point events. It is the
 // substrate behind the paper's Section 3.2 evaluation methodology made
 // first-class: instead of ad-hoc per-phase timers, every driver opens

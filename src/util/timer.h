@@ -1,5 +1,5 @@
 // Wall-clock timing: a monotonic stopwatch. Join phase seconds are not
-// timed here — a Join() plan derives them from its operator ledger
+// timed here — a Join() derives them from its stage ledger
 // (obs/join_telemetry.h).
 
 #pragma once

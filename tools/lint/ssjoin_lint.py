@@ -21,8 +21,8 @@ Rules (scope: the directories named in RULE_SCOPES):
                        assign, or branch on it).
   no-raw-timing        src/core must not time joins with a raw Stopwatch
                        (util/timer.h) or <chrono> clock reads; a Join()
-                       plan is timed once, by the operator ledger at
-                       Operator::Pull (obs::OpInstrument), and the other
+                       is timed once per stage, by the stage ledger
+                       (obs::OpInstrument), and the other
                        drivers through obs::JoinTelemetry, so spans,
                        metrics and JoinStats stay in one place.
                        execution_guard.{h,cc} are exempt (deadline
@@ -127,7 +127,7 @@ DROPPED_STATUS_RE = re.compile(
     % "|".join(STATUS_FUNCTIONS))
 # Raw timing machinery forbidden in src/core: the util/timer.h include
 # (where Stopwatch lives) and direct <chrono> clock reads. `#include
-# <chrono>` alone is also flagged — operator time comes from the pull
+# <chrono>` alone is also flagged — stage time comes from the stage
 # ledger, other core timing from a JoinTelemetry scope.
 # I/O primitives whose int/size_t result is the only report of a short
 # write, ENOSPC, or a buffered-write failure surfacing at flush/close.
@@ -294,7 +294,7 @@ class Linter:
                     if not allowed(lineno, "no-raw-timing"):
                         self.report(rel, lineno, "no-raw-timing",
                                     "src/core times joins through the "
-                                    "operator ledger or "
+                                    "stage ledger or "
                                     "obs::JoinTelemetry, not raw "
                                     "util/timer.h or std::chrono clocks "
                                     "(execution_guard is the only "
