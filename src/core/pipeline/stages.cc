@@ -32,58 +32,6 @@ size_t TableBytes(const SignatureTable& table) {
          table.offsets.size() * sizeof(size_t);
 }
 
-// Signature generation, fanned out per set into thread-local CSR parts
-// that are stitched back in set order: the layout is the same for any
-// thread count (a 1-thread pool runs the one part inline). A
-// tripped/cancelled guard stops the pass early; the caller must discard
-// the (incomplete) table when guard->tripped().
-SignatureTable GenerateAll(const SetCollection& input,
-                           const SignatureScheme& scheme, ThreadPool& pool,
-                           ExecutionGuard* guard) {
-  std::vector<SignatureTable> parts(pool.size());
-  ParallelFor(
-      pool, input.size(),
-      [&](size_t begin, size_t end, size_t c) {
-        SignatureTable& part = parts[c];
-        // With a guard the part arrives as several sub-blocks; only the
-        // first one plants the leading CSR offset.
-        if (part.offsets.empty()) {
-          part.offsets.reserve(
-              ChunkOf(input.size(), parts.size(), c).size() + 1);
-          part.offsets.push_back(0);
-        }
-        std::vector<Signature> scratch;
-        for (size_t id = begin; id < end; ++id) {
-          GenerateSorted(scheme, input.set(static_cast<SetId>(id)), &scratch);
-          part.values.insert(part.values.end(), scratch.begin(),
-                             scratch.end());
-          part.offsets.push_back(part.values.size());
-        }
-      },
-      StopFn(guard, JoinPhase::kSigGen));
-
-  if (parts.size() == 1) {
-    // The one part already is the table: move it rather than copy.
-    if (parts[0].offsets.empty()) parts[0].offsets.push_back(0);
-    return std::move(parts[0]);
-  }
-  SignatureTable table;
-  size_t total = 0;
-  for (const SignatureTable& part : parts) total += part.values.size();
-  table.values.reserve(total);
-  table.offsets.reserve(input.size() + 1);
-  table.offsets.push_back(0);
-  for (SignatureTable& part : parts) {
-    size_t base = table.values.size();
-    table.values.insert(table.values.end(), part.values.begin(),
-                        part.values.end());
-    for (size_t i = 1; i < part.offsets.size(); ++i) {
-      table.offsets.push_back(base + part.offsets[i]);
-    }
-  }
-  return table;
-}
-
 // Builds the XOR bitmap signature table for `input` with the rows
 // sharded across the pool. Row contents are per-set independent, so the
 // table is byte-identical for every thread count.
@@ -133,6 +81,82 @@ RangeTally FilterRange(const ExecContext& ctx, const BitmapTables& tables,
 
 }  // namespace
 
+SignatureTable GenerateAll(const SetCollection& input, size_t begin,
+                           size_t end, const SignatureScheme& scheme,
+                           ThreadPool& pool, ExecutionGuard* guard) {
+  const size_t sets = end - begin;
+  std::vector<SignatureTable> parts(pool.size());
+  ParallelFor(
+      pool, sets,
+      [&](size_t first, size_t last, size_t c) {
+        SignatureTable& part = parts[c];
+        // With a guard the part arrives as several sub-blocks; only the
+        // first one plants the leading CSR offset.
+        if (part.offsets.empty()) {
+          part.offsets.reserve(ChunkOf(sets, parts.size(), c).size() + 1);
+          part.offsets.push_back(0);
+        }
+        std::vector<Signature> scratch;
+        for (size_t i = first; i < last; ++i) {
+          GenerateSorted(scheme, input.set(static_cast<SetId>(begin + i)),
+                         &scratch);
+          part.values.insert(part.values.end(), scratch.begin(),
+                             scratch.end());
+          part.offsets.push_back(part.values.size());
+        }
+      },
+      StopFn(guard, JoinPhase::kSigGen));
+
+  if (parts.size() == 1) {
+    // The one part already is the table: move it rather than copy.
+    if (parts[0].offsets.empty()) parts[0].offsets.push_back(0);
+    return std::move(parts[0]);
+  }
+  SignatureTable table;
+  size_t total = 0;
+  for (const SignatureTable& part : parts) total += part.values.size();
+  table.values.reserve(total);
+  table.offsets.reserve(sets + 1);
+  table.offsets.push_back(0);
+  for (SignatureTable& part : parts) {
+    size_t base = table.values.size();
+    table.values.insert(table.values.end(), part.values.begin(),
+                        part.values.end());
+    for (size_t i = 1; i < part.offsets.size(); ++i) {
+      table.offsets.push_back(base + part.offsets[i]);
+    }
+  }
+  return table;
+}
+
+std::vector<uint64_t> UnionSorted(std::vector<std::vector<uint64_t>> lists,
+                                  ThreadPool& pool,
+                                  const std::function<bool()>& stop) {
+  while (lists.size() > 1) {
+    const size_t pairs = lists.size() / 2;
+    // Each round's outputs are sized and allocated here, on the calling
+    // thread: buffers a pool worker allocated would land in that
+    // worker's malloc arena, which keeps the freed rounds resident.
+    std::vector<std::vector<uint64_t>> next(pairs + lists.size() % 2);
+    for (size_t p = 0; p < pairs; ++p) {
+      next[p].reserve(lists[2 * p].size() + lists[2 * p + 1].size());
+    }
+    ParallelFor(pool, pairs, [&](size_t begin, size_t end, size_t) {
+      for (size_t p = begin; p < end; ++p) {
+        if (stop && stop()) return;
+        const std::vector<uint64_t>& a = lists[2 * p];
+        const std::vector<uint64_t>& b = lists[2 * p + 1];
+        std::set_union(a.begin(), a.end(), b.begin(), b.end(),
+                       std::back_inserter(next[p]));
+      }
+    });
+    if (lists.size() % 2) next.back() = std::move(lists.back());
+    lists = std::move(next);
+    if (stop && stop()) break;
+  }
+  return std::move(lists[0]);
+}
+
 void Stage::Close(const ExecContext& ctx) {
   inst_.Close(rows_in, rows_out);
   const double seconds = static_cast<double>(inst_.self_ns()) / 1e9;
@@ -158,9 +182,11 @@ Status GenerateSignatures(const ExecContext& ctx, Stage* stage,
     SSJOIN_RETURN_NOT_OK(guard->Checkpoint(JoinPhase::kSigGen));
   }
   const bool binary = ctx.right != nullptr;
-  *left = GenerateAll(*ctx.left, *ctx.scheme, *ctx.pool, guard);
+  *left = GenerateAll(*ctx.left, 0, ctx.left->size(), *ctx.scheme,
+                      *ctx.pool, guard);
   if (binary && (guard == nullptr || !guard->tripped())) {
-    *right = GenerateAll(*ctx.right, *ctx.scheme, *ctx.pool, guard);
+    *right = GenerateAll(*ctx.right, 0, ctx.right->size(), *ctx.scheme,
+                         *ctx.pool, guard);
   }
   if (guard != nullptr && guard->tripped()) {
     // Stopped mid-SigGen: the table is incomplete, commit nothing.
@@ -227,26 +253,7 @@ std::vector<uint64_t> GenerateCandidates(
     stats->signature_collisions += sc.collisions;
     lists.push_back(std::move(sc.packed));
   }
-  while (lists.size() > 1) {
-    size_t pairs = lists.size() / 2;
-    std::vector<std::vector<uint64_t>> next(pairs + lists.size() % 2);
-    ParallelFor(pool, pairs, [&](size_t begin, size_t end, size_t) {
-      for (size_t p = begin; p < end; ++p) {
-        if (stop && stop()) return;
-        const std::vector<uint64_t>& a = lists[2 * p];
-        const std::vector<uint64_t>& b = lists[2 * p + 1];
-        std::vector<uint64_t> merged;
-        merged.reserve(a.size() + b.size());
-        std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                       std::back_inserter(merged));
-        next[p] = std::move(merged);
-      }
-    });
-    if (lists.size() % 2) next.back() = std::move(lists.back());
-    lists = std::move(next);
-    if (stop && stop()) break;
-  }
-  std::vector<uint64_t> candidates = std::move(lists[0]);
+  std::vector<uint64_t> candidates = UnionSorted(std::move(lists), pool, stop);
   stats->candidates = candidates.size();
   return candidates;
 }
@@ -313,9 +320,7 @@ Status PartitionCandidates(const ExecContext& ctx, Stage* stage,
   uint64_t retries = 0;
   while (true) {
     JoinStats attempt;
-    Status st = spill::RunAttempt(*ctx.left, ctx.right, *ctx.scheme, options,
-                                  partitions, *ctx.pool, guard, *ctx.telem,
-                                  &attempt, candidates);
+    Status st = spill::RunAttempt(ctx, partitions, &attempt, candidates);
     // I/O bytes accumulate across attempts: failed work was still disk
     // traffic the join paid for.
     stats.spill_bytes_written += attempt.spill_bytes_written;

@@ -6,6 +6,10 @@
 //   in memory  siggen -> candgen [-> bitmap_filter] -> verify -> dedup_emit
 //   spilled    spill_partition [-> bitmap_filter] -> verify -> dedup_emit
 //
+// An auto spill switches source after siggen, in the same pass and chain
+// (siggen -> candgen -> spill_partition -> ...). The spill layer reuses
+// GenerateAll, GenerateCandidates and UnionSorted below.
+//
 // The source (candgen or spill_partition) materializes the whole sorted,
 // duplicate-free candidate vector. The driver builds the bitmap tables,
 // then walks the vector in kVerifySpan-candidate spans: each span is
@@ -63,8 +67,8 @@ struct ExecContext {
 /// One stage's ledger (DESIGN.md Section 14): the obs::OpInstrument that
 /// times it, plus the deterministic row totals that flowed through it
 /// (signatures, candidates, pairs; never batch counts, which vary with
-/// scheduling). The driver binds every stage of the chain in chain order
-/// and closes every one of them, in the same order, on every exit path.
+/// scheduling). The driver binds every stage of the chain before it runs
+/// and closes every one of them, in chain order, on every exit path.
 class Stage {
  public:
   /// `tag` is the stage's one name: its metric, span and EXPLAIN name (a
@@ -101,7 +105,7 @@ class Stage {
   };
 
   /// Binds the instrument to the run's telemetry; `lane` is the stage's
-  /// chain position.
+  /// trace lane, the order in which the driver bound it.
   void Bind(obs::JoinTelemetry* telemetry, uint32_t lane) {
     inst_.Bind(telemetry, tag_, lane);
   }
@@ -137,6 +141,14 @@ struct SignatureTable {
 /// pins.
 inline constexpr size_t kVerifySpan = 16384;
 
+/// The SigGen routine: the signatures of sets [begin, end) of `input` as
+/// a CSR table, generated range-parallel and stitched in set order (the
+/// same at any thread count). A tripped guard stops it early; the caller
+/// discards the table then. The spill layer calls it per chunk of sets.
+SignatureTable GenerateAll(const SetCollection& input, size_t begin,
+                           size_t end, const SignatureScheme& scheme,
+                           ThreadPool& pool, ExecutionGuard* guard);
+
 /// siggen: Checkpoint(kSigGen), then each side's signatures into a CSR
 /// table, fanned out per set and stitched in set order. `right` stays
 /// empty for the self-join. signatures_r/s are committed only when
@@ -146,9 +158,9 @@ Status GenerateSignatures(const ExecContext& ctx, Stage* stage,
 
 /// The auto-spill budget check (DESIGN.md Section 12): true when, with
 /// SpillPolicy::kAuto and a memory budget, charging the signature tables
-/// would exceed the budget, so the join should rerun spilled rather than
-/// trip the guard. The footprint is thread-count-independent, so the
-/// decision is deterministic.
+/// would exceed the budget, so the join should switch to the spilled
+/// source rather than trip the guard. The footprint is
+/// thread-count-independent, so the decision is deterministic.
 bool ExceedsSpillBudget(const ExecContext& ctx, const SignatureTable& left,
                         const SignatureTable& right);
 
@@ -160,12 +172,19 @@ Status PairCandidates(const ExecContext& ctx, Stage* stage,
                       SignatureTable* left, SignatureTable* right,
                       std::vector<uint64_t>* candidates);
 
+/// The one candidate union, of candgen's shards and of the spill layer's
+/// partitions: merges the (one or more) sorted duplicate-free `lists` in
+/// pairwise set_union rounds on the pool, an odd list carried over. A
+/// stop abandons the merges; the caller discards the partial result.
+std::vector<uint64_t> UnionSorted(std::vector<std::vector<uint64_t>> lists,
+                                  ThreadPool& pool,
+                                  const std::function<bool()>& stop);
+
 /// The pair-up-and-union step of candgen, shared with the spill layer's
 /// per-partition loop (core/spill/spill_join.cc): pairs up every pool
 /// shard (self-join over `shards_l` when `shards_r` is null, otherwise
-/// the binary merge of the two sides), then unions the sorted shard
-/// outputs in log2(shards) pairwise set_union rounds, each round's
-/// merges running in parallel. Adds into stats->signature_collisions,
+/// the binary merge of the two sides), then merges the sorted shard
+/// outputs with UnionSorted. Adds into stats->signature_collisions,
 /// sets stats->candidates, and returns the global sorted duplicate-free
 /// candidate vector.
 std::vector<uint64_t> GenerateCandidates(
@@ -180,7 +199,7 @@ std::vector<uint64_t> GenerateCandidates(
 /// trips are final; exhausted retries surrender with the
 /// completed-signature counts but no candidate accounting. Signature
 /// generation happens inside the attempts, so the stage's whole time
-/// feeds candpair_seconds and siggen_seconds stays 0.
+/// feeds candpair_seconds.
 Status PartitionCandidates(const ExecContext& ctx, Stage* stage,
                            std::vector<uint64_t>* candidates);
 

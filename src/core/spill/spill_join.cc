@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <functional>
-#include <iterator>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -12,7 +11,6 @@
 #include "core/kernels/posting_groups.h"
 #include "core/pipeline/stages.h"
 #include "core/spill/spill_file.h"
-#include "obs/join_telemetry.h"
 #include "util/hashing.h"
 #include "util/status.h"
 #include "util/temp_dir.h"
@@ -85,17 +83,18 @@ uint64_t WriterBytes(const std::vector<SpillFileWriter>& writers) {
 }
 
 // Write stage for one input side: streams Sign(set) postings into the
-// partition writers. Signature generation is pool-parallel per chunk;
-// the append pass is sequential in set order, so the file bytes are
-// identical for every thread count. `*signatures` is only meaningful
-// when the function returns OK (a stopped chunk leaves it partial; the
-// caller commits it to stats only on success).
-Status WriteSide(const SetCollection& input, const SignatureScheme& scheme,
-                 ThreadPool& pool, ExecutionGuard* guard,
+// partition writers. Each chunk's signatures come from the in-memory
+// SigGen routine (pipeline::GenerateAll, pool-parallel); the append pass
+// is sequential in set order, so the file bytes are identical for every
+// thread count. `*signatures` is only meaningful when the function
+// returns OK (a stopped chunk leaves it partial; the caller commits it
+// to stats only on success).
+Status WriteSide(const pipeline::ExecContext& ctx, const SetCollection& input,
                  ChargeLedger* ledger, uint32_t partitions,
                  const util::ScopedTempDir& tmp, const char* prefix,
                  std::vector<SpillFileWriter>* writers,
                  uint64_t* signatures) {
+  ExecutionGuard* guard = ctx.guard;
   writers->resize(partitions);
   for (uint32_t p = 0; p < partitions; ++p) {
     SSJOIN_RETURN_NOT_OK((*writers)[p].Open(
@@ -108,27 +107,19 @@ Status WriteSide(const SetCollection& input, const SignatureScheme& scheme,
     charged = total;
   };
   charge_delta();  // the per-file headers
-  std::vector<std::vector<Signature>> sigs;
   for (size_t c0 = 0; c0 < input.size(); c0 += kWriteChunkSets) {
     if (guard != nullptr) {
       SSJOIN_RETURN_NOT_OK(guard->Checkpoint(JoinPhase::kSpill));
     }
     size_t c1 = std::min(static_cast<size_t>(input.size()),
                          c0 + kWriteChunkSets);
-    sigs.assign(c1 - c0, {});
-    ParallelFor(
-        pool, c1 - c0,
-        [&](size_t begin, size_t end, size_t) {
-          for (size_t i = begin; i < end; ++i) {
-            GenerateSorted(scheme, input.set(static_cast<SetId>(c0 + i)),
-                           &sigs[i]);
-          }
-        },
-        StopFn(guard, JoinPhase::kSigGen));
+    pipeline::SignatureTable chunk =
+        pipeline::GenerateAll(input, c0, c1, *ctx.scheme, *ctx.pool, guard);
     if (guard != nullptr && guard->tripped()) return guard->trip_status();
-    for (size_t i = 0; i < sigs.size(); ++i) {
-      *signatures += sigs[i].size();
-      for (Signature sig : sigs[i]) {
+    *signatures += chunk.total();
+    for (size_t i = 0; i + 1 < chunk.offsets.size(); ++i) {
+      for (size_t k = chunk.offsets[i]; k < chunk.offsets[i + 1]; ++k) {
+        Signature sig = chunk.values[k];
         SSJOIN_RETURN_NOT_OK((*writers)[PartitionOf(sig, partitions)].Append(
             sig, static_cast<SetId>(c0 + i)));
       }
@@ -144,26 +135,25 @@ Status WriteSide(const SetCollection& input, const SignatureScheme& scheme,
 
 }  // namespace
 
-Status RunAttempt(const SetCollection& left, const SetCollection* right,
-                  const SignatureScheme& scheme, const JoinOptions& options,
-                  uint32_t partitions, ThreadPool& pool,
-                  ExecutionGuard* guard, obs::JoinTelemetry& telem,
+Status RunAttempt(const pipeline::ExecContext& ctx, uint32_t partitions,
                   JoinStats* stats, std::vector<uint64_t>* candidates) {
+  const SetCollection* right = ctx.right;
+  ThreadPool& pool = *ctx.pool;
+  ExecutionGuard* guard = ctx.guard;
   util::ScopedTempDir tmp;
-  SSJOIN_ASSIGN_OR_RETURN(tmp, util::ScopedTempDir::Create(options.spill.dir));
+  SSJOIN_ASSIGN_OR_RETURN(tmp,
+                          util::ScopedTempDir::Create(ctx.options->spill.dir));
   ChargeLedger ledger(guard);
 
   std::vector<SpillFileWriter> writers_l;
   std::vector<SpillFileWriter> writers_r;
   uint64_t signatures_l = 0;
   uint64_t signatures_r = 0;
-  Status write_status =
-      WriteSide(left, scheme, pool, guard, &ledger, partitions, tmp,
-                "part-r-", &writers_l, &signatures_l);
+  Status write_status = WriteSide(ctx, *ctx.left, &ledger, partitions, tmp,
+                                  "part-r-", &writers_l, &signatures_l);
   if (write_status.ok() && right != nullptr) {
-    write_status = WriteSide(*right, scheme, pool, guard, &ledger,
-                             partitions, tmp, "part-s-", &writers_r,
-                             &signatures_r);
+    write_status = WriteSide(ctx, *right, &ledger, partitions, tmp, "part-s-",
+                             &writers_r, &signatures_r);
   }
   // Bytes any writer durably handed off count into the attempt's I/O
   // accounting even when the stage failed mid-file.
@@ -181,7 +171,7 @@ Status RunAttempt(const SetCollection& left, const SetCollection* right,
   }
 
   std::function<bool()> stop = StopFn(guard, JoinPhase::kCandGen);
-  std::vector<uint64_t> merged;
+  std::vector<std::vector<uint64_t>> lists(partitions);
   for (uint32_t p = 0; p < partitions; ++p) {
     std::vector<Posting> postings_l;
     std::vector<Posting> postings_r;
@@ -214,26 +204,18 @@ Status RunAttempt(const SetCollection& left, const SetCollection* right,
     std::vector<kernels::PostingShard> shards_l = group(&postings_l);
     std::vector<kernels::PostingShard> shards_r;
     if (right != nullptr) shards_r = group(&postings_r);
-    std::vector<uint64_t> part_candidates = pipeline::GenerateCandidates(
+    lists[p] = pipeline::GenerateCandidates(
         shards_l, right != nullptr ? &shards_r : nullptr, pool, stop, stats,
-        &telem);
+        ctx.telem);
     if (guard != nullptr && guard->tripped()) return guard->trip_status();
-    if (merged.empty()) {
-      merged = std::move(part_candidates);
-    } else if (!part_candidates.empty()) {
-      // Sorted union with the candidates so far: a pair reachable via
-      // signatures in two partitions dedups here, exactly as the
-      // in-memory shard union dedups it.
-      std::vector<uint64_t> unioned;
-      unioned.reserve(merged.size() + part_candidates.size());
-      std::set_union(merged.begin(), merged.end(), part_candidates.begin(),
-                     part_candidates.end(), std::back_inserter(unioned));
-      merged = std::move(unioned);
-    }
     ledger.ReleaseMemory(partition_bytes);
   }
-  stats->candidates = merged.size();
-  *candidates = std::move(merged);
+  // The in-memory union over the partitions' lists: a pair reachable via
+  // signatures in two partitions dedups here, exactly as the in-memory
+  // shard union dedups it.
+  *candidates = pipeline::UnionSorted(std::move(lists), pool, stop);
+  if (guard != nullptr && guard->tripped()) return guard->trip_status();
+  stats->candidates = candidates->size();
   return Status::OK();
 }
 

@@ -3,22 +3,25 @@
 // When memory pressure would trip the guard — or the spill policy forces
 // it — Join() degrades instead of failing: the one driver in
 // core/ssjoin.cc runs the spill_partition source stage
-// (pipeline::PartitionCandidates), which calls RunAttempt below.
-// Signature generation streams its postings into K hash-partitioned,
-// checksummed spill files (core/spill/spill_file.h), and candidate
-// generation runs one partition at a time, each through the *same*
-// grouping and pair-up-and-union routine as the in-memory path
-// (pipeline::GenerateCandidates); the verify tail is the in-memory one.
+// (pipeline::PartitionCandidates), which calls RunAttempt below. A
+// forced spill starts there; an auto spill switches to it after siggen,
+// in the same pass. It is the in-memory join's code run per partition:
+// SigGen (pipeline::GenerateAll) streams each chunk's postings into K
+// hash-partitioned, checksummed spill files (core/spill/spill_file.h);
+// each partition is grouped and paired up by candgen's routine
+// (pipeline::GenerateCandidates); candgen's union (pipeline::UnionSorted)
+// merges the partitions' lists; the verify tail is the in-memory one.
 //
 // The partitioning invariant that makes this exact: postings are routed
 // by a hash of the signature alone, so every signature group lands
 // wholly inside one partition. Per-partition collision counts therefore
 // sum to exactly the serial total, and the only cross-partition overlap
 // — a candidate pair reachable via two signatures in two partitions —
-// is removed by the sorted set_union merge, the same dedup the in-memory
-// shards already rely on. A spilled join returns byte-identical pairs
-// and exactly-equal legacy stats at any thread count and any partition
-// count; only the spill_* stats and wall-clock differ.
+// is removed by the union of the partitions' sorted lists, the same
+// dedup the in-memory shards already rely on. A spilled join returns
+// byte-identical pairs and exactly-equal legacy stats at any thread
+// count and any partition count; only the spill_* stats and wall-clock
+// differ.
 //
 // Failure-first: every file operation returns a structured Status, spill
 // files live in a util::ScopedTempDir that is removed on every exit path
@@ -32,13 +35,12 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/execution_guard.h"
-#include "core/signature_scheme.h"
 #include "core/ssjoin.h"
-#include "data/collection.h"
-#include "obs/join_telemetry.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
+
+namespace ssjoin::pipeline {
+struct ExecContext;
+}  // namespace ssjoin::pipeline
 
 namespace ssjoin::spill {
 
@@ -56,19 +58,16 @@ inline constexpr uint32_t kMaxRetries = 2;
 /// pin kDisabled escape a CI-wide force.
 SpillPolicy ResolvePolicy(SpillPolicy requested);
 
-/// One spill attempt at a fixed partition count: write both sides
-/// (`right` null selects the self-join) into partition files, then run
-/// candidate generation partition by partition and merge. Fills `stats`
-/// (signature/collision/candidate counters, spill byte counters —
-/// always, so failed attempts still account their I/O) and
-/// `*candidates` (only valid on OK). The attempt's temp directory and
-/// guard charges are released on every path; the merged candidate
-/// vector is the only thing that escapes. pipeline::PartitionCandidates
-/// drives the retry loop around this.
-Status RunAttempt(const SetCollection& left, const SetCollection* right,
-                  const SignatureScheme& scheme, const JoinOptions& options,
-                  uint32_t partitions, ThreadPool& pool, ExecutionGuard* guard,
-                  obs::JoinTelemetry& telem, JoinStats* stats,
-                  std::vector<uint64_t>* candidates);
+/// One spill attempt of the join `ctx` describes at a fixed partition
+/// count: write both sides (`ctx.right` null selects the self-join) into
+/// partition files, run candidate generation partition by partition, and
+/// union the partitions' lists. Fills `stats` (signature/collision/
+/// candidate counters, spill byte counters — always, so failed attempts
+/// still account their I/O) and `*candidates` (only valid on OK). The
+/// attempt's temp directory and guard charges are released on every
+/// path; the merged candidate vector is the only thing that escapes.
+/// pipeline::PartitionCandidates drives the retry loop around this.
+Status RunAttempt(const pipeline::ExecContext& ctx, uint32_t partitions,
+                  JoinStats* stats, std::vector<uint64_t>* candidates);
 
 }  // namespace ssjoin::spill

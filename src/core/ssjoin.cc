@@ -46,15 +46,6 @@ std::string JoinStats::ToString() const {
 
 namespace {
 
-// How one run of the driver generates candidates: in memory, or out of
-// core because an in-memory run degraded (kAuto) or the spill policy
-// forced it (kForced).
-enum class SpillState { kNone, kAuto, kForced };
-
-std::string_view SpillStateName(SpillState spill) {
-  return spill == SpillState::kForced ? "forced" : "auto";
-}
-
 // Publishes the end-of-join accounting — root-span attributes plus the
 // join.* metrics — and, when the guard tripped, the trip cause as a span
 // event on the root. Runs on every exit path, so traces and metrics of
@@ -180,19 +171,34 @@ struct Stages {
   pipeline::Stage emit{obs::names::kOpDedupEmit, "append", nullptr};
 };
 
-// How a pass over the stages ended when no stage failed.
-enum class PassEnd { kDone, kRerunSpilled };
+// Marks the join spilled — "forced" up front, or "auto" when an
+// in-memory pass degrades — on the root span and the EXPLAIN header.
+void MarkSpilled(const pipeline::ExecContext& ctx, std::string_view how) {
+  ctx.telem->Attr("spill", how);
+  if (obs::ExplainReport* explain = ctx.options->explain) {
+    explain->SetParam("spill", how);
+    const uint32_t partitions = ctx.options->spill.partitions;
+    explain->SetParam("spill_partitions",
+                      std::to_string(partitions != 0
+                                         ? partitions
+                                         : spill::kDefaultPartitions));
+  }
+}
 
 // The stage sequence (DESIGN.md Section 13): candidates from the source,
 // the bitmap tables, then per kVerifySpan-candidate span the filter, the
 // verify barrier and evaluation, and the append; the final verify
-// barrier last. Returns kRerunSpilled when the auto-spill budget check
-// fires after SigGen.
-Result<PassEnd> RunStages(const pipeline::ExecContext& ctx, bool spilled,
-                          Stages& stages) {
-  const bool bitmap = ctx.options->bitmap_bits != 0;
+// barrier last. When the auto-spill budget check fires after SigGen,
+// before the guard could latch, the same pass degrades: it frees the
+// tables and siggen's signature counts, and binds spill_partition into
+// `chain` after candgen as its source. siggen and candgen keep their
+// rows and time, so the one chain reports all the join paid for.
+Status RunStages(const pipeline::ExecContext& ctx, std::string_view mode,
+                 Stages& stages, std::vector<pipeline::Stage*>* chain) {
+  const JoinOptions& options = *ctx.options;
+  const bool bitmap = options.bitmap_bits != 0;
   std::vector<uint64_t> candidates;
-  if (spilled) {
+  if (options.spill.policy == SpillPolicy::kForced) {
     SSJOIN_RETURN_NOT_OK(
         pipeline::PartitionCandidates(ctx, &stages.partition, &candidates));
   } else {
@@ -200,11 +206,21 @@ Result<PassEnd> RunStages(const pipeline::ExecContext& ctx, bool spilled,
     SSJOIN_RETURN_NOT_OK(
         pipeline::GenerateSignatures(ctx, &stages.siggen, &left, &right));
     stages.candgen.rows_in = left.total() + right.total();
-    if (pipeline::ExceedsSpillBudget(ctx, left, right)) {
-      return PassEnd::kRerunSpilled;
+    if (!pipeline::ExceedsSpillBudget(ctx, left, right)) {
+      SSJOIN_RETURN_NOT_OK(pipeline::PairCandidates(
+          ctx, &stages.candgen, &left, &right, &candidates));
+    } else {
+      left = right = pipeline::SignatureTable();
+      ctx.result->stats.signatures_r = ctx.result->stats.signatures_s = 0;
+      obs::LogEvent(options.log, obs::LogLevel::kWarn, "spill_degrade",
+                    {{"mode", mode}});
+      MarkSpilled(ctx, "auto");
+      chain->insert(chain->begin() + 2, &stages.partition);
+      stages.partition.Bind(ctx.telem,
+                            static_cast<uint32_t>(chain->size() - 1));
+      SSJOIN_RETURN_NOT_OK(
+          pipeline::PartitionCandidates(ctx, &stages.partition, &candidates));
     }
-    SSJOIN_RETURN_NOT_OK(pipeline::PairCandidates(ctx, &stages.candgen, &left,
-                                                  &right, &candidates));
   }
   pipeline::BitmapTables bitmaps;
   if (bitmap) pipeline::BuildBitmaps(ctx, &stages.filter, &bitmaps);
@@ -223,24 +239,18 @@ Result<PassEnd> RunStages(const pipeline::ExecContext& ctx, bool spilled,
                                               span, tally, &verified));
     pipeline::EmitPairs(ctx, &stages.emit, verified);
   }
-  SSJOIN_RETURN_NOT_OK(
-      pipeline::FinishVerify(ctx, &stages.verify, candidates.size()));
-  return PassEnd::kDone;
+  return pipeline::FinishVerify(ctx, &stages.verify, candidates.size());
 }
 
-// The driver. `request` is validated and its spill policy resolved.
-// When the auto-spill budget check fires it calls itself with
-// SpillState::kAuto on the same pool; the outer root span stays open,
-// so the spilled run's root nests under it. The degraded pass holds no
-// guard memory: it stops before candgen's first charge, and the bitmap
-// tables are never built.
-JoinResult RunJoin(const JoinRequest& request, SpillState spill,
-                   ThreadPool& pool) {
+// The driver, once per Join(). `request` is validated and its spill
+// policy resolved.
+JoinResult RunJoin(const JoinRequest& request) {
   const JoinOptions& options = request.options;
   const SetCollection& left = *request.left;
   const SetCollection* right =
       request.mode == ExecutionMode::kBinaryJoin ? request.right : nullptr;
   const std::string_view mode = ExecutionModeName(request.mode);
+  const bool forced = options.spill.policy == SpillPolicy::kForced;
   const uint64_t input_sets =
       left.size() + (right != nullptr ? right->size() : 0);
   JoinResult result;
@@ -252,29 +262,7 @@ JoinResult RunJoin(const JoinRequest& request, SpillState spill,
   } else {
     telem.Attr("input_sets", static_cast<uint64_t>(left.size()));
   }
-  if (spill == SpillState::kNone) {
-    obs::LogEvent(options.log, obs::LogLevel::kDebug, "join_start",
-                  {{"mode", mode}, {"input_sets", input_sets}});
-  } else {
-    telem.Attr("spill", SpillStateName(spill));
-    obs::LogEvent(options.log, obs::LogLevel::kDebug, "join_start",
-                  {{"mode", mode},
-                   {"spill", SpillStateName(spill)},
-                   {"input_sets", input_sets}});
-  }
-  pool.BindMetrics(options.metrics);
-  ExecutionGuard* guard = options.guard;
-  if (guard != nullptr) guard->BindMetrics(options.metrics);
-  kernels::IntersectCounts isect0 = kernels::IntersectDispatchCounts();
-  if (spill != SpillState::kNone && options.explain != nullptr) {
-    options.explain->SetParam("spill", SpillStateName(spill));
-    options.explain->SetParam(
-        "spill_partitions",
-        std::to_string(options.spill.partitions != 0
-                           ? options.spill.partitions
-                           : spill::kDefaultPartitions));
-  }
-
+  ThreadPool pool(ResolveThreadCount(options.num_threads));
   pipeline::ExecContext ctx;
   ctx.left = &left;
   ctx.right = right;
@@ -282,16 +270,30 @@ JoinResult RunJoin(const JoinRequest& request, SpillState spill,
   ctx.predicate = request.predicate;
   ctx.options = &options;
   ctx.pool = &pool;
-  ctx.guard = guard;
+  ctx.guard = options.guard;
   ctx.telem = &telem;
   ctx.result = &result;
-  // The chain, source first. Its order is the stages' span order and
-  // trace lanes and the EXPLAIN plan rows; every stage in it is bound
-  // before the first runs and closed, in order, on every exit path.
-  const bool spilled = spill != SpillState::kNone;
+  if (forced) {
+    MarkSpilled(ctx, "forced");
+    obs::LogEvent(options.log, obs::LogLevel::kDebug, "join_start",
+                  {{"mode", mode},
+                   {"spill", "forced"},
+                   {"input_sets", input_sets}});
+  } else {
+    obs::LogEvent(options.log, obs::LogLevel::kDebug, "join_start",
+                  {{"mode", mode}, {"input_sets", input_sets}});
+  }
+  pool.BindMetrics(options.metrics);
+  ExecutionGuard* guard = options.guard;
+  if (guard != nullptr) guard->BindMetrics(options.metrics);
+  kernels::IntersectCounts isect0 = kernels::IntersectDispatchCounts();
+
+  // The chain, source first. Its order is the EXPLAIN plan rows' order;
+  // every stage in it is bound before it runs (its bind order is its
+  // trace lane) and closed, in chain order, on every exit path.
   Stages stages(options.bitmap_bits);
   std::vector<pipeline::Stage*> chain;
-  if (spilled) {
+  if (forced) {
     chain = {&stages.partition};
   } else {
     chain = {&stages.siggen, &stages.candgen};
@@ -305,24 +307,17 @@ JoinResult RunJoin(const JoinRequest& request, SpillState spill,
   for (size_t i = 0; i < chain.size(); ++i) {
     chain[i]->Bind(&telem, static_cast<uint32_t>(i));
   }
-  Result<PassEnd> end = RunStages(ctx, spilled, stages);
+  Status status = RunStages(ctx, mode, stages, &chain);
   for (pipeline::Stage* stage : chain) stage->Close(ctx);
-  if (end.ok() && *end == PassEnd::kRerunSpilled) {
-    // SigGen found, before the guard could latch, that the in-memory
-    // tables would blow the memory budget.
-    obs::LogEvent(options.log, obs::LogLevel::kWarn, "spill_degrade",
-                  {{"mode", mode}});
-    return RunJoin(request, SpillState::kAuto, pool);
-  }
-  if (!end.ok()) {
+  if (!status.ok()) {
     result.pairs.clear();
-    result.status = end.status();
+    result.status = std::move(status);
   }
   FinishJoin(telem, result, guard, options.explain, isect0);
   if (!result.status.ok()) {
     obs::LogEvent(options.log, obs::LogLevel::kWarn, "join_abort",
                   {{"error", result.status.ToString()}});
-  } else if (spill == SpillState::kNone) {
+  } else if (result.stats.spill_partitions == 0) {
     obs::LogEvent(options.log, obs::LogLevel::kInfo, "join_finish",
                   {{"results", result.stats.results},
                    {"candidates", result.stats.candidates}});
@@ -457,11 +452,7 @@ JoinResult Join(const JoinRequest& request) {
   // Forcing the spill path is valid for every mode.
   resolved.options.spill.policy =
       spill::ResolvePolicy(resolved.options.spill.policy);
-  const bool forced = resolved.options.spill.policy == SpillPolicy::kForced;
-  // One pool per Join(): an auto-spill rerun reuses it.
-  ThreadPool pool(ResolveThreadCount(resolved.options.num_threads));
-  return RunJoin(resolved, forced ? SpillState::kForced : SpillState::kNone,
-                 pool);
+  return RunJoin(resolved);
 }
 
 }  // namespace ssjoin

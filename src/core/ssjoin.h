@@ -156,12 +156,14 @@ struct JoinStats {
   //   candpair_seconds    candgen, spill_partition
   //   postfilter_seconds  bitmap_filter, verify
   // and dedup_emit feeds none (emission is not a Figure 2 step). The
-  // spilled source does SigGen and CandPair in one stage, so a spilled
-  // join reports siggen_seconds == 0 and all source time as
-  // candpair_seconds; pipeline.<tag>.ns and EXPLAIN keep the per-stage
-  // split. The DBMS driver (relational/sql_ssjoin.h), which does not run
-  // the Join() stages, times the three steps directly; the string
-  // join (core/string_join.h) adds its two wrapper steps — q-gram
+  // spilled source does SigGen and CandPair in one stage, so a forced
+  // spill reports siggen_seconds == 0 and all source time as
+  // candpair_seconds. An auto spill that degraded also reports, as
+  // siggen_seconds, the in-memory generation it paid for before the
+  // switch. pipeline.<tag>.ns and EXPLAIN keep the per-stage split.
+  // The DBMS driver (relational/sql_ssjoin.h), which does not run the
+  // Join() stages, times the three steps directly; the string join
+  // (core/string_join.h) adds its two wrapper steps — q-gram
   // extraction and the edit-distance check — to the fields of its inner
   // Join().
   double siggen_seconds = 0;

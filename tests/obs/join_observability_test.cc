@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <map>
 #include <set>
 #include <string>
@@ -25,11 +26,14 @@
 #include "core/ssjoin.h"
 #include "core/string_join.h"
 #include "data/generators.h"
+#include "obs/explain.h"
 #include "obs/export.h"
+#include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "relational/sql_ssjoin.h"
 #include "text/tokenizer.h"
+#include "util/temp_dir.h"
 
 namespace ssjoin {
 namespace {
@@ -144,6 +148,76 @@ TEST(ObsDeterminismTest, SpilledExportIsThreadCountInvariant) {
   EXPECT_NE(spilled.find("\"name\":\"spill_partition\""),
             std::string::npos);
   EXPECT_EQ(spilled.find("\"name\":\"siggen\""), std::string::npos);
+}
+
+// A kAuto join whose memory budget is below its signature tables
+// degrades inside its one pass: one join span, one join_start and one
+// spill_degrade record, and one plan chain that keeps the abandoned
+// in-memory stages' rows ahead of the spilled source. Each plan row
+// agrees with its published pipeline.<tag>.rows_out counter.
+TEST(ObsDeterminismTest, AutoSpillDegradesInOnePass) {
+  SetCollection input = Workload(700, 71);
+  auto scheme = MakeScheme(input, 0.8);
+  ASSERT_TRUE(scheme.ok());
+  JaccardPredicate predicate(0.8);
+  ExecutionBudget budget;
+  budget.memory_budget_bytes = size_t{64} << 10;
+  ExecutionGuard guard(budget);
+  auto dir = util::ScopedTempDir::Create();
+  ASSERT_TRUE(dir.ok()) << dir.status().ToString();
+  const std::string log_path = dir->path() + "/join.jsonl";
+  obs::LoggerOptions log_options;
+  log_options.min_level = obs::LogLevel::kDebug;
+  auto logger = obs::Logger::Open(log_path, log_options);
+  ASSERT_TRUE(logger.ok()) << logger.status().ToString();
+  obs::Tracer tracer;
+  obs::MetricsRegistry metrics;
+  obs::ExplainReport explain;
+
+  JoinRequest request = SelfJoinRequest(input, *scheme, predicate);
+  request.options.num_threads = 4;
+  request.options.bitmap_bits = 128;
+  request.options.spill.policy = SpillPolicy::kAuto;
+  request.options.guard = &guard;
+  request.options.tracer = &tracer;
+  request.options.metrics = &metrics;
+  request.options.log = logger->get();
+  request.options.explain = &explain;
+  JoinResult result = Join(request);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  ASSERT_GT(result.stats.spill_partitions, 0u) << "the join must degrade";
+  logger->reset();  // flushes and closes the log file
+
+  size_t join_spans = 0;
+  for (const obs::SpanRecord& span : tracer.Snapshot()) {
+    if (span.name == "join") ++join_spans;
+  }
+  EXPECT_EQ(join_spans, 1u);
+
+  std::ifstream log_file(log_path);
+  ASSERT_TRUE(log_file.good()) << log_path;
+  std::map<std::string, size_t> events;
+  for (std::string line; std::getline(log_file, line);) {
+    const std::string key = "\"event\":\"";
+    size_t at = line.find(key);
+    ASSERT_NE(at, std::string::npos) << line;
+    at += key.size();
+    ++events[line.substr(at, line.find('"', at) - at)];
+  }
+  EXPECT_EQ(events["join_start"], 1u);
+  EXPECT_EQ(events["spill_degrade"], 1u);
+
+  const std::vector<std::string> expected = {
+      "siggen",        "candgen", "spill_partition",
+      "bitmap_filter", "verify",  "dedup_emit"};
+  std::vector<std::string> ops;
+  for (const obs::PlanOp& row : explain.plan) {
+    ops.push_back(row.op);
+    EXPECT_EQ(row.rows_out,
+              metrics.counter("pipeline." + row.op + ".rows_out").value())
+        << row.op;
+  }
+  EXPECT_EQ(ops, expected);
 }
 
 // (name, parent name) of every kStable span, in creation order.

@@ -69,6 +69,12 @@ run_cli_expect_error(--memory-budget-mb jaccard --input "${DATA}" --gamma 0.8
                      --memory-budget-mb 17592186044416 --out "${BAD}")
 run_cli_expect_error(--disk-budget-mb jaccard --input "${DATA}" --gamma 0.8
                      --disk-budget-mb 17592186044416 --out "${BAD}")
+# One past the caps ValidateJoinOptions enforces (kMaxJoinThreads,
+# kMaxSpillPartitions): the CLI must refuse them naming its own flag.
+run_cli_expect_error(--threads jaccard --input "${DATA}" --gamma 0.8
+                     --threads 4097 --out "${BAD}")
+run_cli_expect_error(--spill-partitions jaccard --input "${DATA}" --gamma 0.8
+                     --spill-partitions 4097 --out "${BAD}")
 # NaN fails every ordered comparison, so a range check written as
 # `x <= 0 || x > 1` lets it through to a contract abort.
 foreach(algo pen pf lsh probecount paircount)

@@ -193,8 +193,9 @@ Result<SetCollection> LoadInput(Flags& flags) {
 // Reads --threads and --bitmap-bits into JoinOptions (see kUsage).
 Result<JoinOptions> ThreadedJoinOptions(Flags& flags) {
   SSJOIN_ASSIGN_OR_RETURN(int64_t threads, flags.GetInt("threads", 1));
-  if (threads < 0) {
-    return Status::InvalidArgument("--threads must be >= 0");
+  if (threads < 0 || threads > static_cast<int64_t>(kMaxJoinThreads)) {
+    return Status::InvalidArgument("--threads must be in [0, " +
+                                   std::to_string(kMaxJoinThreads) + "]");
   }
   SSJOIN_ASSIGN_OR_RETURN(int64_t bitmap_bits,
                           flags.GetInt("bitmap-bits", 128));
@@ -220,9 +221,9 @@ Result<JoinOptions> ThreadedJoinOptions(Flags& flags) {
                           flags.GetString("spill-dir", ""));
   SSJOIN_ASSIGN_OR_RETURN(int64_t spill_partitions,
                           flags.GetInt("spill-partitions", 0));
-  if (spill_partitions < 0 || spill_partitions > (1 << 20)) {
-    return Status::InvalidArgument(
-        "--spill-partitions must be in [0, 2^20]");
+  if (spill_partitions < 0 || spill_partitions > kMaxSpillPartitions) {
+    return Status::InvalidArgument("--spill-partitions must be in [0, " +
+                                   std::to_string(kMaxSpillPartitions) + "]");
   }
   options.spill.partitions = static_cast<uint32_t>(spill_partitions);
   return options;
