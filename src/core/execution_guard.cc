@@ -127,12 +127,6 @@ void SetPlan(FaultPlan plan) {
 #endif
 }
 
-void InjectTrip(std::optional<JoinPhase> phase, StatusCode code) {
-  FaultPlan plan;
-  plan.specs.push_back(CheckpointTrip(phase, code));
-  SetPlan(std::move(plan));
-}
-
 void Clear() { SetPlan(FaultPlan{}); }
 
 std::optional<StatusCode> ConsumeCheckpoint(JoinPhase phase) {

@@ -315,10 +315,6 @@ struct FaultPlan {
 /// consulted thread-safely).
 void SetPlan(FaultPlan plan);
 
-/// Legacy one-shot shim, kept as a thin wrapper: equivalent to
-/// SetPlan({CheckpointTrip(phase, code)}).
-void InjectTrip(std::optional<JoinPhase> phase, StatusCode code);
-
 /// Disarms any pending plan.
 void Clear();
 

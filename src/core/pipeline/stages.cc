@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <iterator>
-#include <string>
 #include <utility>
 
 #include "core/execution_guard.h"
 #include "core/signature_scheme.h"
 #include "core/spill/spill_join.h"
-#include "obs/explain.h"
 #include "obs/log.h"
 #include "util/thread_pool.h"
 
@@ -157,25 +155,9 @@ std::vector<uint64_t> UnionSorted(std::vector<std::vector<uint64_t>> lists,
   return std::move(lists[0]);
 }
 
-void Stage::Close(const ExecContext& ctx) {
-  inst_.Close(rows_in, rows_out);
-  const double seconds = static_cast<double>(inst_.self_ns()) / 1e9;
-  if (seconds_ != nullptr) ctx.result->stats.*seconds_ += seconds;
-  obs::ExplainReport* explain = ctx.options->explain;
-  if (explain == nullptr) return;
-  explain->plan.push_back(
-      {std::string(tag_), detail_, rows_in, rows_out, seconds});
-  // The stage's drift actual: what actually flowed out of it
-  // (deterministic: the same rows at any thread count).
-  std::string drift_name(obs::names::kPipelinePrefix);
-  drift_name += tag_;
-  drift_name += obs::names::kPipelineSuffixRowsOut;
-  explain->Actual(drift_name, static_cast<double>(rows_out));
-}
-
-Status GenerateSignatures(const ExecContext& ctx, Stage* stage,
+Status GenerateSignatures(const ExecContext& ctx, obs::Stage* stage,
                           SignatureTable* left, SignatureTable* right) {
-  Stage::Timed timed(stage);
+  obs::Stage::Timed timed(stage);
   ExecutionGuard* guard = ctx.guard;
   JoinStats& stats = ctx.result->stats;
   if (guard != nullptr) {
@@ -258,10 +240,10 @@ std::vector<uint64_t> GenerateCandidates(
   return candidates;
 }
 
-Status PairCandidates(const ExecContext& ctx, Stage* stage,
+Status PairCandidates(const ExecContext& ctx, obs::Stage* stage,
                       SignatureTable* left, SignatureTable* right,
                       std::vector<uint64_t>* candidates) {
-  Stage::Timed timed(stage);
+  obs::Stage::Timed timed(stage);
   ExecutionGuard* guard = ctx.guard;
   JoinStats& stats = ctx.result->stats;
   ThreadPool& pool = *ctx.pool;
@@ -303,9 +285,9 @@ Status PairCandidates(const ExecContext& ctx, Stage* stage,
   return Status::OK();
 }
 
-Status PartitionCandidates(const ExecContext& ctx, Stage* stage,
+Status PartitionCandidates(const ExecContext& ctx, obs::Stage* stage,
                            std::vector<uint64_t>* candidates) {
-  Stage::Timed timed(stage);
+  obs::Stage::Timed timed(stage);
   ExecutionGuard* guard = ctx.guard;
   JoinStats& stats = ctx.result->stats;
   const JoinOptions& options = *ctx.options;
@@ -365,8 +347,9 @@ Status PartitionCandidates(const ExecContext& ctx, Stage* stage,
   return Status::OK();
 }
 
-void BuildBitmaps(const ExecContext& ctx, Stage* stage, BitmapTables* tables) {
-  Stage::Timed timed(stage);
+void BuildBitmaps(const ExecContext& ctx, obs::Stage* stage,
+                  BitmapTables* tables) {
+  obs::Stage::Timed timed(stage);
   const uint32_t bits = ctx.options->bitmap_bits;
   tables->left = BuildBitmap(*ctx.left, bits, *ctx.pool);
   if (ctx.right != nullptr) {
@@ -378,10 +361,10 @@ void BuildBitmaps(const ExecContext& ctx, Stage* stage, BitmapTables* tables) {
   }
 }
 
-size_t FilterSpan(const ExecContext& ctx, Stage* stage,
+size_t FilterSpan(const ExecContext& ctx, obs::Stage* stage,
                   const BitmapTables& tables, std::span<uint64_t> span,
                   BitmapTally* tally) {
-  Stage::Timed timed(stage);
+  obs::Stage::Timed timed(stage);
   stage->rows_in += span.size();
   const size_t ranges = ctx.pool->size();
   std::vector<RangeTally> tallies(ranges);
@@ -408,11 +391,11 @@ size_t FilterSpan(const ExecContext& ctx, Stage* stage,
   return kept;
 }
 
-Status VerifySpan(const ExecContext& ctx, Stage* stage, size_t start,
+Status VerifySpan(const ExecContext& ctx, obs::Stage* stage, size_t start,
                   std::span<const uint64_t> survivors,
                   const BitmapTally& tally,
                   std::vector<std::vector<SetPair>>* verified) {
-  Stage::Timed timed(stage);
+  obs::Stage::Timed timed(stage);
   JoinStats& stats = ctx.result->stats;
   ExecutionGuard* guard = ctx.guard;
   if (guard != nullptr) {
@@ -471,8 +454,9 @@ Status VerifySpan(const ExecContext& ctx, Stage* stage, size_t start,
   return Status::OK();
 }
 
-Status FinishVerify(const ExecContext& ctx, Stage* stage, size_t candidates) {
-  Stage::Timed timed(stage);
+Status FinishVerify(const ExecContext& ctx, obs::Stage* stage,
+                    size_t candidates) {
+  obs::Stage::Timed timed(stage);
   ExecutionGuard* guard = ctx.guard;
   if (guard == nullptr) return Status::OK();
   if (candidates == 0) {
@@ -482,9 +466,9 @@ Status FinishVerify(const ExecContext& ctx, Stage* stage, size_t candidates) {
                              ctx.result->stats.results);
 }
 
-void EmitPairs(const ExecContext& ctx, Stage* stage,
+void EmitPairs(const ExecContext& ctx, obs::Stage* stage,
                const std::vector<std::vector<SetPair>>& verified) {
-  Stage::Timed timed(stage);
+  obs::Stage::Timed timed(stage);
   std::vector<SetPair>& pairs = ctx.result->pairs;
   const size_t before = pairs.size();
   for (const std::vector<SetPair>& range : verified) {

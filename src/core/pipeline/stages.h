@@ -17,8 +17,10 @@
 // are appended to the result. bitmap_filter is present only when
 // options.bitmap_bits != 0.
 //
-// Every stage function keeps its Stage ledger: it times itself with a
-// Stage::Timed scope and maintains the stage's row totals.
+// Every stage function keeps its obs::Stage ledger (obs/join_telemetry.h):
+// it times itself with a Stage::Timed scope and maintains the stage's
+// row totals. The driver binds every stage of the chain before it runs
+// and closes every one of them, in chain order, on every exit path.
 //
 // Determinism contract: every count a stage commits is derived from
 // input order, never from scheduling, so pairs, JoinStats and the
@@ -30,9 +32,6 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
 
 #include "core/kernels/bitmap_filter.h"
@@ -64,67 +63,6 @@ struct ExecContext {
   JoinResult* result = nullptr;
 };
 
-/// One stage's ledger (DESIGN.md Section 14): the obs::OpInstrument that
-/// times it, plus the deterministic row totals that flowed through it
-/// (signatures, candidates, pairs; never batch counts, which vary with
-/// scheduling). The driver binds every stage of the chain before it runs
-/// and closes every one of them, in chain order, on every exit path.
-class Stage {
- public:
-  /// `tag` is the stage's one name: its metric, span and EXPLAIN name (a
-  /// names::kOp* constant from obs/stability.h). `seconds` is the
-  /// JoinStats field its time feeds, or null for a stage outside the
-  /// Figure 2 steps.
-  Stage(std::string_view tag, std::string detail, double JoinStats::*seconds)
-      : tag_(tag), detail_(std::move(detail)), seconds_(seconds) {}
-  Stage(const Stage&) = delete;
-  Stage& operator=(const Stage&) = delete;
-
-  /// Times one call into the stage: construction starts the clock and
-  /// makes the stage's span the current span; destruction adds the
-  /// elapsed time, the batches counted with Produced() and the current
-  /// row totals to the instrument.
-  class Timed {
-   public:
-    explicit Timed(Stage* stage)
-        : stage_(stage), start_(stage->inst_.Begin()) {}
-    ~Timed() {
-      stage_->inst_.End(start_, batches_, stage_->rows_in,
-                        stage_->rows_out);
-    }
-    Timed(const Timed&) = delete;
-    Timed& operator=(const Timed&) = delete;
-
-    /// Counts `batches` data batches the call handed down the chain.
-    void Produced(uint64_t batches = 1) { batches_ += batches; }
-
-   private:
-    Stage* stage_;
-    obs::OpInstrument::Start start_;
-    uint64_t batches_ = 0;
-  };
-
-  /// Binds the instrument to the run's telemetry; `lane` is the stage's
-  /// trace lane, the order in which the driver bound it.
-  void Bind(obs::JoinTelemetry* telemetry, uint32_t lane) {
-    inst_.Bind(telemetry, tag_, lane);
-  }
-
-  /// Flushes the instrument (final row totals, span close), adds the
-  /// stage's time to its JoinStats seconds field, and records its
-  /// EXPLAIN plan row and rows_out drift actual.
-  void Close(const ExecContext& ctx);
-
-  uint64_t rows_in = 0;
-  uint64_t rows_out = 0;
-
- private:
-  std::string_view tag_;  // static-storage names:: constant
-  std::string detail_;
-  double JoinStats::*seconds_;
-  obs::OpInstrument inst_;
-};
-
 /// One input side's flattened per-set signature lists (CSR): `values`
 /// holds the concatenated, per-set-deduplicated Sign(set) lists;
 /// `offsets` has collection.size() + 1 entries.
@@ -153,7 +91,7 @@ SignatureTable GenerateAll(const SetCollection& input, size_t begin,
 /// table, fanned out per set and stitched in set order. `right` stays
 /// empty for the self-join. signatures_r/s are committed only when
 /// generation completed untripped.
-Status GenerateSignatures(const ExecContext& ctx, Stage* stage,
+Status GenerateSignatures(const ExecContext& ctx, obs::Stage* stage,
                           SignatureTable* left, SignatureTable* right);
 
 /// The auto-spill budget check (DESIGN.md Section 12): true when, with
@@ -168,7 +106,7 @@ bool ExceedsSpillBudget(const ExecContext& ctx, const SignatureTable& left,
 /// table's postings (freeing the table), pairs them up and unions the
 /// shards into the sorted candidate vector, then charges it. A trip
 /// zeroes the partial collision and candidate counters.
-Status PairCandidates(const ExecContext& ctx, Stage* stage,
+Status PairCandidates(const ExecContext& ctx, obs::Stage* stage,
                       SignatureTable* left, SignatureTable* right,
                       std::vector<uint64_t>* candidates);
 
@@ -200,7 +138,7 @@ std::vector<uint64_t> GenerateCandidates(
 /// completed-signature counts but no candidate accounting. Signature
 /// generation happens inside the attempts, so the stage's whole time
 /// feeds candpair_seconds.
-Status PartitionCandidates(const ExecContext& ctx, Stage* stage,
+Status PartitionCandidates(const ExecContext& ctx, obs::Stage* stage,
                            std::vector<uint64_t>* candidates);
 
 /// bitmap_filter's XOR bitmap tables. The self-join leaves `right` empty
@@ -218,13 +156,14 @@ struct BitmapTally {
 
 /// bitmap_filter, once: builds the tables range-parallel and charges
 /// them to the guard.
-void BuildBitmaps(const ExecContext& ctx, Stage* stage, BitmapTables* tables);
+void BuildBitmaps(const ExecContext& ctx, obs::Stage* stage,
+                  BitmapTables* tables);
 
 /// bitmap_filter, per span: compacts `span` in place to the candidates
 /// the bitmaps cannot rule out, preserving candidate order, and returns
 /// how many survived. Fills `tally` but never touches JoinStats: verify
 /// commits it after the span's barrier.
-size_t FilterSpan(const ExecContext& ctx, Stage* stage,
+size_t FilterSpan(const ExecContext& ctx, obs::Stage* stage,
                   const BitmapTables& tables, std::span<uint64_t> span,
                   BitmapTally* tally);
 
@@ -233,7 +172,7 @@ size_t FilterSpan(const ExecContext& ctx, Stage* stage,
 /// results so far), then commits `tally`, then evaluates `survivors`
 /// range-parallel into `verified` (one vector per range, in candidate
 /// order) and charges the pairs.
-Status VerifySpan(const ExecContext& ctx, Stage* stage, size_t start,
+Status VerifySpan(const ExecContext& ctx, obs::Stage* stage, size_t start,
                   std::span<const uint64_t> survivors,
                   const BitmapTally& tally,
                   std::vector<std::vector<SetPair>>* verified);
@@ -241,12 +180,13 @@ Status VerifySpan(const ExecContext& ctx, Stage* stage, size_t start,
 /// verify, after the last span: the final barrier over all `candidates`
 /// (a checkpoint first when there were none, so no span ran), so a join
 /// whose explosion only crosses the ratio in its last span still trips.
-Status FinishVerify(const ExecContext& ctx, Stage* stage, size_t candidates);
+Status FinishVerify(const ExecContext& ctx, obs::Stage* stage,
+                    size_t candidates);
 
 /// dedup_emit: appends the span's `verified` pairs to the result in
 /// range order. Both sources emit sorted, duplicate-free candidates, so
 /// appending yields the final sorted pair vector.
-void EmitPairs(const ExecContext& ctx, Stage* stage,
+void EmitPairs(const ExecContext& ctx, obs::Stage* stage,
                const std::vector<std::vector<SetPair>>& verified);
 
 }  // namespace ssjoin::pipeline

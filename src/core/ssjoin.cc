@@ -152,23 +152,27 @@ void FinishJoin(obs::JoinTelemetry& telem, const JoinResult& result,
 }
 
 // The ledgers of every stage a pass can run; the chain built in RunJoin
-// picks the ones that do.
+// picks the ones that do. Each feeds its time into one of `stats`'
+// seconds fields (dedup_emit into none).
 struct Stages {
-  explicit Stages(uint32_t bitmap_bits)
-      : filter(obs::names::kOpBitmapFilter,
+  Stages(uint32_t bitmap_bits, JoinStats* stats)
+      : siggen(obs::names::kOpSigGen, "csr", &stats->siggen_seconds),
+        candgen(obs::names::kOpCandGen, "sorted shards",
+                &stats->candpair_seconds),
+        partition(obs::names::kOpSpillPartition, "partitioned",
+                  &stats->candpair_seconds),
+        filter(obs::names::kOpBitmapFilter,
                std::to_string(bitmap_bits) + "-bit deferred",
-               &JoinStats::postfilter_seconds) {}
+               &stats->postfilter_seconds),
+        verify(obs::names::kOpVerify, "chunked", &stats->postfilter_seconds),
+        emit(obs::names::kOpDedupEmit, "append", nullptr) {}
 
-  pipeline::Stage siggen{obs::names::kOpSigGen, "csr",
-                         &JoinStats::siggen_seconds};
-  pipeline::Stage candgen{obs::names::kOpCandGen, "sorted shards",
-                          &JoinStats::candpair_seconds};
-  pipeline::Stage partition{obs::names::kOpSpillPartition, "partitioned",
-                            &JoinStats::candpair_seconds};
-  pipeline::Stage filter;
-  pipeline::Stage verify{obs::names::kOpVerify, "chunked",
-                         &JoinStats::postfilter_seconds};
-  pipeline::Stage emit{obs::names::kOpDedupEmit, "append", nullptr};
+  obs::Stage siggen;
+  obs::Stage candgen;
+  obs::Stage partition;
+  obs::Stage filter;
+  obs::Stage verify;
+  obs::Stage emit;
 };
 
 // Marks the join spilled — "forced" up front, or "auto" when an
@@ -194,7 +198,7 @@ void MarkSpilled(const pipeline::ExecContext& ctx, std::string_view how) {
 // `chain` after candgen as its source. siggen and candgen keep their
 // rows and time, so the one chain reports all the join paid for.
 Status RunStages(const pipeline::ExecContext& ctx, std::string_view mode,
-                 Stages& stages, std::vector<pipeline::Stage*>* chain) {
+                 Stages& stages, std::vector<obs::Stage*>* chain) {
   const JoinOptions& options = *ctx.options;
   const bool bitmap = options.bitmap_bits != 0;
   std::vector<uint64_t> candidates;
@@ -291,8 +295,8 @@ JoinResult RunJoin(const JoinRequest& request) {
   // The chain, source first. Its order is the EXPLAIN plan rows' order;
   // every stage in it is bound before it runs (its bind order is its
   // trace lane) and closed, in chain order, on every exit path.
-  Stages stages(options.bitmap_bits);
-  std::vector<pipeline::Stage*> chain;
+  Stages stages(options.bitmap_bits, &result.stats);
+  std::vector<obs::Stage*> chain;
   if (forced) {
     chain = {&stages.partition};
   } else {
@@ -308,7 +312,7 @@ JoinResult RunJoin(const JoinRequest& request) {
     chain[i]->Bind(&telem, static_cast<uint32_t>(i));
   }
   Status status = RunStages(ctx, mode, stages, &chain);
-  for (pipeline::Stage* stage : chain) stage->Close(ctx);
+  for (obs::Stage* stage : chain) stage->Close(options.explain);
   if (!status.ok()) {
     result.pairs.clear();
     result.status = std::move(status);

@@ -161,11 +161,12 @@ struct JoinStats {
   // candpair_seconds. An auto spill that degraded also reports, as
   // siggen_seconds, the in-memory generation it paid for before the
   // switch. pipeline.<tag>.ns and EXPLAIN keep the per-stage split.
-  // The DBMS driver (relational/sql_ssjoin.h), which does not run the
-  // Join() stages, times the three steps directly; the string join
-  // (core/string_join.h) adds its two wrapper steps — q-gram
-  // extraction and the edit-distance check — to the fields of its inner
-  // Join().
+  // The other drivers keep the same ledger (obs::Stage) under their
+  // own stage tags: the DBMS plans (relational/sql_ssjoin.h) time their
+  // siggen, candgen and verify steps into the three fields, and the
+  // string join (core/string_join.h) adds its qgram step to
+  // siggen_seconds and its edit_check step to postfilter_seconds, on
+  // top of its inner Join()'s fields.
   double siggen_seconds = 0;
   double candpair_seconds = 0;
   double postfilter_seconds = 0;
@@ -242,7 +243,7 @@ enum class ExecutionMode {
   /// instance generates signatures for both sides.
   kBinaryJoin = 1,
   /// Runs kSelfJoin; removed with the benchmark's `plan.pipelined_*`
-  /// rows (ROADMAP item 5).
+  /// rows (ROADMAP item 7).
   kPipelinedSelfJoin = 2,
 };
 

@@ -80,20 +80,25 @@ Result<JoinResult> RunStringJoin(const std::vector<std::string>& r_strings,
 
   // Figure 16's first step: grams and signatures "on-the-fly, in
   // application-level code". Gram extraction and the scheme built over
-  // the gram bags count as SigGen; the signatures themselves are
-  // generated inside Join().
-  double siggen_seconds = 0;
+  // the gram bags are the qgram stage, which counts as SigGen; the
+  // signatures themselves are generated inside Join().
+  double qgram_seconds = 0;
   SetCollection r_bags, s_bags;
   std::unique_ptr<SignatureScheme> scheme;
-  {
-    auto scope = telem.Phase(obs::names::kSpanSigGen, &siggen_seconds);
-    QgramExtractor extractor(QgramOptions{.q = options.q});
-    r_bags = extractor.ExtractAllAsBags(r_strings);
-    if (s_strings != nullptr) s_bags = extractor.ExtractAllAsBags(*s_strings);
-    SSJOIN_ASSIGN_OR_RETURN(
-        scheme, MakeScheme(options, hamming_k, r_bags,
-                           s_strings != nullptr ? &s_bags : nullptr));
-  }
+  SSJOIN_RETURN_NOT_OK(obs::RunStage(
+      &telem, obs::names::kOpQgram, 0, &qgram_seconds,
+      r_strings.size() + (s_strings != nullptr ? s_strings->size() : 0),
+      [&]() -> Result<uint64_t> {
+        QgramExtractor extractor(QgramOptions{.q = options.q});
+        r_bags = extractor.ExtractAllAsBags(r_strings);
+        if (s_strings != nullptr) {
+          s_bags = extractor.ExtractAllAsBags(*s_strings);
+        }
+        SSJOIN_ASSIGN_OR_RETURN(
+            scheme, MakeScheme(options, hamming_k, r_bags,
+                               s_strings != nullptr ? &s_bags : nullptr));
+        return r_bags.size() + s_bags.size();
+      }));
 
   // The hamming SSJoin at 2qk. Its pairs are an exact superset of the
   // edit-distance matches (see string_join.h).
@@ -106,26 +111,28 @@ Result<JoinResult> RunStringJoin(const std::vector<std::string>& r_strings,
                : BinaryJoinRequest(r_bags, s_bags, *scheme, predicate,
                                    join_options));
   if (!result.status.ok()) return result.status;
-  result.stats.siggen_seconds += siggen_seconds;
+  result.stats.siggen_seconds += qgram_seconds;
 
-  // The exact edit distance over the survivors, "in application code".
-  // A survivor that fails it is one more false positive of the join.
-  {
-    auto scope = telem.Phase(obs::names::kSpanPostFilter,
-                             &result.stats.postfilter_seconds);
-    const std::vector<std::string>& s_side =
-        s_strings != nullptr ? *s_strings : r_strings;
-    size_t kept = 0;
-    for (const SetPair& pair : result.pairs) {
-      if (WithinEditDistance(r_strings[pair.first], s_side[pair.second],
-                             options.edit_threshold)) {
-        result.pairs[kept++] = pair;
-      }
-    }
-    result.stats.false_positives += result.pairs.size() - kept;
-    result.stats.results = kept;
-    result.pairs.resize(kept);
-  }
+  // The edit_check stage: the exact edit distance over the survivors,
+  // "in application code". A survivor that fails it is one more false
+  // positive of the join.
+  SSJOIN_RETURN_NOT_OK(obs::RunStage(
+      &telem, obs::names::kOpEditCheck, 1, &result.stats.postfilter_seconds,
+      result.pairs.size(), [&]() -> Result<uint64_t> {
+        const std::vector<std::string>& s_side =
+            s_strings != nullptr ? *s_strings : r_strings;
+        size_t kept = 0;
+        for (const SetPair& pair : result.pairs) {
+          if (WithinEditDistance(r_strings[pair.first], s_side[pair.second],
+                                 options.edit_threshold)) {
+            result.pairs[kept++] = pair;
+          }
+        }
+        result.stats.false_positives += result.pairs.size() - kept;
+        result.stats.results = kept;
+        result.pairs.resize(kept);
+        return kept;
+      }));
 
   telem.Attr("results", result.stats.results);
   return result;

@@ -12,10 +12,12 @@
 //
 // Accounting: `results` counts the edit-distance matches, and every
 // candidate that is not one — rejected by the hamming check or by the
-// edit check — counts as a false positive. The JoinStats seconds are
-// Join()'s stage times plus the wrapper's own two steps: q-gram
-// extraction and scheme construction add to siggen_seconds, the edit
-// check to postfilter_seconds.
+// edit check — counts as a false positive. The wrapper's own two steps
+// keep the same stage ledger as Join()'s stages (obs::Stage), under the
+// tags `qgram` (q-gram extraction and scheme construction) and
+// `edit_check` (the edit-distance check of Join()'s pairs). The JoinStats
+// seconds are Join()'s stage times plus those two: qgram adds to
+// siggen_seconds, edit_check to postfilter_seconds.
 //
 // Note on the bound: the paper states the bound as "<= nk", but its own
 // Example 1 (washington/woshington: one substitution, 3-gram hamming

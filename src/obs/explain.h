@@ -104,7 +104,7 @@ struct DriftEntry {
 };
 
 /// One stage of the executed join, recorded by its ledger when the stage
-/// closes (pipeline::Stage in src/core/pipeline/stages.h). `rows_in` /
+/// closes (obs::Stage in obs/join_telemetry.h). `rows_in` /
 /// `rows_out` are the deterministic row counts that flowed through the
 /// stage (signatures, candidates, pairs — never batch counts, which
 /// would vary with scheduling). `self_seconds` is the stage's own wall

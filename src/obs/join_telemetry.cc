@@ -4,6 +4,8 @@
 #include <chrono>
 #include <string>
 
+#include "obs/explain.h"
+
 namespace ssjoin::obs {
 namespace {
 
@@ -26,27 +28,6 @@ JoinTelemetry::JoinTelemetry(Tracer* tracer, MetricsRegistry* metrics,
 
 JoinTelemetry::~JoinTelemetry() {
   if (tracer_ != nullptr && root_ != kNoSpan) tracer_->EndSpan(root_);
-}
-
-JoinTelemetry::PhaseScope::~PhaseScope() {
-  *seconds_ += watch_.ElapsedSeconds();
-  if (span_ != kNoSpan) telemetry_->tracer_->EndSpan(span_);
-}
-
-JoinTelemetry::PhaseScope JoinTelemetry::Phase(std::string_view name,
-                                               double* seconds) {
-  SpanId span = kNoSpan;
-  if (tracer_ != nullptr) {
-    span = tracer_->StartSpan(name, root_, Stability::kStable);
-    current_span_ = span;
-  }
-  return PhaseScope(this, seconds, span);
-}
-
-void JoinTelemetry::PhaseAttr(std::string_view key, uint64_t value) {
-  if (tracer_ != nullptr && current_span_ != kNoSpan) {
-    tracer_->SetAttr(current_span_, key, value);
-  }
 }
 
 JoinTelemetry::SampleScope::~SampleScope() {
@@ -101,13 +82,16 @@ void JoinTelemetry::SetGauge(std::string_view name, double value,
   if (metrics_ != nullptr) metrics_->gauge(name, stability).Set(value);
 }
 
-void OpInstrument::Bind(JoinTelemetry* telemetry, std::string_view tag,
-                        uint32_t lane) {
+Stage::~Stage() {
+  if (span_ != kNoSpan) telemetry_->tracer()->EndSpan(span_);
+}
+
+void Stage::Bind(JoinTelemetry* telemetry, uint32_t lane) {
   telemetry_ = telemetry;
   if (telemetry == nullptr) return;
   if (MetricsRegistry* metrics = telemetry->metrics(); metrics != nullptr) {
     std::string base(names::kPipelinePrefix);
-    base += tag;
+    base += tag_;
     // Row totals are functions of the input and stages — stable. Batch
     // granularity and self-time vary with thread count and the wall
     // clock — runtime (see obs/stability.h).
@@ -120,41 +104,39 @@ void OpInstrument::Bind(JoinTelemetry* telemetry, std::string_view tag,
     rows_out_counter_ =
         &metrics->counter(base + std::string(names::kPipelineSuffixRowsOut),
                           Stability::kStable);
-    self_ns_counter_ =
+    ns_counter_ =
         &metrics->counter(base + std::string(names::kPipelineSuffixNs),
                           Stability::kRuntime);
   }
   if (Tracer* tracer = telemetry->tracer(); tracer != nullptr) {
-    span_ = tracer->StartSpan(tag, telemetry->root(), Stability::kStable,
+    span_ = tracer->StartSpan(tag_, telemetry->root(), Stability::kStable,
                               lane);
   }
 }
 
-OpInstrument::Start OpInstrument::Begin() {
-  Start start;
-  if (span_ != kNoSpan) {
-    start.outer_span = telemetry_->current_span_;
-    telemetry_->current_span_ = span_;
+Stage::Timed::Timed(Stage* stage) : stage_(stage) {
+  if (stage->span_ != kNoSpan) {
+    outer_span_ = stage->telemetry_->current_span_;
+    stage->telemetry_->current_span_ = stage->span_;
   }
-  start.ns = NowNs();
-  return start;
+  start_ns_ = NowNs();
 }
 
-void OpInstrument::End(const Start& start, uint64_t batches,
-                       uint64_t rows_in, uint64_t rows_out) {
+Stage::Timed::~Timed() {
   const uint64_t elapsed =
-      static_cast<uint64_t>(std::max<int64_t>(0, NowNs() - start.ns));
-  self_ns_ += elapsed;
-  batches_ += batches;
-  if (span_ != kNoSpan) telemetry_->current_span_ = start.outer_span;
-  if (publishing()) {
-    self_ns_counter_->Add(elapsed);
-    if (batches > 0) batches_counter_->Add(batches);
-    PublishRows(rows_in, rows_out);
+      static_cast<uint64_t>(std::max<int64_t>(0, NowNs() - start_ns_));
+  Stage& stage = *stage_;
+  stage.ns_ += elapsed;
+  stage.batches_ += batches_;
+  if (stage.span_ != kNoSpan) stage.telemetry_->current_span_ = outer_span_;
+  if (stage.publishing()) {
+    stage.ns_counter_->Add(elapsed);
+    if (batches_ > 0) stage.batches_counter_->Add(batches_);
+    stage.PublishRows();
   }
 }
 
-void OpInstrument::PublishRows(uint64_t rows_in, uint64_t rows_out) {
+void Stage::PublishRows() {
   if (rows_in > published_rows_in_) {
     rows_in_counter_->Add(rows_in - published_rows_in_);
     published_rows_in_ = rows_in;
@@ -165,8 +147,10 @@ void OpInstrument::PublishRows(uint64_t rows_in, uint64_t rows_out) {
   }
 }
 
-void OpInstrument::Close(uint64_t rows_in, uint64_t rows_out) {
-  if (publishing()) PublishRows(rows_in, rows_out);
+void Stage::Close(ExplainReport* explain) {
+  if (closed_) return;
+  closed_ = true;
+  if (publishing()) PublishRows();
   if (span_ != kNoSpan) {
     Tracer* tracer = telemetry_->tracer();
     tracer->SetAttr(span_, names::kAttrRowsIn, rows_in);
@@ -174,6 +158,17 @@ void OpInstrument::Close(uint64_t rows_in, uint64_t rows_out) {
     tracer->EndSpan(span_);
     span_ = kNoSpan;
   }
+  const double seconds = static_cast<double>(ns_) / 1e9;
+  if (seconds_ != nullptr) *seconds_ += seconds;
+  if (explain == nullptr) return;
+  explain->plan.push_back(
+      {std::string(tag_), detail_, rows_in, rows_out, seconds});
+  // The stage's drift actual: what actually flowed out of it
+  // (deterministic: the same rows at any thread count).
+  std::string drift_name(names::kPipelinePrefix);
+  drift_name += tag_;
+  drift_name += names::kPipelineSuffixRowsOut;
+  explain->Actual(drift_name, static_cast<double>(rows_out));
 }
 
 }  // namespace ssjoin::obs

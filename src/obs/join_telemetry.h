@@ -7,25 +7,23 @@
 //   * Null sinks cost nothing: every call is a branch on a null pointer;
 //     no allocation, no locking. The zero-allocation property is
 //     enforced by tests/obs.
-//   * One clock per stage: a Join() stage sequence is timed only by the
-//     OpInstrument below, one per stage; JoinStats seconds, the stage
-//     spans and pipeline.<tag>.ns are all derived from that one ledger.
-//     Phase() scopes time what is not a Join() stage straight into
-//     JoinStats: the DBMS driver's three steps, and the string join's
-//     two wrapper steps (q-gram extraction with scheme construction,
-//     and the edit-distance check) around its Join().
-//   * Stable vs runtime recording: stage spans and Phase() spans are
-//     kStable (the deterministic join skeleton); Sample() opens kRuntime
-//     spans for shard/chunk detail and feeds latency histograms.
+//   * One clock per stage: every driver times its stages only with the
+//     Stage ledger below, one per stage — Join()'s stage sequence, the
+//     DBMS plans' siggen/candgen/verify steps, and the string join's
+//     qgram and edit_check steps around its Join(). JoinStats seconds,
+//     the stage spans and pipeline.<tag>.* are all derived from it.
+//   * Stable vs runtime recording: stage spans are kStable (the
+//     deterministic join skeleton); Sample() opens kRuntime spans for
+//     shard/chunk detail and feeds latency histograms.
 //
 // Construction opens the root span; destruction closes it.
 //
 // Thread-safety (DESIGN.md Section 10): JoinTelemetry itself holds no
 // lock because it owns no shared mutable state — root_ is written once
 // in the constructor, and current_span_ is *control-thread-confined*:
-// only Phase() and the stage instruments, both on the driver's control
-// thread between parallel regions, write it. Worker threads may use
-// Sample(), Event(), Attr(), AddCount() and SetGauge() freely: those
+// only the Stage ledgers, on the driver's control thread between
+// parallel regions, write it. Worker threads may use Sample(), Event(),
+// Attr(), AddCount() and SetGauge() freely: those
 // delegate to the Tracer and MetricsRegistry sinks, whose capabilities
 // (their internal util::Mutex, see obs/trace.h and obs/metrics.h)
 // serialize the actual mutation. There is deliberately no annotation
@@ -36,14 +34,19 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <string_view>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/stability.h"
 #include "obs/trace.h"
+#include "util/status.h"
 #include "util/timer.h"
 
 namespace ssjoin::obs {
+
+struct ExplainReport;
 
 class JoinTelemetry {
  public:
@@ -62,39 +65,11 @@ class JoinTelemetry {
   SpanId root() const { return root_; }
   bool tracing() const { return tracer_ != nullptr; }
 
-  /// RAII phase scope: on destruction adds the elapsed seconds to
-  /// `*seconds` and closes the span (if one was opened).
-  class PhaseScope {
-   public:
-    PhaseScope(JoinTelemetry* telemetry, double* seconds, SpanId span)
-        : telemetry_(telemetry), seconds_(seconds), span_(span) {}
-    PhaseScope(const PhaseScope&) = delete;
-    PhaseScope& operator=(const PhaseScope&) = delete;
-    ~PhaseScope();
-
-   private:
-    JoinTelemetry* telemetry_;
-    double* seconds_;
-    SpanId span_;
-    Stopwatch watch_;
-  };
-
-  /// Opens a kStable phase span under the root and times it into
-  /// `*seconds`. For work outside the Join() stages (the DBMS driver,
-  /// the string join's wrapper steps); Join() stages are timed by their
-  /// OpInstruments instead. Must be called from the control thread; the
-  /// phase span becomes the parent for Sample() scopes and PhaseAttr().
-  PhaseScope Phase(std::string_view name, double* seconds);
-
-  /// Sets an attribute on the most recent Phase() span (no-op untraced).
-  void PhaseAttr(std::string_view key, uint64_t value);
-
   /// RAII sampling scope for runtime detail: opens a kRuntime span (when
   /// tracing) under the current span — the span of the running stage,
-  /// or the most recent Phase() span, or else the root — and, when
-  /// `latency` is non-null, records the elapsed microseconds into it on
-  /// destruction. Safe to use from worker threads (lane disambiguates
-  /// concurrent scopes).
+  /// or else the root — and, when `latency` is non-null, records the
+  /// elapsed microseconds into it on destruction. Safe to use from
+  /// worker threads (lane disambiguates concurrent scopes).
   class SampleScope {
    public:
     SampleScope(JoinTelemetry* telemetry, Histogram* latency, SpanId span)
@@ -130,24 +105,27 @@ class JoinTelemetry {
                 Stability stability = Stability::kStable);
 
  private:
-  friend class OpInstrument;  // swaps current_span_ around each section
+  friend class Stage;  // swaps current_span_ around each section
 
   Tracer* tracer_;
   MetricsRegistry* metrics_;
   SpanId root_ = kNoSpan;
-  // Parent of Sample() spans and target of PhaseAttr(); control-thread
-  // confined (see the file comment).
+  // Parent of Sample() spans; control-thread confined (see the file
+  // comment).
   SpanId current_span_ = kNoSpan;
 };
 
-/// Per-stage instrumentation (DESIGN.md Section 14): the one ledger a
-/// Join() keeps. One OpInstrument lives in each stage's ledger
-/// (core/pipeline/stages.h), and every call into the stage is one timed
-/// section, Begin() to End(), so each stage's time and batch count are
-/// accounted whatever sinks are attached. Everything else derives from
-/// it when the stage closes: the JoinStats seconds field the stage
-/// feeds, EXPLAIN's per-stage time, and — when bound — the published
-/// counters and the stage span.
+/// One stage's ledger (DESIGN.md Section 14): the one record of a
+/// stage's time, rows and span, kept by every driver — Join()'s stage
+/// sequence (core/pipeline/stages.h), the DBMS plans' three steps and
+/// the string join's two wrapper steps. Every call into the stage is one
+/// Timed section, so the stage's time and batch count are accounted
+/// whatever sinks are attached; `rows_in`/`rows_out` are the
+/// deterministic row totals that flowed through it (signatures,
+/// candidates, pairs; never batch counts, which vary with scheduling).
+/// Everything else derives from it when the stage closes: the JoinStats
+/// seconds field it feeds, its EXPLAIN plan row and, when bound, the
+/// published counters and the stage span.
 ///
 /// Bind() attaches the run's sinks. With a MetricsRegistry it publishes
 /// four counters named "pipeline.<tag>." + {batches, rows_in, rows_out,
@@ -155,9 +133,9 @@ class JoinTelemetry {
 /// exactly equal at any thread count / spill mode), batch counts and
 /// time kRuntime (batch granularity is thread-count-dependent, ns is
 /// wall clock). With a Tracer it opens one kStable span named by the tag
-/// under the join root, in chain order; during a timed section that span
-/// is the parent of runtime Sample() spans, and Close() closes it with
-/// the stable rows_in/rows_out attributes.
+/// under the join root; during a timed section that span is the parent
+/// of runtime Sample() spans, and Close() ends it with the stable
+/// rows_in/rows_out attributes.
 ///
 /// The clock reads live here, in the obs layer, so src/core stays clean
 /// under the `no-raw-timing` lint. Stages run one after another, never
@@ -165,68 +143,110 @@ class JoinTelemetry {
 /// Cost: two clock reads per section, and no allocation unless bound to
 /// a sink.
 ///
-/// Thread-confinement: like JoinTelemetry's current span, an OpInstrument
-/// is control-thread-confined: the driver calls the stages on its control
+/// Thread-confinement: like JoinTelemetry's current span, a Stage is
+/// control-thread-confined: the drivers call the stages on their control
 /// thread (parallelism lives inside the stages), so the members need no
 /// lock. The counters it publishes to are atomic, which is what the
 /// heartbeat thread reads.
-class OpInstrument {
+class Stage {
  public:
-  /// What Begin hands to the matching End.
-  struct Start {
-    int64_t ns = 0;
-    SpanId outer_span = kNoSpan;
-  };
-
-  OpInstrument() = default;
-  OpInstrument(const OpInstrument&) = delete;
-  OpInstrument& operator=(const OpInstrument&) = delete;
+  /// `tag` is the stage's one name: its metric, span and EXPLAIN name (a
+  /// names::kOp* constant). `seconds` is the JoinStats field its time
+  /// feeds, or null for a stage outside the Figure 2 steps.
+  Stage(std::string_view tag, std::string detail, double* seconds)
+      : tag_(tag), detail_(std::move(detail)), seconds_(seconds) {}
+  /// Ends the span of a stage the driver left without closing (an early
+  /// return); a closed stage has nothing left to end.
+  ~Stage();
+  Stage(const Stage&) = delete;
+  Stage& operator=(const Stage&) = delete;
 
   /// Binds to the run's sinks: registers the four pipeline.<tag>.*
   /// counters in telemetry->metrics() (when set) and opens the stage's
   /// kStable span under the root (when tracing). `lane` is the stage's
-  /// position in the chain (its trace lane). A null telemetry leaves the
-  /// instrument unbound: it still keeps the ledger.
-  void Bind(JoinTelemetry* telemetry, std::string_view tag, uint32_t lane);
+  /// trace lane, the order in which the driver bound it. A null
+  /// telemetry leaves the stage unbound: it still keeps the ledger.
+  void Bind(JoinTelemetry* telemetry, uint32_t lane);
+
+  /// Times one call into the stage: construction reads the clock and
+  /// makes the stage's span the current span of the bound telemetry;
+  /// destruction restores the outer span and adds the elapsed time, the
+  /// batches counted with Produced() and — when publishing — the row
+  /// totals so far to the counters, as deltas against the last
+  /// published values, so the heartbeat sees live counts mid-join.
+  class Timed {
+   public:
+    explicit Timed(Stage* stage);
+    ~Timed();
+    Timed(const Timed&) = delete;
+    Timed& operator=(const Timed&) = delete;
+
+    /// Counts `batches` data batches the call handed down the chain.
+    void Produced(uint64_t batches = 1) { batches_ += batches; }
+
+   private:
+    Stage* stage_;
+    SpanId outer_span_ = kNoSpan;
+    uint64_t batches_ = 0;
+    int64_t start_ns_ = 0;
+  };
+
+  /// Flushes the final row totals, ends the span with its rows_in /
+  /// rows_out attributes, adds the stage's time to `*seconds`, and —
+  /// with an `explain` report — records the stage's EXPLAIN plan row and
+  /// its pipeline.<tag>.rows_out drift actual. Called when the stage
+  /// closes, on every exit path the driver closes it on; idempotent.
+  void Close(ExplainReport* explain);
 
   /// True when bound to a MetricsRegistry (the counters are published).
-  bool publishing() const { return self_ns_counter_ != nullptr; }
-
-  /// Starts one timed section: reads the clock and makes this stage's
-  /// span the current span of the bound telemetry.
-  Start Begin();
-
-  /// Ends the section Begin started: `batches` is the number of data
-  /// batches it produced. Restores the outer current span and, when
-  /// publishing, adds the section to the counters — row totals as deltas
-  /// against the last published values, so the heartbeat sees live
-  /// counts mid-join.
-  void End(const Start& start, uint64_t batches, uint64_t rows_in,
-           uint64_t rows_out);
-
+  bool publishing() const { return ns_counter_ != nullptr; }
   /// Time spent in this stage across all its sections.
-  uint64_t self_ns() const { return self_ns_; }
+  uint64_t ns() const { return ns_; }
   /// Data batches the stage produced.
   uint64_t batches() const { return batches_; }
 
-  /// Flushes the final row totals and closes the stage span with its
-  /// rows_in/rows_out attributes. Called when the stage closes, on every
-  /// exit path; idempotent.
-  void Close(uint64_t rows_in, uint64_t rows_out);
+  uint64_t rows_in = 0;
+  uint64_t rows_out = 0;
 
  private:
-  void PublishRows(uint64_t rows_in, uint64_t rows_out);
+  void PublishRows();
 
-  uint64_t self_ns_ = 0;
+  std::string_view tag_;  // static-storage names:: constant
+  std::string detail_;
+  double* seconds_;
+  bool closed_ = false;
+  uint64_t ns_ = 0;
   uint64_t batches_ = 0;
   JoinTelemetry* telemetry_ = nullptr;
   SpanId span_ = kNoSpan;
   Counter* batches_counter_ = nullptr;
   Counter* rows_in_counter_ = nullptr;
   Counter* rows_out_counter_ = nullptr;
-  Counter* self_ns_counter_ = nullptr;
+  Counter* ns_counter_ = nullptr;
   uint64_t published_rows_in_ = 0;
   uint64_t published_rows_out_ = 0;
 };
+
+/// Runs a stage that is one timed section from start to end — the DBMS
+/// plans' steps and the string join's wrapper steps: binds a `tag`
+/// ledger to `telemetry` at trace lane `lane`, times `body` in one
+/// section, and closes the stage into `*seconds`. `rows_in` is what the
+/// stage was handed; `body` returns the rows it produced, or an error
+/// Status, which RunStage returns with the stage's span ended.
+template <typename Body>
+Status RunStage(JoinTelemetry* telemetry, std::string_view tag,
+                uint32_t lane, double* seconds, uint64_t rows_in,
+                Body body) {
+  Stage stage(tag, "", seconds);
+  stage.Bind(telemetry, lane);
+  stage.rows_in = rows_in;
+  {
+    Stage::Timed timed(&stage);
+    SSJOIN_ASSIGN_OR_RETURN(stage.rows_out, body());
+    timed.Produced();
+  }
+  stage.Close(nullptr);
+  return Status::OK();
+}
 
 }  // namespace ssjoin::obs

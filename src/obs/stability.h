@@ -44,12 +44,9 @@ enum class Stability {
 // these constants.
 namespace names {
 
-// Span names. Each stage of a Join() also opens one kStable span named
-// by its tag (the kOp* constants below).
+// Span names. Each stage of every driver also opens one kStable span
+// named by its tag (the kOp* constants below).
 inline constexpr std::string_view kSpanJoin = "join";
-inline constexpr std::string_view kSpanSigGen = "SigGen";
-inline constexpr std::string_view kSpanCandPair = "CandPair";
-inline constexpr std::string_view kSpanPostFilter = "PostFilter";
 inline constexpr std::string_view kSpanShard = "shard";
 inline constexpr std::string_view kSpanVerifyChunk = "verify_chunk";
 
@@ -71,7 +68,6 @@ inline constexpr std::string_view kAttrBitmapFilterChecked =
     "bitmap_filter_checked";
 inline constexpr std::string_view kAttrBitmapFilterPruned =
     "bitmap_filter_pruned";
-inline constexpr std::string_view kAttrRows = "rows";
 // A stage span's deterministic row totals (the same values as the
 // pipeline.<tag>.rows_in / rows_out counters).
 inline constexpr std::string_view kAttrRowsIn = "rows_in";
@@ -129,9 +125,6 @@ inline constexpr std::string_view kJoinSpillBytesWritten =
 inline constexpr std::string_view kJoinSpillBytesRead =
     "join.spill.bytes_read";
 inline constexpr std::string_view kJoinSpillRetries = "join.spill.retries";
-inline constexpr std::string_view kDbmsRowsSignature = "dbms.rows.signature";
-inline constexpr std::string_view kDbmsRowsCandPair = "dbms.rows.candpair";
-inline constexpr std::string_view kDbmsRowsOutput = "dbms.rows.output";
 /// Dynamic family: "guard.trips." + TripReasonName(reason). The prefix
 /// is the registered name; the lint accepts the prefix literal at the
 /// construction site.
@@ -140,8 +133,8 @@ inline constexpr std::string_view kThreadpoolForkjoins =
     "threadpool.forkjoins";
 inline constexpr std::string_view kThreadpoolSize = "threadpool.size";
 
-// Per-stage pipeline metrics (core/pipeline + obs/join_telemetry's
-// OpInstrument). Dynamic family: "pipeline." + <stage tag> + suffix, e.g.
+// Per-stage pipeline metrics (obs/join_telemetry's Stage ledger, kept by
+// every driver). Dynamic family: "pipeline." + <stage tag> + suffix, e.g.
 // "pipeline.verify.rows_out". The prefix is the registered name; the
 // lint accepts the prefix literal at the construction site. Row totals
 // (.rows_in/.rows_out) are functions of the input and stages, hence
@@ -154,13 +147,20 @@ inline constexpr std::string_view kPipelineSuffixRowsIn = ".rows_in";
 inline constexpr std::string_view kPipelineSuffixRowsOut = ".rows_out";
 inline constexpr std::string_view kPipelineSuffixNs = ".ns";
 // Stage tags (the <stage tag> component): each stage's one name, used by
-// its metrics, its span and its EXPLAIN plan row.
+// its metrics, its span and its EXPLAIN plan row. The DBMS plans reuse
+// siggen/candgen/verify for their three steps.
 inline constexpr std::string_view kOpSigGen = "siggen";
 inline constexpr std::string_view kOpCandGen = "candgen";
 inline constexpr std::string_view kOpBitmapFilter = "bitmap_filter";
 inline constexpr std::string_view kOpVerify = "verify";
 inline constexpr std::string_view kOpDedupEmit = "dedup_emit";
 inline constexpr std::string_view kOpSpillPartition = "spill_partition";
+// The string join's two steps around its inner Join() (core/string_join.h):
+// q-gram bags plus the scheme, and the edit-distance check. They need
+// their own tags because the inner Join() publishes siggen/verify into
+// the same registry.
+inline constexpr std::string_view kOpQgram = "qgram";
+inline constexpr std::string_view kOpEditCheck = "edit_check";
 
 // Structured-log accounting (obs/log.h). Line counts depend on pacing
 // and interleaving — kRuntime only.

@@ -20,7 +20,7 @@ namespace ssjoin::relational {
 
 /// One executed plan operator.
 struct PlanOpExplain {
-  /// Operator kind ("SigGen", "HashJoin", "Distinct", "GroupByCount",
+  /// Operator kind ("siggen", "HashJoin", "Distinct", "GroupByCount",
   /// "IndexIntersect", "Filter").
   std::string op;
   /// SQL-ish rendering of what it computed.

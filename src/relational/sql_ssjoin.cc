@@ -40,37 +40,6 @@ Table BuildSignatureTable(const SetCollection& input,
   return signature;
 }
 
-// CandPair(id1, id2):
-//   Select Distinct S1.id, S2.id From Signature S1, Signature S2
-//   Where S1.sign = S2.sign and S1.id < S2.id        (Figure 11 / 17)
-Result<Table> BuildCandPair(const Table& signature, JoinStats* stats,
-                            PlanExplain* explain) {
-  Stopwatch watch;
-  SSJOIN_ASSIGN_OR_RETURN(
-      Table joined,
-      Query::From(signature)
-          .Join(signature, {"sign"}, {"sign"}, "s1.", "s2.",
-                [](const Row& row) {
-                  return GetInt64(row, 0) < GetInt64(row, 2);
-                })
-          .Run());
-  stats->signature_collisions += joined.num_rows();
-  uint64_t joined_rows = joined.num_rows();
-  explain->AddOp(
-      "HashJoin",
-      "Signature s1 JOIN Signature s2 ON sign WHERE s1.id < s2.id",
-      signature.num_rows(), joined_rows, watch.ElapsedSeconds());
-  watch.Restart();
-  SSJOIN_ASSIGN_OR_RETURN(Table cand, Query::From(std::move(joined))
-                                          .SelectDistinct({"s1.id", "s2.id"})
-                                          .Run());
-  stats->candidates = cand.num_rows();
-  explain->AddOp("Distinct",
-                 "SELECT DISTINCT s1.id, s2.id AS CandPair(id1, id2)",
-                 joined_rows, cand.num_rows(), watch.ElapsedSeconds());
-  return cand;
-}
-
 // Rough per-row footprint of a materialized relational table, for memory
 // budgeting (Row = vector of 8-byte Values plus vector overhead).
 size_t TableRowBytes(const Table& table) {
@@ -79,20 +48,82 @@ size_t TableRowBytes(const Table& table) {
           sizeof(void*) * 3);
 }
 
-std::vector<SetPair> DecodePairs(const Table& output) {
-  std::vector<SetPair> pairs;
-  pairs.reserve(output.num_rows());
-  for (size_t i = 0; i < output.num_rows(); ++i) {
-    pairs.emplace_back(static_cast<SetId>(GetInt64(output.row(i), 0)),
-                       static_cast<SetId>(GetInt64(output.row(i), 1)));
+// candgen, the step both plans share (Figures 11 and 17):
+//   CandPair(id1, id2):
+//   Select Distinct S1.id, S2.id From Signature S1, Signature S2
+//   Where S1.sign = S2.sign and S1.id < S2.id
+// between two plan-step barriers: the materialized Signature relation
+// is charged before the kCandGen checkpoint, CandPair before the
+// kVerify one (the breaker can already compare its size against the
+// sample-free floor of 0 verified results; the min-candidates gate
+// keeps small joins safe).
+Result<Table> GenerateCandPair(const Table& signature, ExecutionGuard* guard,
+                               obs::JoinTelemetry* telem,
+                               DbmsJoinResult* result) {
+  if (guard != nullptr) {
+    guard->ChargeMemory(TableRowBytes(signature));
+    SSJOIN_RETURN_NOT_OK(guard->Checkpoint(JoinPhase::kCandGen));
   }
-  std::sort(pairs.begin(), pairs.end());
-  return pairs;
+  JoinStats& stats = result->stats;
+  Table cand;
+  SSJOIN_RETURN_NOT_OK(obs::RunStage(
+      telem, obs::names::kOpCandGen, 1, &stats.candpair_seconds,
+      signature.num_rows(), [&]() -> Result<uint64_t> {
+        Stopwatch watch;
+        SSJOIN_ASSIGN_OR_RETURN(
+            Table joined,
+            Query::From(signature)
+                .Join(signature, {"sign"}, {"sign"}, "s1.", "s2.",
+                      [](const Row& row) {
+                        return GetInt64(row, 0) < GetInt64(row, 2);
+                      })
+                .Run());
+        stats.signature_collisions += joined.num_rows();
+        uint64_t joined_rows = joined.num_rows();
+        result->explain.AddOp(
+            "HashJoin",
+            "Signature s1 JOIN Signature s2 ON sign WHERE s1.id < s2.id",
+            signature.num_rows(), joined_rows, watch.ElapsedSeconds());
+        watch.Restart();
+        SSJOIN_ASSIGN_OR_RETURN(cand,
+                                Query::From(std::move(joined))
+                                    .SelectDistinct({"s1.id", "s2.id"})
+                                    .Run());
+        stats.candidates = cand.num_rows();
+        result->explain.AddOp(
+            "Distinct", "SELECT DISTINCT s1.id, s2.id AS CandPair(id1, id2)",
+            joined_rows, cand.num_rows(), watch.ElapsedSeconds());
+        return cand.num_rows();
+      }));
+  if (guard != nullptr) {
+    guard->ChargeMemory(TableRowBytes(cand));
+    SSJOIN_RETURN_NOT_OK(guard->Checkpoint(JoinPhase::kVerify));
+  }
+  return cand;
 }
 
-}  // namespace
-
-namespace {
+// The finish both plans share: the results attribute, the breaker over
+// the complete totals and the final checkpoint, then the Output(id1,
+// id2) rows decoded into sorted pairs.
+Result<DbmsJoinResult> FinishPlan(Table output, ExecutionGuard* guard,
+                                  obs::JoinTelemetry* telem,
+                                  DbmsJoinResult result) {
+  telem->Attr("results", result.stats.results);
+  if (guard != nullptr) {
+    SSJOIN_RETURN_NOT_OK(guard->CheckBreaker(
+        JoinPhase::kVerify, result.stats.candidates, result.stats.results));
+    SSJOIN_RETURN_NOT_OK(guard->Checkpoint(JoinPhase::kVerify));
+  }
+  result.pairs.reserve(output.num_rows());
+  for (size_t i = 0; i < output.num_rows(); ++i) {
+    result.pairs.emplace_back(
+        static_cast<SetId>(GetInt64(output.row(i), 0)),
+        static_cast<SetId>(GetInt64(output.row(i), 1)));
+  }
+  std::sort(result.pairs.begin(), result.pairs.end());
+  result.output = std::move(output);
+  return result;
+}
 
 // CandPairIntersect via index-nested-loop over the clustered index on
 // Set(id, elem): for each candidate pair, range-scan both sets and
@@ -181,128 +212,99 @@ Result<DbmsJoinResult> DbmsSelfJoin(const SetCollection& input,
     set_index.emplace(std::move(built).value());
   }
 
-  Table signature, cand;
-  {
-    auto scope =
-        telem.Phase(obs::names::kSpanSigGen, &result.stats.siggen_seconds);
-    signature = BuildSignatureTable(input, scheme, &result.stats);
-  }
+  Table signature;
+  SSJOIN_RETURN_NOT_OK(obs::RunStage(
+      &telem, obs::names::kOpSigGen, 0, &result.stats.siggen_seconds,
+      input.size(), [&]() -> Result<uint64_t> {
+        signature = BuildSignatureTable(input, scheme, &result.stats);
+        return signature.num_rows();
+      }));
   result.explain.AddOp(
-      "SigGen", "Signature(id, sign) via application signature generation",
+      "siggen", "Signature(id, sign) via application signature generation",
       input.size(), signature.num_rows(), result.stats.siggen_seconds);
-  telem.PhaseAttr("rows", signature.num_rows());
-  telem.AddCount("dbms.rows.signature", signature.num_rows());
-  if (guard != nullptr) {
-    // Plan-step barrier: the Signature relation is materialized.
-    guard->ChargeMemory(TableRowBytes(signature));
-    SSJOIN_RETURN_NOT_OK(guard->Checkpoint(JoinPhase::kCandGen));
-  }
-  {
-    auto scope = telem.Phase(obs::names::kSpanCandPair,
-                             &result.stats.candpair_seconds);
-    SSJOIN_ASSIGN_OR_RETURN(
-        cand, BuildCandPair(signature, &result.stats, &result.explain));
-  }
-  telem.PhaseAttr("rows", cand.num_rows());
-  telem.AddCount("dbms.rows.candpair", cand.num_rows());
-  if (guard != nullptr) {
-    // Plan-step barrier: CandPair is materialized; the breaker can
-    // already compare its size against the sample-free floor of 0
-    // verified results (min-candidates gate keeps small joins safe).
-    guard->ChargeMemory(TableRowBytes(cand));
-    SSJOIN_RETURN_NOT_OK(guard->Checkpoint(JoinPhase::kVerify));
-  }
+  SSJOIN_ASSIGN_OR_RETURN(
+      Table cand, GenerateCandPair(signature, guard, &telem, &result));
 
   Table output(Schema{{"id1", ValueType::kInt64},
                       {"id2", ValueType::kInt64}});
-  {
-    auto scope = telem.Phase(obs::names::kSpanPostFilter,
-                             &result.stats.postfilter_seconds);
-    // CandPairIntersect(id1, id2, isize):
-    //   Select C.id1, C.id2, Count(*) From CandPair C, Set S1, Set S2
-    //   Where C.id1 = S1.id and C.id2 = S2.id and S1.elem = S2.elem
-    //   Group By C.id1, C.id2                                 (Figure 11)
-    // then Output's SetLen joins, all as one pipeline. Candidates with an
-    // empty intersection never appear (inner joins), matching the
-    // Figure 11 plan; they cannot satisfy a positive-overlap predicate
-    // anyway.
-    Table intersect;
-    Stopwatch op_watch;
-    if (plan == IntersectPlan::kHashJoin) {
-      SSJOIN_ASSIGN_OR_RETURN(
-          intersect,
-          Query::From(cand)
-              .Join(set_rel, {"s1.id"}, {"id"}, "", "s1.")
-              .Join(set_rel, {"s2.id", "s1.elem"}, {"id", "elem"}, "",
-                    "s2.")
-              .GroupByCount({"s1.id", "s2.id"}, "isize")
-              .Run());
-      result.explain.AddOp(
-          "GroupByCount",
-          "CandPair JOIN Set s1 JOIN Set s2 ON elem GROUP BY id1, id2 AS "
-          "CandPairIntersect(id1, id2, isize)",
-          cand.num_rows(), intersect.num_rows(),
-          op_watch.ElapsedSeconds());
-    } else {
-      SSJOIN_ASSIGN_OR_RETURN(intersect, IndexIntersect(cand, *set_index));
-      result.explain.AddOp(
-          "IndexIntersect",
-          "merge-count over the clustered index on Set(id) AS "
-          "CandPairIntersect(id1, id2, isize)",
-          cand.num_rows(), intersect.num_rows(),
-          op_watch.ElapsedSeconds());
-    }
-    uint64_t intersect_rows = intersect.num_rows();
-    op_watch.Restart();
-    SSJOIN_ASSIGN_OR_RETURN(
-        Table with_len2,
-        Query::From(std::move(intersect))
-            .Join(setlen, {"s1.id"}, {"id"}, "", "l1.")
-            .Join(setlen, {"s2.id"}, {"id"}, "", "l2.")
-            .Run());
-    result.explain.AddOp("HashJoin",
-                         "CandPairIntersect JOIN SetLen l1 JOIN SetLen l2",
-                         intersect_rows, with_len2.num_rows(),
-                         op_watch.ElapsedSeconds());
-    op_watch.Restart();
-    int id1_col = with_len2.schema().IndexOf("s1.id");
-    int id2_col = with_len2.schema().IndexOf("s2.id");
-    int isize_col = with_len2.schema().IndexOf("isize");
-    int len1_col = with_len2.schema().IndexOf("l1.len");
-    int len2_col = with_len2.schema().IndexOf("l2.len");
-    for (size_t i = 0; i < with_len2.num_rows(); ++i) {
-      const Row& row = with_len2.row(i);
-      uint32_t len1 = static_cast<uint32_t>(GetInt64(row, len1_col));
-      uint32_t len2 = static_cast<uint32_t>(GetInt64(row, len2_col));
-      uint32_t isize = static_cast<uint32_t>(GetInt64(row, isize_col));
-      if (predicate.Matches(len1, len2, isize)) {
-        output.AppendUnchecked(Row{row[id1_col], row[id2_col]});
-        ++result.stats.results;
-      } else {
-        ++result.stats.false_positives;
-      }
-    }
-    // Candidates that had zero intersection also count as false positives
-    // for stats parity with the driver.
-    result.stats.false_positives +=
-        cand.num_rows() - with_len2.num_rows();
-    result.explain.AddOp(
-        "Filter", "predicate(l1.len, l2.len, isize) AS Output(id1, id2)",
-        with_len2.num_rows(), output.num_rows(),
-        op_watch.ElapsedSeconds());
-  }
-  telem.PhaseAttr("rows", output.num_rows());
-  telem.AddCount("dbms.rows.output", output.num_rows());
-  telem.Attr("results", result.stats.results);
-  if (guard != nullptr) {
-    SSJOIN_RETURN_NOT_OK(guard->CheckBreaker(
-        JoinPhase::kVerify, result.stats.candidates, result.stats.results));
-    SSJOIN_RETURN_NOT_OK(guard->Checkpoint(JoinPhase::kVerify));
-  }
-
-  result.pairs = DecodePairs(output);
-  result.output = std::move(output);
-  return result;
+  SSJOIN_RETURN_NOT_OK(obs::RunStage(
+      &telem, obs::names::kOpVerify, 2, &result.stats.postfilter_seconds,
+      cand.num_rows(), [&]() -> Result<uint64_t> {
+        // CandPairIntersect(id1, id2, isize):
+        //   Select C.id1, C.id2, Count(*) From CandPair C, Set S1, Set S2
+        //   Where C.id1 = S1.id and C.id2 = S2.id and S1.elem = S2.elem
+        //   Group By C.id1, C.id2                           (Figure 11)
+        // then Output's SetLen joins, all as one pipeline. Candidates
+        // with an empty intersection never appear (inner joins),
+        // matching the Figure 11 plan; they cannot satisfy a
+        // positive-overlap predicate anyway.
+        Table intersect;
+        Stopwatch op_watch;
+        if (plan == IntersectPlan::kHashJoin) {
+          SSJOIN_ASSIGN_OR_RETURN(
+              intersect,
+              Query::From(cand)
+                  .Join(set_rel, {"s1.id"}, {"id"}, "", "s1.")
+                  .Join(set_rel, {"s2.id", "s1.elem"}, {"id", "elem"}, "",
+                        "s2.")
+                  .GroupByCount({"s1.id", "s2.id"}, "isize")
+                  .Run());
+          result.explain.AddOp(
+              "GroupByCount",
+              "CandPair JOIN Set s1 JOIN Set s2 ON elem GROUP BY id1, id2 AS "
+              "CandPairIntersect(id1, id2, isize)",
+              cand.num_rows(), intersect.num_rows(),
+              op_watch.ElapsedSeconds());
+        } else {
+          SSJOIN_ASSIGN_OR_RETURN(intersect, IndexIntersect(cand, *set_index));
+          result.explain.AddOp(
+              "IndexIntersect",
+              "merge-count over the clustered index on Set(id) AS "
+              "CandPairIntersect(id1, id2, isize)",
+              cand.num_rows(), intersect.num_rows(),
+              op_watch.ElapsedSeconds());
+        }
+        uint64_t intersect_rows = intersect.num_rows();
+        op_watch.Restart();
+        SSJOIN_ASSIGN_OR_RETURN(
+            Table with_len2,
+            Query::From(std::move(intersect))
+                .Join(setlen, {"s1.id"}, {"id"}, "", "l1.")
+                .Join(setlen, {"s2.id"}, {"id"}, "", "l2.")
+                .Run());
+        result.explain.AddOp("HashJoin",
+                             "CandPairIntersect JOIN SetLen l1 JOIN SetLen l2",
+                             intersect_rows, with_len2.num_rows(),
+                             op_watch.ElapsedSeconds());
+        op_watch.Restart();
+        int id1_col = with_len2.schema().IndexOf("s1.id");
+        int id2_col = with_len2.schema().IndexOf("s2.id");
+        int isize_col = with_len2.schema().IndexOf("isize");
+        int len1_col = with_len2.schema().IndexOf("l1.len");
+        int len2_col = with_len2.schema().IndexOf("l2.len");
+        for (size_t i = 0; i < with_len2.num_rows(); ++i) {
+          const Row& row = with_len2.row(i);
+          uint32_t len1 = static_cast<uint32_t>(GetInt64(row, len1_col));
+          uint32_t len2 = static_cast<uint32_t>(GetInt64(row, len2_col));
+          uint32_t isize = static_cast<uint32_t>(GetInt64(row, isize_col));
+          if (predicate.Matches(len1, len2, isize)) {
+            output.AppendUnchecked(Row{row[id1_col], row[id2_col]});
+            ++result.stats.results;
+          } else {
+            ++result.stats.false_positives;
+          }
+        }
+        // Candidates that had zero intersection also count as false positives
+        // for stats parity with the driver.
+        result.stats.false_positives +=
+            cand.num_rows() - with_len2.num_rows();
+        result.explain.AddOp(
+            "Filter", "predicate(l1.len, l2.len, isize) AS Output(id1, id2)",
+            with_len2.num_rows(), output.num_rows(),
+            op_watch.ElapsedSeconds());
+        return output.num_rows();
+      }));
+  return FinishPlan(std::move(output), guard, &telem, std::move(result));
 }
 
 Result<DbmsJoinResult> DbmsStringEditSelfJoin(
@@ -323,79 +325,54 @@ Result<DbmsJoinResult> DbmsStringEditSelfJoin(
   // String(id, str) is the base relation; n-gram bags are generated
   // on-the-fly in application code during signature generation
   // (Figure 16: "we do not explicitly materialize the n-gram bags").
-  Table signature, cand;
-  {
-    auto scope =
-        telem.Phase(obs::names::kSpanSigGen, &result.stats.siggen_seconds);
-    QgramExtractor extractor(QgramOptions{.q = q});
-    SetCollectionBuilder builder;
-    for (const std::string& s : strings) {
-      builder.AddBag(extractor.Extract(s));
-    }
-    SetCollection bags = builder.Build();
-    signature = BuildSignatureTable(bags, scheme, &result.stats);
-  }
+  Table signature;
+  SSJOIN_RETURN_NOT_OK(obs::RunStage(
+      &telem, obs::names::kOpSigGen, 0, &result.stats.siggen_seconds,
+      strings.size(), [&]() -> Result<uint64_t> {
+        QgramExtractor extractor(QgramOptions{.q = q});
+        SetCollectionBuilder builder;
+        for (const std::string& s : strings) {
+          builder.AddBag(extractor.Extract(s));
+        }
+        SetCollection bags = builder.Build();
+        signature = BuildSignatureTable(bags, scheme, &result.stats);
+        return signature.num_rows();
+      }));
   result.explain.AddOp(
-      "SigGen",
+      "siggen",
       "Signature(id, sign) via q-gram bags + application signature "
       "generation",
       strings.size(), signature.num_rows(), result.stats.siggen_seconds);
-  telem.PhaseAttr("rows", signature.num_rows());
-  telem.AddCount("dbms.rows.signature", signature.num_rows());
-  if (guard != nullptr) {
-    guard->ChargeMemory(TableRowBytes(signature));
-    SSJOIN_RETURN_NOT_OK(guard->Checkpoint(JoinPhase::kCandGen));
-  }
-  {
-    auto scope = telem.Phase(obs::names::kSpanCandPair,
-                             &result.stats.candpair_seconds);
-    SSJOIN_ASSIGN_OR_RETURN(
-        cand, BuildCandPair(signature, &result.stats, &result.explain));
-  }
-  telem.PhaseAttr("rows", cand.num_rows());
-  telem.AddCount("dbms.rows.candpair", cand.num_rows());
-  if (guard != nullptr) {
-    guard->ChargeMemory(TableRowBytes(cand));
-    SSJOIN_RETURN_NOT_OK(guard->Checkpoint(JoinPhase::kVerify));
-  }
+  SSJOIN_ASSIGN_OR_RETURN(
+      Table cand, GenerateCandPair(signature, guard, &telem, &result));
 
+  // Output: retrieve strings by id and check EDIT(s1, s2) <= k in
+  // application code (Figure 17). No SSJoin-level hamming post-filter,
+  // as the paper found it not to improve overall performance.
   Table output(Schema{{"id1", ValueType::kInt64},
                       {"id2", ValueType::kInt64}});
-  {
-    // Output: retrieve strings by id and check EDIT(s1, s2) <= k in
-    // application code (Figure 17). No SSJoin-level hamming post-filter,
-    // as the paper found it not to improve overall performance.
-    auto scope = telem.Phase(obs::names::kSpanPostFilter,
-                             &result.stats.postfilter_seconds);
-    for (size_t i = 0; i < cand.num_rows(); ++i) {
-      int64_t a = GetInt64(cand.row(i), 0);
-      int64_t b = GetInt64(cand.row(i), 1);
-      if (WithinEditDistance(strings[static_cast<size_t>(a)],
-                             strings[static_cast<size_t>(b)],
-                             edit_threshold)) {
-        output.AppendUnchecked(Row{a, b});
-        ++result.stats.results;
-      } else {
-        ++result.stats.false_positives;
-      }
-    }
-  }
+  SSJOIN_RETURN_NOT_OK(obs::RunStage(
+      &telem, obs::names::kOpVerify, 2, &result.stats.postfilter_seconds,
+      cand.num_rows(), [&]() -> Result<uint64_t> {
+        for (size_t i = 0; i < cand.num_rows(); ++i) {
+          int64_t a = GetInt64(cand.row(i), 0);
+          int64_t b = GetInt64(cand.row(i), 1);
+          if (WithinEditDistance(strings[static_cast<size_t>(a)],
+                                 strings[static_cast<size_t>(b)],
+                                 edit_threshold)) {
+            output.AppendUnchecked(Row{a, b});
+            ++result.stats.results;
+          } else {
+            ++result.stats.false_positives;
+          }
+        }
+        return output.num_rows();
+      }));
   result.explain.AddOp(
       "Filter", "EDIT(s1, s2) <= k in application code AS Output(id1, id2)",
       cand.num_rows(), output.num_rows(),
       result.stats.postfilter_seconds);
-  telem.PhaseAttr("rows", output.num_rows());
-  telem.AddCount("dbms.rows.output", output.num_rows());
-  telem.Attr("results", result.stats.results);
-  if (guard != nullptr) {
-    SSJOIN_RETURN_NOT_OK(guard->CheckBreaker(
-        JoinPhase::kVerify, result.stats.candidates, result.stats.results));
-    SSJOIN_RETURN_NOT_OK(guard->Checkpoint(JoinPhase::kVerify));
-  }
-
-  result.pairs = DecodePairs(output);
-  result.output = std::move(output);
-  return result;
+  return FinishPlan(std::move(output), guard, &telem, std::move(result));
 }
 
 }  // namespace ssjoin::relational

@@ -62,9 +62,12 @@ enum class IntersectPlan { kHashJoin, kClusteredIndex };
 /// kResourceExhausted), mirroring the in-memory driver.
 ///
 /// `tracer` / `metrics` (optional, not owned) attach observability with
-/// the same contract as JoinOptions: a join → phase span skeleton with
-/// per-plan-step row counts, and dbms.rows.* counters for the
-/// materialized relations.
+/// the same contract as JoinOptions: the plan's three steps keep the
+/// same stage ledger as Join()'s stages (obs::Stage) under the tags
+/// `siggen` (Signature), `candgen` (CandPair) and `verify` (Output), so
+/// the trace is a join → stage span skeleton and the registry gets
+/// pipeline.<tag>.* counters whose rows are the materialized relations'
+/// sizes. Each step's time feeds the matching JoinStats seconds field.
 Result<DbmsJoinResult> DbmsSelfJoin(
     const SetCollection& input, const SignatureScheme& scheme,
     const Predicate& predicate,

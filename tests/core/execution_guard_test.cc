@@ -180,7 +180,8 @@ TEST_F(ExecutionGuardTest, InjectedTripEveryPhaseSortedSelfJoin) {
   IdentityScheme scheme;
   JaccardPredicate predicate(0.9);
   for (JoinPhase phase : {kSigGen, kCandGen, kVerify}) {
-    fault::InjectTrip(phase, StatusCode::kDeadlineExceeded);
+    fault::SetPlan(
+        {{fault::CheckpointTrip(phase, StatusCode::kDeadlineExceeded)}});
     ExecutionGuard guard(Generous());
     JoinOptions options;
     options.guard = &guard;
@@ -213,7 +214,7 @@ TEST_F(ExecutionGuardTest, InjectedTripBinaryJoin) {
   IdentityScheme scheme;
   JaccardPredicate predicate(0.9);
   for (JoinPhase phase : {kSigGen, kCandGen, kVerify}) {
-    fault::InjectTrip(phase, StatusCode::kCancelled);
+    fault::SetPlan({{fault::CheckpointTrip(phase, StatusCode::kCancelled)}});
     ExecutionGuard guard(Generous());
     JoinOptions options;
     options.guard = &guard;
@@ -235,7 +236,8 @@ TEST_F(ExecutionGuardTest, InjectedTripDeterministicAcrossThreadCounts) {
   JaccardPredicate predicate(0.9);
   for (JoinPhase phase : {kSigGen, kCandGen, kVerify}) {
     auto run = [&](size_t threads) {
-      fault::InjectTrip(phase, StatusCode::kResourceExhausted);
+      fault::SetPlan(
+          {{fault::CheckpointTrip(phase, StatusCode::kResourceExhausted)}});
       ExecutionGuard guard(Generous());
       JoinOptions options;
       options.num_threads = threads;
@@ -396,7 +398,8 @@ TEST_F(ExecutionGuardTest, GuardInRelationalPlans) {
   EXPECT_GT(guard.memory_high_water(), 0u);
   // Injected trip surfaces as the Result's error Status.
   for (JoinPhase phase : {kSigGen, kCandGen, kVerify}) {
-    fault::InjectTrip(phase, StatusCode::kDeadlineExceeded);
+    fault::SetPlan(
+        {{fault::CheckpointTrip(phase, StatusCode::kDeadlineExceeded)}});
     ExecutionGuard tripping(Generous());
     auto result = relational::DbmsSelfJoin(
         input, scheme, predicate, relational::IntersectPlan::kHashJoin,

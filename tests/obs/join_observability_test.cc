@@ -17,6 +17,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -442,6 +443,24 @@ TEST(JoinFacadeTest, ExecutionModeNames) {
   EXPECT_EQ(ExecutionModeName(ExecutionMode::kBinaryJoin), "binary");
 }
 
+// A stage's pipeline.<tag><suffix> counter in `metrics` (0 when the
+// stage never ran).
+uint64_t StageCounter(obs::MetricsRegistry& metrics, std::string_view tag,
+                      std::string_view suffix) {
+  return metrics.counter("pipeline." + std::string(tag) + std::string(suffix))
+      .value();
+}
+
+// A stage's time as its JoinStats seconds field receives it.
+double StageSeconds(obs::MetricsRegistry& metrics, std::string_view tag) {
+  return static_cast<double>(StageCounter(metrics, tag, ".ns")) / 1e9;
+}
+
+bool HasSpan(const std::string& jsonl, std::string_view name) {
+  return jsonl.find("\"name\":\"" + std::string(name) + "\"") !=
+         std::string::npos;
+}
+
 TEST(ObsIntegrationTest, StringJoinEmitsPhaseSkeleton) {
   std::vector<std::string> strings = {"washington", "woshington",
                                       "seattle", "seattlle", "portland"};
@@ -455,19 +474,53 @@ TEST(ObsIntegrationTest, StringJoinEmitsPhaseSkeleton) {
   ASSERT_TRUE(result.ok());
   std::string jsonl = obs::TraceJsonl(tracer);
   EXPECT_NE(jsonl.find("\"mode\":\"string_self\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"name\":\"SigGen\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"name\":\"PostFilter\""), std::string::npos);
+  // The wrapper's two steps are stage spans named by their tags.
+  EXPECT_TRUE(HasSpan(jsonl, "qgram"));
+  EXPECT_TRUE(HasSpan(jsonl, "edit_check"));
+  EXPECT_FALSE(HasSpan(jsonl, "SigGen"));
+  EXPECT_FALSE(HasSpan(jsonl, "PostFilter"));
   // The hamming join over the q-gram bags runs through Join(), so its
-  // operator spans land in the same tracer. Under SSJOIN_SPILL=force the
-  // join spills, and spill_partition replaces the two source operators.
-  EXPECT_NE(jsonl.find("\"name\":\"verify\""), std::string::npos);
-  if (jsonl.find("\"spill\":\"forced\"") == std::string::npos) {
-    EXPECT_NE(jsonl.find("\"name\":\"siggen\""), std::string::npos);
-    EXPECT_NE(jsonl.find("\"name\":\"candgen\""), std::string::npos);
+  // stage spans land in the same tracer. Under SSJOIN_SPILL=force the
+  // join spills, and spill_partition replaces the two source stages.
+  EXPECT_TRUE(HasSpan(jsonl, "verify"));
+  const bool spilled = jsonl.find("\"spill\":\"forced\"") != std::string::npos;
+  if (!spilled) {
+    EXPECT_TRUE(HasSpan(jsonl, "siggen"));
+    EXPECT_TRUE(HasSpan(jsonl, "candgen"));
   } else {
-    EXPECT_NE(jsonl.find("\"name\":\"spill_partition\""),
-              std::string::npos);
+    EXPECT_TRUE(HasSpan(jsonl, "spill_partition"));
   }
+
+  // Rows chain through the stages: one bag per string into the join, the
+  // join's pairs into the edit check, the matches out of it.
+  EXPECT_EQ(StageCounter(metrics, "qgram", ".rows_in"), strings.size());
+  EXPECT_EQ(StageCounter(metrics, "qgram", ".rows_out"), strings.size());
+  if (!spilled) {
+    EXPECT_EQ(StageCounter(metrics, "siggen", ".rows_in"), strings.size());
+  }
+  EXPECT_EQ(StageCounter(metrics, "edit_check", ".rows_in"),
+            StageCounter(metrics, "dedup_emit", ".rows_out"));
+  EXPECT_EQ(StageCounter(metrics, "edit_check", ".rows_out"),
+            result->stats.results);
+  EXPECT_EQ(result->stats.results, 2u);
+
+  // Each seconds field is its stages' time: Join()'s stages plus the
+  // wrapper's own (sums of doubles, hence NEAR).
+  const JoinStats& stats = result->stats;
+  EXPECT_NEAR(stats.siggen_seconds,
+              StageSeconds(metrics, "qgram") + StageSeconds(metrics, "siggen"),
+              1e-12);
+  EXPECT_NEAR(stats.candpair_seconds,
+              StageSeconds(metrics, "candgen") +
+                  StageSeconds(metrics, "spill_partition"),
+              1e-12);
+  EXPECT_NEAR(stats.postfilter_seconds,
+              StageSeconds(metrics, "bitmap_filter") +
+                  StageSeconds(metrics, "verify") +
+                  StageSeconds(metrics, "edit_check"),
+              1e-12);
+  EXPECT_GT(StageSeconds(metrics, "qgram"), 0.0);
+  EXPECT_GT(StageSeconds(metrics, "edit_check"), 0.0);
 }
 
 TEST(ObsIntegrationTest, DbmsPlanPublishesRowCounts) {
@@ -485,11 +538,45 @@ TEST(ObsIntegrationTest, DbmsPlanPublishesRowCounts) {
       /*guard=*/nullptr, &tracer, &metrics);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-  EXPECT_GT(metrics.counter("dbms.rows.signature").value(), 0u);
-  EXPECT_GT(metrics.counter("dbms.rows.output").value(), 0u);
   std::string jsonl = obs::TraceJsonl(tracer);
   EXPECT_NE(jsonl.find("\"mode\":\"dbms_self\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"plan\":\"hash_join\""), std::string::npos);
+  // The plan's three steps are stage spans named by their tags.
+  for (std::string_view tag : {"siggen", "candgen", "verify"}) {
+    EXPECT_TRUE(HasSpan(jsonl, tag)) << tag;
+  }
+  EXPECT_FALSE(HasSpan(jsonl, "SigGen"));
+  EXPECT_FALSE(HasSpan(jsonl, "CandPair"));
+  EXPECT_FALSE(HasSpan(jsonl, "PostFilter"));
+
+  // The stage rows equal the plan EXPLAIN's: siggen is its first op,
+  // candgen spans HashJoin -> Distinct, verify the rest.
+  const std::vector<relational::PlanOpExplain>& ops = result->explain.ops;
+  ASSERT_EQ(ops.size(), 6u);
+  EXPECT_EQ(ops[0].op, "siggen");
+  EXPECT_EQ(ops[1].op, "HashJoin");
+  EXPECT_EQ(ops[2].op, "Distinct");
+  EXPECT_EQ(StageCounter(metrics, "siggen", ".rows_in"), ops[0].rows_in);
+  EXPECT_EQ(StageCounter(metrics, "siggen", ".rows_out"), ops[0].rows_out);
+  EXPECT_EQ(StageCounter(metrics, "candgen", ".rows_in"), ops[1].rows_in);
+  EXPECT_EQ(StageCounter(metrics, "candgen", ".rows_out"), ops[2].rows_out);
+  EXPECT_EQ(StageCounter(metrics, "verify", ".rows_in"), ops[3].rows_in);
+  EXPECT_EQ(StageCounter(metrics, "verify", ".rows_out"), ops[5].rows_out);
+  EXPECT_EQ(StageCounter(metrics, "siggen", ".rows_in"), input.size());
+  EXPECT_GT(StageCounter(metrics, "siggen", ".rows_out"), 0u);
+  EXPECT_EQ(StageCounter(metrics, "candgen", ".rows_out"),
+            result->stats.candidates);
+  EXPECT_GT(StageCounter(metrics, "verify", ".rows_out"), 0u);
+  EXPECT_EQ(StageCounter(metrics, "verify", ".rows_out"),
+            result->pairs.size());
+
+  // Each seconds field is exactly its one stage's time.
+  const JoinStats& stats = result->stats;
+  EXPECT_DOUBLE_EQ(stats.siggen_seconds, StageSeconds(metrics, "siggen"));
+  EXPECT_DOUBLE_EQ(stats.candpair_seconds, StageSeconds(metrics, "candgen"));
+  EXPECT_DOUBLE_EQ(stats.postfilter_seconds,
+                   StageSeconds(metrics, "verify"));
+  EXPECT_DOUBLE_EQ(ops[0].seconds, stats.siggen_seconds);
 }
 
 }  // namespace

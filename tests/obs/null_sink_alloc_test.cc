@@ -86,18 +86,22 @@ TEST(NullSinkAllocTest, TelemetryCallsNeverAllocate) {
     telem.Event("guard_trip", "deadline");
     telem.AddCount("join.results", 7);
     telem.SetGauge("join.seconds.total", 1.5);
-    telem.PhaseAttr("shards", uint64_t{4});
     {
-      auto phase = telem.Phase(names::kSpanSigGen, &seconds);
-      auto sample = telem.Sample("shard", nullptr, /*lane=*/1);
-      EXPECT_EQ(sample.span(), kNoSpan);
+      Stage stage(names::kOpSigGen, "", &seconds);
+      stage.Bind(&telem, 0);
+      {
+        Stage::Timed timed(&stage);
+        auto sample = telem.Sample("shard", nullptr, /*lane=*/1);
+        EXPECT_EQ(sample.span(), kNoSpan);
+      }
+      stage.Close(nullptr);
     }
     EXPECT_FALSE(telem.tracing());
     EXPECT_EQ(telem.root(), kNoSpan);
   }
   EXPECT_EQ(guard.count(), 0u)
       << "null-sink JoinTelemetry must not touch the heap";
-  EXPECT_GT(seconds, 0.0);  // the Phase scope still timed
+  EXPECT_GT(seconds, 0.0);  // the stage still timed
 }
 
 TEST(NullSinkAllocTest, ExplainSeamsNeverAllocate) {
@@ -127,37 +131,45 @@ TEST(NullSinkAllocTest, NullLoggerSeamNeverAllocates) {
       << "null-sink LogEvent must not touch the heap";
 }
 
-TEST(NullSinkAllocTest, UnboundOpInstrumentNeverAllocates) {
+TEST(NullSinkAllocTest, UnboundStageNeverAllocates) {
   // Every timed stage section is accounted into the ledger whatever
   // sinks are attached — the unbound path is the one every un-metered
   // join takes for every batch, so it must stay off the heap.
-  OpInstrument inst;
+  Stage stage(names::kOpVerify, "", nullptr);
   AllocationGuard guard;
   for (int i = 0; i < 1000; ++i) {
-    OpInstrument::Start start = inst.Begin();
-    inst.End(start, /*batches=*/i % 2 == 0 ? 1 : 0,
-             /*rows_in=*/static_cast<uint64_t>(i),
-             /*rows_out=*/static_cast<uint64_t>(i));
+    Stage::Timed timed(&stage);
+    if (i % 2 == 0) timed.Produced();
+    stage.rows_in = static_cast<uint64_t>(i);
+    stage.rows_out = static_cast<uint64_t>(i);
   }
-  inst.Close(100, 50);  // on every Close path
-  EXPECT_FALSE(inst.publishing());
-  EXPECT_EQ(inst.batches(), 500u);
-  EXPECT_EQ(guard.count(), 0u)
-      << "unbound OpInstrument must not touch the heap";
+  stage.rows_in = 100;
+  stage.rows_out = 50;
+  stage.Close(nullptr);  // on every Close path
+  EXPECT_FALSE(stage.publishing());
+  EXPECT_EQ(stage.batches(), 500u);
+  EXPECT_EQ(guard.count(), 0u) << "unbound Stage must not touch the heap";
 }
 
-TEST(NullSinkAllocTest, OpInstrumentBindToNullSinksIsFreeAndStaysOff) {
+TEST(NullSinkAllocTest, StageBindToNullSinksIsFreeAndStaysOff) {
   JoinTelemetry telem(nullptr, nullptr, "join");
-  OpInstrument inst;
+  double seconds = 0;
+  Stage stage(names::kOpSigGen, "", &seconds);
   AllocationGuard guard;
-  inst.Bind(&telem, "siggen", 0);  // no registry: publishes nothing
-  EXPECT_FALSE(inst.publishing());
-  inst.Bind(nullptr, "siggen", 0);
-  EXPECT_FALSE(inst.publishing());
-  OpInstrument::Start start = inst.Begin();
-  inst.End(start, /*batches=*/1, 1, 1);
-  inst.Close(1, 1);
-  EXPECT_EQ(inst.batches(), 1u);
+  stage.Bind(&telem, 0);  // no registry: publishes nothing
+  EXPECT_FALSE(stage.publishing());
+  stage.Bind(nullptr, 0);
+  EXPECT_FALSE(stage.publishing());
+  {
+    Stage::Timed timed(&stage);
+    timed.Produced();
+    stage.rows_in = 1;
+    stage.rows_out = 1;
+  }
+  stage.Close(nullptr);
+  stage.Close(nullptr);  // idempotent: the time is added once
+  EXPECT_EQ(stage.batches(), 1u);
+  EXPECT_DOUBLE_EQ(seconds, static_cast<double>(stage.ns()) / 1e9);
   EXPECT_EQ(guard.count(), 0u);
 }
 

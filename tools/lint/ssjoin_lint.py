@@ -20,11 +20,10 @@ Rules (scope: the directories named in RULE_SCOPES):
                        IO failure; propagate it (SSJOIN_RETURN_NOT_OK,
                        assign, or branch on it).
   no-raw-timing        src/core must not time joins with a raw Stopwatch
-                       (util/timer.h) or <chrono> clock reads; a Join()
-                       is timed once per stage, by the stage ledger
-                       (obs::OpInstrument), and the other
-                       drivers through obs::JoinTelemetry, so spans,
-                       metrics and JoinStats stay in one place.
+                       (util/timer.h) or <chrono> clock reads; every
+                       driver is timed once per stage, by the stage
+                       ledger (obs::Stage), so spans, metrics and
+                       JoinStats stay in one place.
                        execution_guard.{h,cc} are exempt (deadline
                        enforcement needs a wall clock, not telemetry).
   no-unchecked-io      a bare-statement call to a C stdio / POSIX write
@@ -78,8 +77,8 @@ RULE_SCOPES = {
 # telemetry-registry: the registry file and the emission seams it guards.
 STABILITY_HEADER = ("src", "obs", "stability.h")
 # Methods/functions whose first string-literal argument is a telemetry
-# name: JoinTelemetry (Phase/Time/Sample/PhaseAttr/Attr/Event/AddCount/
-# SetGauge), Tracer (StartSpan/SetAttr/AddEvent), MetricsRegistry
+# name: JoinTelemetry (Sample/Attr/Event/AddCount/SetGauge; Phase/Time
+# stay listed), Tracer (StartSpan/SetAttr/AddEvent), MetricsRegistry
 # (counter/gauge/histogram), the explain seams (SetParam/Predict/
 # Actual + the null-safe RecordActual wrapper), and the structured-log
 # seams (Logger::Log / the null-safe LogEvent wrapper, whose event name
@@ -87,7 +86,7 @@ STABILITY_HEADER = ("src", "obs", "stability.h")
 # names:: constant (or any non-literal) are skipped — they are registered
 # by construction.
 TELEMETRY_CALL_RE = re.compile(
-    r"(?<![\w:])(?:StartSpan|PhaseAttr|AddCount|SetGauge|SetAttr|AddEvent|"
+    r"(?<![\w:])(?:StartSpan|AddCount|SetGauge|SetAttr|AddEvent|"
     r"Attr|LogEvent|Log|Event|Sample|Phase|Time|counter|gauge|histogram|"
     r"RecordActual|SetParam|Predict|Actual)"
     r"\s*\(")
@@ -128,7 +127,7 @@ DROPPED_STATUS_RE = re.compile(
 # Raw timing machinery forbidden in src/core: the util/timer.h include
 # (where Stopwatch lives) and direct <chrono> clock reads. `#include
 # <chrono>` alone is also flagged — stage time comes from the stage
-# ledger, other core timing from a JoinTelemetry scope.
+# ledger (obs::Stage), sample time from a JoinTelemetry scope.
 # I/O primitives whose int/size_t result is the only report of a short
 # write, ENOSPC, or a buffered-write failure surfacing at flush/close.
 # A line that is nothing but such a call (even behind a `(void)` cast)
@@ -294,8 +293,7 @@ class Linter:
                     if not allowed(lineno, "no-raw-timing"):
                         self.report(rel, lineno, "no-raw-timing",
                                     "src/core times joins through the "
-                                    "stage ledger or "
-                                    "obs::JoinTelemetry, not raw "
+                                    "stage ledger (obs::Stage), not raw "
                                     "util/timer.h or std::chrono clocks "
                                     "(execution_guard is the only "
                                     "exemption)")
