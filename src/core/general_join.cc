@@ -51,16 +51,8 @@ Result<GeneralPartEnumScheme> GeneralPartEnumScheme::Create(
         scheme.predicate_->MaxHammingForSizeRange(lo, hi);
     // No joinable pair within this instance: a k=0 PartEnum is a valid
     // placeholder (its collisions are discarded by the post-filter).
-    PartEnumParams pe = chooser(k.value_or(0));
-    pe.k = k.value_or(0);
-    pe.seed = params.seed;
-    pe.n1 = std::max<uint32_t>(1, std::min(pe.n1, pe.k + 1));
-    pe.n2 = std::max<uint32_t>(1, pe.n2);
-    while (static_cast<uint64_t>(pe.n1) * pe.n2 <=
-           static_cast<uint64_t>(pe.k) + 1) {
-      ++pe.n2;
-    }
-    auto instance = PartEnumScheme::Create(pe);
+    auto instance = PartEnumScheme::Create(
+        chooser(k.value_or(0)).FittedTo(k.value_or(0), params.seed));
     if (!instance.ok()) return instance.status();
     scheme.instances_.push_back(
         std::make_unique<PartEnumScheme>(std::move(instance).value()));

@@ -1,36 +1,31 @@
 #include "core/kernels/bitmap_filter.h"
 
-#include "util/check.h"
 #include "util/hashing.h"
 
 namespace ssjoin::kernels {
 
-BitmapTable BitmapTable::Prepare(size_t num_sets, uint32_t bits) {
-  SSJOIN_CHECK(IsValidBitmapBits(bits) && bits != 0,
-               "bitmap width {} not one of 64/128/256", bits);
+BitmapTable BitmapTable::Prepare(size_t num_sets) {
   BitmapTable table;
-  table.bits_ = bits;
-  table.words_per_set_ = bits / 64;
-  table.words_.assign(num_sets * table.words_per_set_, 0);
+  table.words_.assign(num_sets * kBitmapWords, 0);
   return table;
 }
 
 void BitmapTable::BuildRange(const SetCollection& input, size_t begin,
                              size_t end) {
-  const uint64_t mask = bits_ - 1;  // widths are powers of two
+  constexpr uint64_t kMask = kBitmapBits - 1;  // the width is a power of two
   for (size_t id = begin; id < end; ++id) {
-    uint64_t* row = words_.data() + id * words_per_set_;
+    uint64_t* row = words_.data() + id * kBitmapWords;
     for (ElementId e : input.set(static_cast<SetId>(id))) {
       // Mix64 spreads structured ids uniformly; the low bits select the
       // toggled position (power-of-two width makes % a mask).
-      uint64_t bit = Mix64(e) & mask;
+      uint64_t bit = Mix64(e) & kMask;
       row[bit >> 6] ^= 1ULL << (bit & 63);
     }
   }
 }
 
-BitmapTable BitmapTable::Build(const SetCollection& input, uint32_t bits) {
-  BitmapTable table = Prepare(input.size(), bits);
+BitmapTable BitmapTable::Build(const SetCollection& input) {
+  BitmapTable table = Prepare(input.size());
   table.BuildRange(input, 0, input.size());
   return table;
 }

@@ -1,8 +1,8 @@
 // Bitmap pre-filter (arXiv 1711.07295 style; DESIGN.md Section 11).
 //
-// Each input set gets a fixed-width (64/128/256-bit) bit signature built
-// at verification load time by XOR-toggling bit Mix64(e) % width for
-// every element e. XOR (rather than OR) is what makes the filter exact:
+// Each input set gets a 128-bit signature built at verification load
+// time by XOR-toggling bit Mix64(e) % 128 for every element e. XOR
+// (rather than OR) is what makes the filter exact:
 //
 //   sig(r) ^ sig(s) == xor-signature of the symmetric difference r Δ s,
 //
@@ -26,12 +26,11 @@
 // information (the weighted family reports MinOverlap == 0) simply never
 // prune, which is safe and costs two cache lines per candidate.
 //
-// Width choice: 128 bits (two words) is the default — one popcount pair
-// per candidate and a measured prune rate of most false positives on the
-// paper's workloads; 64 halves the memory for small sets, 256 prunes
-// harder when sets are large relative to the width (see DESIGN.md
-// Section 11 for the policy discussion and BENCH_kernels.json for
-// measurements).
+// Width: 128 bits, fixed. Two words are one popcount pair per candidate,
+// and typical token sets (tens to low hundreds of elements) half-fill
+// them, which keeps the bound tight (DESIGN.md Section 11.2;
+// BM_BitmapBuild / BM_BitmapMayMatch in bench/bench_micro_components.cc
+// measure the build and the check).
 
 #pragma once
 
@@ -45,45 +44,38 @@
 
 namespace ssjoin::kernels {
 
-/// Valid widths for JoinOptions::bitmap_bits (0 disables the filter).
-inline constexpr uint32_t kBitmapWidths[] = {64, 128, 256};
-
-inline constexpr bool IsValidBitmapBits(uint32_t bits) {
-  return bits == 0 || bits == 64 || bits == 128 || bits == 256;
-}
+/// The signature width: two 64-bit words per set.
+inline constexpr uint32_t kBitmapBits = 128;
+inline constexpr size_t kBitmapWords = kBitmapBits / 64;
 
 /// Per-set XOR bit signatures for one collection, stored as a flat
-/// row-major word array (bits/64 words per set).
+/// row-major word array (kBitmapWords words per set).
 class BitmapTable {
  public:
   BitmapTable() = default;
 
-  /// Builds signatures for every set of `input`. `bits` must be one of
-  /// kBitmapWidths. The build is per-set independent and deterministic;
-  /// callers may shard it (BuildRange) across threads.
-  static BitmapTable Build(const SetCollection& input, uint32_t bits);
+  /// Builds signatures for every set of `input`. The build is per-set
+  /// independent and deterministic; callers may shard it (BuildRange)
+  /// across threads.
+  static BitmapTable Build(const SetCollection& input);
 
   /// Builds rows [begin, end) into an existing table created with
   /// Prepare() — the parallel build path.
   void BuildRange(const SetCollection& input, size_t begin, size_t end);
 
   /// Allocates (zeroed) rows for `num_sets` sets without filling them.
-  static BitmapTable Prepare(size_t num_sets, uint32_t bits);
+  static BitmapTable Prepare(size_t num_sets);
 
-  bool empty() const { return words_.empty(); }
-  uint32_t bits() const { return bits_; }
-  size_t words_per_set() const { return words_per_set_; }
   size_t size_bytes() const { return words_.size() * sizeof(uint64_t); }
 
   const uint64_t* row(SetId id) const {
-    return words_.data() + static_cast<size_t>(id) * words_per_set_;
+    return words_.data() + static_cast<size_t>(id) * kBitmapWords;
   }
 
   /// popcount(sig(a) ^ sig(b)) — the Hamming-distance lower bound.
-  static uint32_t XorPopcount(const uint64_t* a, const uint64_t* b,
-                              size_t words) {
+  static uint32_t XorPopcount(const uint64_t* a, const uint64_t* b) {
     uint32_t total = 0;
-    for (size_t w = 0; w < words; ++w) {
+    for (size_t w = 0; w < kBitmapWords; ++w) {
       total += static_cast<uint32_t>(std::popcount(a[w] ^ b[w]));
     }
     return total;
@@ -91,12 +83,11 @@ class BitmapTable {
 
   /// The overlap upper bound for a candidate pair:
   /// min(min(|r|,|s|), floor((|r|+|s| - popcount(xor)) / 2)). The rows
-  /// may come from two different tables (binary join) as long as both
-  /// were built with the same width.
+  /// may come from two different tables (binary join).
   static uint32_t OverlapUpperBound(const uint64_t* row_r,
-                                    const uint64_t* row_s, size_t words,
-                                    uint32_t size_r, uint32_t size_s) {
-    uint32_t hd_lower = XorPopcount(row_r, row_s, words);
+                                    const uint64_t* row_s, uint32_t size_r,
+                                    uint32_t size_s) {
+    uint32_t hd_lower = XorPopcount(row_r, row_s);
     uint32_t sum = size_r + size_s;
     uint32_t from_hd = hd_lower >= sum ? 0 : (sum - hd_lower) / 2;
     uint32_t cap = size_r < size_s ? size_r : size_s;
@@ -107,23 +98,19 @@ class BitmapTable {
   /// is fed through the predicate's own Matches so boundary epsilons are
   /// honored. False means "provably no match" — safe to skip Evaluate.
   static bool MayMatch(const Predicate& predicate, const uint64_t* row_r,
-                       const uint64_t* row_s, size_t words, uint32_t size_r,
+                       const uint64_t* row_s, uint32_t size_r,
                        uint32_t size_s) {
-    return predicate.Matches(
-        size_r, size_s,
-        OverlapUpperBound(row_r, row_s, words, size_r, size_s));
+    return predicate.Matches(size_r, size_s,
+                             OverlapUpperBound(row_r, row_s, size_r, size_s));
   }
 
   /// Self-join convenience: both rows from this table.
   bool MayMatch(const Predicate& predicate, SetId id_r, SetId id_s,
                 uint32_t size_r, uint32_t size_s) const {
-    return MayMatch(predicate, row(id_r), row(id_s), words_per_set_,
-                    size_r, size_s);
+    return MayMatch(predicate, row(id_r), row(id_s), size_r, size_s);
   }
 
  private:
-  uint32_t bits_ = 0;
-  size_t words_per_set_ = 0;
   std::vector<uint64_t> words_;
 };
 

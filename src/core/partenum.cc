@@ -71,6 +71,19 @@ PartEnumParams PartEnumParams::Default(uint32_t k) {
   return params;
 }
 
+PartEnumParams PartEnumParams::FittedTo(uint32_t k, uint64_t seed) const {
+  PartEnumParams fitted = *this;
+  fitted.k = k;
+  fitted.seed = seed;
+  fitted.n1 = std::max<uint32_t>(1, std::min(n1, k + 1));
+  fitted.n2 = std::max<uint32_t>(1, n2);
+  while (static_cast<uint64_t>(fitted.n1) * fitted.n2 <=
+         static_cast<uint64_t>(k) + 1) {
+    ++fitted.n2;
+  }
+  return fitted;
+}
+
 std::vector<PartEnumParams> PartEnumParams::EnumerateValid(
     uint32_t k, uint64_t max_signatures, uint64_t seed) {
   std::vector<PartEnumParams> out;

@@ -66,6 +66,13 @@ struct PartEnumParams {
   /// care about performance should use the parameter advisor instead.
   static PartEnumParams Default(uint32_t k);
 
+  /// This (n1, n2) shape fitted to threshold `k` under `seed`: n1 is
+  /// clamped to [1, k + 1] and n2 raised until n1 * n2 > k + 1, so the
+  /// result passes Validate(). Shape choosers may return settings tuned
+  /// for another threshold (e.g. n1 > k + 1 on a tiny size interval);
+  /// the schemes fit them rather than fail the whole join.
+  PartEnumParams FittedTo(uint32_t k, uint64_t seed) const;
+
   /// All valid (n1, n2) settings for threshold k with at most
   /// `max_signatures` signatures per set — the search space swept by the
   /// parameter advisor and by the Figure 15 / Table 1 experiments.

@@ -85,18 +85,9 @@ Result<PartEnumJaccardScheme> PartEnumJaccardScheme::Create(
           static_cast<double>(scheme.intervals_.back().hi + 1) / params.gamma;
       right = static_cast<uint32_t>(std::floor(hi_f + 1e-9));
     }
-    PartEnumParams pe = chooser(IntervalThreshold(params.gamma, right));
-    pe.k = IntervalThreshold(params.gamma, right);
-    pe.seed = params.seed;
-    // The chooser may return settings invalid for this k (e.g. n1 > k+1 on
-    // a tiny interval); clamp to validity rather than fail the whole join.
-    pe.n1 = std::max<uint32_t>(1, std::min(pe.n1, pe.k + 1));
-    pe.n2 = std::max<uint32_t>(1, pe.n2);
-    while (static_cast<uint64_t>(pe.n1) * pe.n2 <=
-           static_cast<uint64_t>(pe.k) + 1) {
-      ++pe.n2;
-    }
-    auto instance = PartEnumScheme::Create(pe);
+    const uint32_t k = IntervalThreshold(params.gamma, right);
+    auto instance =
+        PartEnumScheme::Create(chooser(k).FittedTo(k, params.seed));
     if (!instance.ok()) return instance.status();
     scheme.instances_.push_back(
         std::make_unique<PartEnumScheme>(std::move(instance).value()));

@@ -33,10 +33,9 @@ size_t TableBytes(const SignatureTable& table) {
 // Builds the XOR bitmap signature table for `input` with the rows
 // sharded across the pool. Row contents are per-set independent, so the
 // table is byte-identical for every thread count.
-kernels::BitmapTable BuildBitmap(const SetCollection& input, uint32_t bits,
+kernels::BitmapTable BuildBitmap(const SetCollection& input,
                                  ThreadPool& pool) {
-  kernels::BitmapTable table =
-      kernels::BitmapTable::Prepare(input.size(), bits);
+  kernels::BitmapTable table = kernels::BitmapTable::Prepare(input.size());
   ParallelFor(pool, input.size(),
               [&](size_t begin, size_t end, size_t) {
                 table.BuildRange(input, begin, end);
@@ -52,8 +51,8 @@ struct RangeTally {
 
 // Compacts `range` to the pairs the bitmaps cannot rule out (the first
 // `kept` slots). Pruned pairs are provably non-matching; verify counts
-// them as false positives, so results/false_positives stay
-// byte-identical with the filter on or off.
+// them as false positives, so results/false_positives equal those of
+// verifying every candidate.
 RangeTally FilterRange(const ExecContext& ctx, const BitmapTables& tables,
                        std::span<uint64_t> range) {
   const SetCollection& r = *ctx.left;
@@ -67,7 +66,7 @@ RangeTally FilterRange(const ExecContext& ctx, const BitmapTables& tables,
     ++tally.bitmap.checked;
     if (!kernels::BitmapTable::MayMatch(
             *ctx.predicate, bm_r.row(id_r), bm_s.row(id_s),
-            bm_r.words_per_set(), static_cast<uint32_t>(r.set(id_r).size()),
+            static_cast<uint32_t>(r.set(id_r).size()),
             static_cast<uint32_t>(s.set(id_s).size()))) {
       ++tally.bitmap.pruned;
       continue;
@@ -350,11 +349,8 @@ Status PartitionCandidates(const ExecContext& ctx, obs::Stage* stage,
 void BuildBitmaps(const ExecContext& ctx, obs::Stage* stage,
                   BitmapTables* tables) {
   obs::Stage::Timed timed(stage);
-  const uint32_t bits = ctx.options->bitmap_bits;
-  tables->left = BuildBitmap(*ctx.left, bits, *ctx.pool);
-  if (ctx.right != nullptr) {
-    tables->right = BuildBitmap(*ctx.right, bits, *ctx.pool);
-  }
+  tables->left = BuildBitmap(*ctx.left, *ctx.pool);
+  if (ctx.right != nullptr) tables->right = BuildBitmap(*ctx.right, *ctx.pool);
   if (ctx.guard != nullptr) {
     ctx.guard->ChargeMemory(tables->left.size_bytes() +
                             tables->right.size_bytes());

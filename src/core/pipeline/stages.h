@@ -3,8 +3,8 @@
 // Join() runs one fixed stage sequence, driven straight-line by RunJoin
 // in core/ssjoin.cc:
 //
-//   in memory  siggen -> candgen [-> bitmap_filter] -> verify -> dedup_emit
-//   spilled    spill_partition [-> bitmap_filter] -> verify -> dedup_emit
+//   in memory  siggen -> candgen -> bitmap_filter -> verify -> dedup_emit
+//   spilled    spill_partition -> bitmap_filter -> verify -> dedup_emit
 //
 // An auto spill switches source after siggen, in the same pass and chain
 // (siggen -> candgen -> spill_partition -> ...). The spill layer reuses
@@ -14,8 +14,7 @@
 // duplicate-free candidate vector. The driver builds the bitmap tables,
 // then walks the vector in kVerifySpan-candidate spans: each span is
 // filtered in place, verified behind its guard barrier, and its pairs
-// are appended to the result. bitmap_filter is present only when
-// options.bitmap_bits != 0.
+// are appended to the result.
 //
 // Every stage function keeps its obs::Stage ledger (obs/join_telemetry.h):
 // it times itself with a Stage::Timed scope and maintains the stage's

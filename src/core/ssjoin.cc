@@ -89,8 +89,8 @@ void FinishJoin(obs::JoinTelemetry& telem, const JoinResult& result,
   telem.SetGauge("join.seconds.total", stats.TotalSeconds(),
                  obs::Stability::kRuntime);
   // Bitmap pre-filter effectiveness (DESIGN.md Section 11). The counters
-  // derive from JoinStats, so they are deterministic; a disabled filter
-  // reports 0 checked / 0 pruned and a 0.0 rate.
+  // derive from JoinStats, so they are deterministic; a join without
+  // candidates reports 0 checked / 0 pruned and a 0.0 rate.
   telem.Attr("bitmap_filter_checked", stats.bitmap_filter_checked);
   telem.Attr("bitmap_filter_pruned", stats.bitmap_filter_pruned);
   telem.AddCount("join.bitmap_filter_checked", stats.bitmap_filter_checked);
@@ -155,14 +155,14 @@ void FinishJoin(obs::JoinTelemetry& telem, const JoinResult& result,
 // picks the ones that do. Each feeds its time into one of `stats`'
 // seconds fields (dedup_emit into none).
 struct Stages {
-  Stages(uint32_t bitmap_bits, JoinStats* stats)
+  explicit Stages(JoinStats* stats)
       : siggen(obs::names::kOpSigGen, "csr", &stats->siggen_seconds),
         candgen(obs::names::kOpCandGen, "sorted shards",
                 &stats->candpair_seconds),
         partition(obs::names::kOpSpillPartition, "partitioned",
                   &stats->candpair_seconds),
         filter(obs::names::kOpBitmapFilter,
-               std::to_string(bitmap_bits) + "-bit deferred",
+               std::to_string(kernels::kBitmapBits) + "-bit deferred",
                &stats->postfilter_seconds),
         verify(obs::names::kOpVerify, "chunked", &stats->postfilter_seconds),
         emit(obs::names::kOpDedupEmit, "append", nullptr) {}
@@ -200,7 +200,6 @@ void MarkSpilled(const pipeline::ExecContext& ctx, std::string_view how) {
 Status RunStages(const pipeline::ExecContext& ctx, std::string_view mode,
                  Stages& stages, std::vector<obs::Stage*>* chain) {
   const JoinOptions& options = *ctx.options;
-  const bool bitmap = options.bitmap_bits != 0;
   std::vector<uint64_t> candidates;
   if (options.spill.policy == SpillPolicy::kForced) {
     SSJOIN_RETURN_NOT_OK(
@@ -227,7 +226,7 @@ Status RunStages(const pipeline::ExecContext& ctx, std::string_view mode,
     }
   }
   pipeline::BitmapTables bitmaps;
-  if (bitmap) pipeline::BuildBitmaps(ctx, &stages.filter, &bitmaps);
+  pipeline::BuildBitmaps(ctx, &stages.filter, &bitmaps);
   std::vector<std::vector<SetPair>> verified;
   for (size_t start = 0; start < candidates.size();
        start += pipeline::kVerifySpan) {
@@ -235,10 +234,8 @@ Status RunStages(const pipeline::ExecContext& ctx, std::string_view mode,
         candidates.data() + start,
         std::min(pipeline::kVerifySpan, candidates.size() - start));
     pipeline::BitmapTally tally;
-    if (bitmap) {
-      span = span.first(
-          pipeline::FilterSpan(ctx, &stages.filter, bitmaps, span, &tally));
-    }
+    span = span.first(
+        pipeline::FilterSpan(ctx, &stages.filter, bitmaps, span, &tally));
     SSJOIN_RETURN_NOT_OK(pipeline::VerifySpan(ctx, &stages.verify, start,
                                               span, tally, &verified));
     pipeline::EmitPairs(ctx, &stages.emit, verified);
@@ -295,16 +292,14 @@ JoinResult RunJoin(const JoinRequest& request) {
   // The chain, source first. Its order is the EXPLAIN plan rows' order;
   // every stage in it is bound before it runs (its bind order is its
   // trace lane) and closed, in chain order, on every exit path.
-  Stages stages(options.bitmap_bits, &result.stats);
+  Stages stages(&result.stats);
   std::vector<obs::Stage*> chain;
   if (forced) {
     chain = {&stages.partition};
   } else {
     chain = {&stages.siggen, &stages.candgen};
   }
-  if (options.bitmap_bits != 0) chain.push_back(&stages.filter);
-  chain.push_back(&stages.verify);
-  chain.push_back(&stages.emit);
+  chain.insert(chain.end(), {&stages.filter, &stages.verify, &stages.emit});
   // The executed plan replaces any previous join's rows (accumulated
   // explain reports show the last plan; see obs/explain.h).
   if (options.explain != nullptr) options.explain->plan.clear();
@@ -355,10 +350,6 @@ std::string_view ExecutionModeName(ExecutionMode mode) {
 }
 
 Status ValidateJoinOptions(const JoinOptions& options) {
-  if (!kernels::IsValidBitmapBits(options.bitmap_bits)) {
-    return Status::InvalidArgument(
-        "JoinOptions::bitmap_bits must be 0 (off), 64, 128, or 256");
-  }
   if (options.num_threads > kMaxJoinThreads) {
     return Status::InvalidArgument(
         "JoinOptions::num_threads must be at most 4096 (0 = one per core)");
@@ -444,8 +435,6 @@ JoinResult Join(const JoinRequest& request) {
   if (obs::ExplainReport* ex = resolved.options.explain) {
     ex->mode = std::string(ExecutionModeName(resolved.mode));
     ex->SetParam("input_sets", std::to_string(resolved.left->size()));
-    ex->SetParam("bitmap_bits",
-                 std::to_string(resolved.options.bitmap_bits));
     if (resolved.mode == ExecutionMode::kBinaryJoin) {
       ex->SetParam("input_sets_r", std::to_string(resolved.left->size()));
       ex->SetParam("input_sets_s", std::to_string(resolved.right->size()));

@@ -79,14 +79,6 @@ struct SpillOptions {
 
 /// Knobs of the generic driver.
 struct JoinOptions {
-  /// Width of the XOR bitmap pre-filter (core/kernels/bitmap_filter.h)
-  /// applied between candidate generation and exact verification: 64,
-  /// 128 (default) or 256 bits per set, 0 disables the filter. The
-  /// filter is exact — it never rejects a true match — so the join
-  /// output and all legacy stats are byte-identical for every setting;
-  /// only bitmap_filter_checked / bitmap_filter_pruned and wall-clock
-  /// change. Invalid widths make Join() return InvalidArgument.
-  uint32_t bitmap_bits = 128;
   /// Worker threads for the drivers: 1 (default) runs the serial
   /// reference path on the calling thread, 0 means one thread per
   /// hardware core, any other value is used literally. Every thread
@@ -142,7 +134,7 @@ inline constexpr size_t kMaxJoinThreads = 4096;
 inline constexpr uint32_t kMaxSpillPartitions = 4096;
 
 /// Validates the option combinations every execution path relies on —
-/// bitmap width, thread-count and spill caps — in one place. Join()
+/// the thread-count and spill caps — in one place. Join()
 /// calls this through JoinRequest::Validate(); call it directly to
 /// pre-flight options built from configuration or user input.
 Status ValidateJoinOptions(const JoinOptions& options);
@@ -195,12 +187,12 @@ struct JoinStats {
   /// measure 2 of Section 3.2).
   uint64_t false_positives = 0;
 
-  /// Candidates examined by the bitmap pre-filter (== candidates when
-  /// the filter is on, 0 when bitmap_bits == 0).
+  /// Candidates examined by the 128-bit XOR bitmap pre-filter
+  /// (core/kernels/bitmap_filter.h) — every candidate, once.
   uint64_t bitmap_filter_checked = 0;
   /// Candidates the bitmap filter proved non-matching — these skip the
   /// exact Predicate::Evaluate but still count into false_positives, so
-  /// every legacy stat is identical with the filter on or off.
+  /// every legacy stat is what verifying every candidate would give.
   uint64_t bitmap_filter_pruned = 0;
 
   /// Out-of-core accounting (0 when the join ran in memory). All four

@@ -24,16 +24,9 @@ Result<std::unique_ptr<SignatureScheme>> MakeScheme(
     const SetCollection& r_bags, const SetCollection* s_bags) {
   switch (options.algorithm) {
     case StringJoinAlgorithm::kPartEnum: {
-      PartEnumParams params = options.partenum_shape.value_or(
-          PartEnumParams::Default(hamming_k));
-      params.k = hamming_k;
-      params.seed = options.seed;
-      params.n1 = std::max<uint32_t>(1, std::min(params.n1, params.k + 1));
-      while (static_cast<uint64_t>(params.n1) * params.n2 <=
-             static_cast<uint64_t>(params.k) + 1) {
-        ++params.n2;
-      }
-      auto created = PartEnumScheme::Create(params);
+      auto created = PartEnumScheme::Create(
+          options.partenum_shape.value_or(PartEnumParams::Default(hamming_k))
+              .FittedTo(hamming_k, options.seed));
       if (!created.ok()) return created.status();
       return std::unique_ptr<SignatureScheme>(
           std::make_unique<PartEnumScheme>(std::move(created).value()));

@@ -198,7 +198,6 @@ inline constexpr std::string_view kParamN1 = "n1";
 inline constexpr std::string_view kParamN2 = "n2";
 inline constexpr std::string_view kParamAlgo = "algo";
 inline constexpr std::string_view kParamInput = "input";
-inline constexpr std::string_view kParamBitmapBits = "bitmap_bits";
 // Spill configuration of the run (core/spill): entry cause and the
 // partition count the attempt started from.
 inline constexpr std::string_view kParamSpill = "spill";

@@ -4,24 +4,31 @@
 // reference it replaced. This suite enforces the claim three ways:
 // exhaustively on all small-universe set pairs, randomly at realistic
 // scale (including the skewed size ratios that trigger galloping), and
-// end-to-end (join output must be byte-identical with the bitmap filter
-// on, off, and at every width). CI runs it under ASan/UBSan via the
-// `kernels` ctest label.
+// end-to-end (the join with its bitmap pre-filter must return the
+// brute-force oracle's pairs and candidate accounting). CI runs it under
+// ASan/UBSan via the `kernels` ctest label.
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "baselines/identity_scheme.h"
+#include "baselines/nested_loop.h"
 #include "core/kernels/bitmap_filter.h"
 #include "core/kernels/hash_kernels.h"
 #include "core/kernels/intersect.h"
 #include "core/partenum.h"
 #include "core/predicate.h"
 #include "core/ssjoin.h"
+#include "core/weighted.h"
+#include "core/wtenum.h"
+#include "obs/explain.h"
+#include "text/idf.h"
 #include "util/hashing.h"
 #include "util/random.h"
 
@@ -163,9 +170,8 @@ TEST(IntersectKernels, KernelNames) {
 // ---------------------------------------------------------------------
 
 // The exactness contract: the filter may never reject a pair the exact
-// predicate accepts. Checked for every width against both jaccard and
-// hamming predicates over random collections dense enough to contain
-// many true matches.
+// predicate accepts. Checked against both jaccard and hamming predicates
+// over random collections dense enough to contain many true matches.
 TEST(BitmapFilter, NeverRejectsTrueMatch) {
   Rng rng(99);
   std::vector<std::vector<ElementId>> sets;
@@ -181,41 +187,36 @@ TEST(BitmapFilter, NeverRejectsTrueMatch) {
   SetCollection input = SetCollection::FromVectors(sets);
   JaccardPredicate jaccard(0.7);
   HammingPredicate hamming(4);
-  for (uint32_t bits : kBitmapWidths) {
-    BitmapTable table = BitmapTable::Build(input, bits);
-    size_t true_matches = 0;
-    for (SetId r = 0; r < input.size(); ++r) {
-      for (SetId s = r + 1; s < input.size(); ++s) {
-        auto set_r = input.set(r);
-        auto set_s = input.set(s);
-        uint32_t size_r = static_cast<uint32_t>(set_r.size());
-        uint32_t size_s = static_cast<uint32_t>(set_s.size());
-        // The upper bound must actually bound the overlap, always.
-        uint32_t bound = BitmapTable::OverlapUpperBound(
-            table.row(r), table.row(s), table.words_per_set(), size_r,
-            size_s);
-        uint32_t overlap = ReferenceIntersect(
-            {set_r.begin(), set_r.end()}, {set_s.begin(), set_s.end()});
-        ASSERT_GE(bound, overlap) << "width " << bits;
-        for (const Predicate* predicate :
-             {static_cast<const Predicate*>(&jaccard),
-              static_cast<const Predicate*>(&hamming)}) {
-          if (predicate->Evaluate(set_r, set_s)) {
-            ++true_matches;
-            ASSERT_TRUE(
-                table.MayMatch(*predicate, r, s, size_r, size_s))
-                << "width " << bits << " pruned true match (" << r << ","
-                << s << ")";
-          }
+  BitmapTable table = BitmapTable::Build(input);
+  size_t true_matches = 0;
+  for (SetId r = 0; r < input.size(); ++r) {
+    for (SetId s = r + 1; s < input.size(); ++s) {
+      auto set_r = input.set(r);
+      auto set_s = input.set(s);
+      uint32_t size_r = static_cast<uint32_t>(set_r.size());
+      uint32_t size_s = static_cast<uint32_t>(set_s.size());
+      // The upper bound must actually bound the overlap, always.
+      uint32_t bound = BitmapTable::OverlapUpperBound(
+          table.row(r), table.row(s), size_r, size_s);
+      uint32_t overlap = ReferenceIntersect({set_r.begin(), set_r.end()},
+                                            {set_s.begin(), set_s.end()});
+      ASSERT_GE(bound, overlap);
+      for (const Predicate* predicate :
+           {static_cast<const Predicate*>(&jaccard),
+            static_cast<const Predicate*>(&hamming)}) {
+        if (predicate->Evaluate(set_r, set_s)) {
+          ++true_matches;
+          ASSERT_TRUE(table.MayMatch(*predicate, r, s, size_r, size_s))
+              << "pruned true match (" << r << "," << s << ")";
         }
       }
     }
-    EXPECT_GT(true_matches, 0u);  // the test must have had teeth
   }
+  EXPECT_GT(true_matches, 0u);  // the test must have had teeth
 }
 
 TEST(BitmapFilter, PrunesObviousNonMatches) {
-  // Disjoint sets of equal size: overlap bound from a full-width XOR
+  // Disjoint sets of equal size: overlap bound from the XOR signatures
   // should fail a high-jaccard predicate for most pairs. Not required
   // for correctness — but a filter that never prunes is dead weight, so
   // pin the behaviour on a clearly prunable workload.
@@ -228,7 +229,7 @@ TEST(BitmapFilter, PrunesObviousNonMatches) {
   }
   SetCollection input = SetCollection::FromVectors(sets);
   JaccardPredicate predicate(0.9);
-  BitmapTable table = BitmapTable::Build(input, 256);
+  BitmapTable table = BitmapTable::Build(input);
   size_t pruned = 0, pairs = 0;
   for (SetId r = 0; r < input.size(); ++r) {
     for (SetId s = r + 1; s < input.size(); ++s) {
@@ -246,25 +247,15 @@ TEST(BitmapFilter, ParallelBuildMatchesSerial) {
     sets.push_back(SampleWithoutReplacement(500, 1 + rng.Uniform(30), rng));
   }
   SetCollection input = SetCollection::FromVectors(sets);
-  BitmapTable serial = BitmapTable::Build(input, 128);
-  BitmapTable sharded = BitmapTable::Prepare(input.size(), 128);
+  BitmapTable serial = BitmapTable::Build(input);
+  BitmapTable sharded = BitmapTable::Prepare(input.size());
   sharded.BuildRange(input, 0, 20);
   sharded.BuildRange(input, 20, input.size());
   for (SetId id = 0; id < input.size(); ++id) {
-    for (size_t w = 0; w < serial.words_per_set(); ++w) {
+    for (size_t w = 0; w < kBitmapWords; ++w) {
       ASSERT_EQ(serial.row(id)[w], sharded.row(id)[w]);
     }
   }
-}
-
-TEST(BitmapFilter, ValidBits) {
-  EXPECT_TRUE(IsValidBitmapBits(0));
-  EXPECT_TRUE(IsValidBitmapBits(64));
-  EXPECT_TRUE(IsValidBitmapBits(128));
-  EXPECT_TRUE(IsValidBitmapBits(256));
-  EXPECT_FALSE(IsValidBitmapBits(1));
-  EXPECT_FALSE(IsValidBitmapBits(32));
-  EXPECT_FALSE(IsValidBitmapBits(512));
 }
 
 // ---------------------------------------------------------------------
@@ -355,7 +346,7 @@ TEST(HashKernels, AddMixedMatchesAdd) {
 }
 
 // ---------------------------------------------------------------------
-// End-to-end: the bitmap filter must not change join output
+// End-to-end: the join with its bitmap filter against brute force
 // ---------------------------------------------------------------------
 
 SetCollection JoinWorkload() {
@@ -377,44 +368,57 @@ void ExpectLegacyStatsEqual(const JoinStats& a, const JoinStats& b) {
   EXPECT_EQ(a.false_positives, b.false_positives);
 }
 
+// The pairs that share an element (a < b for the self-join, `s` null):
+// exactly the candidates IdentityScheme generates.
+uint64_t OverlappingPairs(const SetCollection& r, const SetCollection* s) {
+  const SetCollection& other = s != nullptr ? *s : r;
+  uint64_t pairs = 0;
+  for (SetId a = 0; a < r.size(); ++a) {
+    auto set_a = r.set(a);
+    for (SetId b = s != nullptr ? 0 : a + 1; b < other.size(); ++b) {
+      auto set_b = other.set(b);
+      if (ReferenceIntersect({set_a.begin(), set_a.end()},
+                             {set_b.begin(), set_b.end()}) > 0) {
+        ++pairs;
+      }
+    }
+  }
+  return pairs;
+}
+
+// An IdentityScheme join against brute force: the oracle's pairs, the
+// overlapping pairs as candidates, every failed candidate a false
+// positive, and every candidate through the bitmap filter exactly once.
+void ExpectOracleAccounting(const JoinResult& result,
+                            const std::vector<SetPair>& oracle,
+                            uint64_t overlapping) {
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(result.pairs, oracle);
+  EXPECT_EQ(result.stats.candidates, overlapping);
+  EXPECT_EQ(result.stats.results, oracle.size());
+  EXPECT_EQ(result.stats.false_positives, overlapping - oracle.size());
+  EXPECT_EQ(result.stats.bitmap_filter_checked, overlapping);
+  EXPECT_LE(result.stats.bitmap_filter_pruned,
+            result.stats.false_positives);
+}
+
 TEST(BitmapFilterJoin, OutputIdenticalAtEveryWidth) {
   SetCollection input = JoinWorkload();
   IdentityScheme scheme;
   JaccardPredicate predicate(0.8);
-  JoinRequest off;
-  off.left = &input;
-  off.scheme = &scheme;
-  off.predicate = &predicate;
-  off.options.bitmap_bits = 0;
-  JoinResult baseline = Join(off);
-  ASSERT_TRUE(baseline.status.ok());
-  EXPECT_EQ(baseline.stats.bitmap_filter_checked, 0u);
-  EXPECT_EQ(baseline.stats.bitmap_filter_pruned, 0u);
-  EXPECT_GT(baseline.stats.results, 0u);
-  for (uint32_t bits : kBitmapWidths) {
-    JoinRequest on = off;
-    on.options.bitmap_bits = bits;
-    JoinResult filtered = Join(on);
-    ASSERT_TRUE(filtered.status.ok());
-    EXPECT_EQ(filtered.pairs, baseline.pairs) << "bits " << bits;
-    ExpectLegacyStatsEqual(filtered.stats, baseline.stats);
-    // Every candidate passes through the filter exactly once.
-    EXPECT_EQ(filtered.stats.bitmap_filter_checked,
-              filtered.stats.candidates);
-    EXPECT_LE(filtered.stats.bitmap_filter_pruned,
-              filtered.stats.false_positives);
-  }
+  std::vector<SetPair> oracle = NestedLoopSelfJoin(input, predicate);
+  ASSERT_FALSE(oracle.empty());
+  JoinResult result = Join(SelfJoinRequest(input, scheme, predicate));
+  ExpectOracleAccounting(result, oracle, OverlappingPairs(input, nullptr));
 }
 
 TEST(BitmapFilterJoin, ParallelMatchesSerialWithFilter) {
   SetCollection input = JoinWorkload();
   IdentityScheme scheme;
   JaccardPredicate predicate(0.8);
-  JoinOptions serial;
-  serial.bitmap_bits = 128;
-  JoinResult one = Join(SelfJoinRequest(input, scheme, predicate, serial));
+  JoinResult one = Join(SelfJoinRequest(input, scheme, predicate));
   ASSERT_TRUE(one.status.ok());
-  JoinOptions parallel = serial;
+  JoinOptions parallel;
   parallel.num_threads = 4;
   JoinResult four = Join(SelfJoinRequest(input, scheme, predicate, parallel));
   ASSERT_TRUE(four.status.ok());
@@ -424,20 +428,6 @@ TEST(BitmapFilterJoin, ParallelMatchesSerialWithFilter) {
             four.stats.bitmap_filter_checked);
   EXPECT_EQ(one.stats.bitmap_filter_pruned,
             four.stats.bitmap_filter_pruned);
-}
-
-TEST(BitmapFilterJoin, InvalidWidthRejected) {
-  SetCollection input = SetCollection::FromVectors({{1, 2}, {1, 2}});
-  IdentityScheme scheme;
-  JaccardPredicate predicate(0.8);
-  JoinRequest request;
-  request.left = &input;
-  request.scheme = &scheme;
-  request.predicate = &predicate;
-  request.options.bitmap_bits = 100;
-  JoinResult result = Join(request);
-  EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument)
-      << result.status.ToString();
 }
 
 TEST(BitmapFilterJoin, BinaryJoinIdenticalWithFilter) {
@@ -452,19 +442,52 @@ TEST(BitmapFilterJoin, BinaryJoinIdenticalWithFilter) {
   SetCollection s = SetCollection::FromVectors(sv);
   IdentityScheme scheme;
   JaccardPredicate predicate(0.75);
-  JoinOptions off;
-  off.bitmap_bits = 0;
-  JoinResult baseline = Join(BinaryJoinRequest(r, s, scheme, predicate, off));
-  ASSERT_TRUE(baseline.status.ok());
-  EXPECT_GT(baseline.stats.results, 0u);
-  JoinOptions on;
-  on.bitmap_bits = 128;
-  JoinResult filtered = Join(BinaryJoinRequest(r, s, scheme, predicate, on));
-  ASSERT_TRUE(filtered.status.ok());
-  EXPECT_EQ(filtered.pairs, baseline.pairs);
-  ExpectLegacyStatsEqual(filtered.stats, baseline.stats);
-  EXPECT_EQ(filtered.stats.bitmap_filter_checked,
-            filtered.stats.candidates);
+  std::vector<SetPair> oracle = NestedLoopJoin(r, s, predicate);
+  ASSERT_FALSE(oracle.empty());
+  JoinResult result = Join(BinaryJoinRequest(r, s, scheme, predicate));
+  ExpectOracleAccounting(result, oracle, OverlappingPairs(r, &s));
+}
+
+// A weighted predicate reports MinOverlap == 0, so the overlap bound can
+// never rule a pair out: bitmap_filter stays in the chain, checks every
+// candidate and prunes none, at every thread count — a no-op by
+// construction, not by configuration (DESIGN.md Section 11.2).
+TEST(BitmapFilterJoin, WeightedJoinKeepsStageAndPrunesNothing) {
+  SetCollection input = JoinWorkload();
+  auto idf = std::make_shared<IdfWeights>(IdfWeights::Compute(input));
+  WeightFunction weights = [idf](ElementId e) {
+    return idf->Weight(e) + 0.01;
+  };
+  double min_ws = std::numeric_limits<double>::infinity();
+  for (SetId id = 0; id < input.size(); ++id) {
+    min_ws = std::min(min_ws, WeightedSize(input.set(id), weights));
+  }
+  WtEnumParams params;
+  params.pruning_threshold = idf->DefaultPruningThreshold();
+  auto scheme =
+      WtEnumScheme::CreateJaccard(weights, weights, 0.8, min_ws, params);
+  ASSERT_TRUE(scheme.ok());
+  WeightedJaccardPredicate predicate(0.8, weights);
+  std::vector<SetPair> oracle = NestedLoopSelfJoin(input, predicate);
+  ASSERT_FALSE(oracle.empty());
+  for (size_t threads : {1, 4}) {
+    obs::ExplainReport explain;
+    JoinOptions options;
+    options.num_threads = threads;
+    options.explain = &explain;
+    JoinResult result =
+        Join(SelfJoinRequest(input, *scheme, predicate, options));
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+    EXPECT_EQ(result.pairs, oracle) << "threads " << threads;
+    EXPECT_GT(result.stats.candidates, 0u);
+    EXPECT_EQ(result.stats.bitmap_filter_checked, result.stats.candidates);
+    EXPECT_EQ(result.stats.bitmap_filter_pruned, 0u);
+    EXPECT_TRUE(std::any_of(explain.plan.begin(), explain.plan.end(),
+                            [](const obs::PlanOp& op) {
+                              return op.op == "bitmap_filter";
+                            }))
+        << "threads " << threads;
+  }
 }
 
 // PartEnum end-to-end: the batched siggen kernels (MixBatch / AddMixed /

@@ -84,6 +84,36 @@ TEST(PartEnumParamsTest, DefaultIsValidForAllK) {
   }
 }
 
+// A chooser's shape tuned for another threshold is fitted, not rejected:
+// a valid shape is kept, n1 is clamped to k + 1 and n2 raised to the
+// smallest value with n1 * n2 > k + 1.
+TEST(PartEnumParamsTest, FittedToMakesAnyShapeValid) {
+  PartEnumParams shape;
+  shape.n1 = 3;
+  shape.n2 = 4;
+  PartEnumParams kept = shape.FittedTo(5, 17);
+  EXPECT_EQ(kept.k, 5u);
+  EXPECT_EQ(kept.seed, 17u);
+  EXPECT_EQ(kept.n1, 3u);
+  EXPECT_EQ(kept.n2, 4u);
+
+  shape.n1 = 9;
+  shape.n2 = 0;
+  PartEnumParams fitted = shape.FittedTo(2, 17);
+  EXPECT_EQ(fitted.n1, 3u);  // k + 1
+  EXPECT_EQ(fitted.n2, 2u);  // smallest n2 with 3 * n2 > 3
+  for (uint32_t k = 0; k <= 20; ++k) {
+    for (uint32_t n1 = 0; n1 <= 25; n1 += 5) {
+      for (uint32_t n2 = 0; n2 <= 4; ++n2) {
+        shape.n1 = n1;
+        shape.n2 = n2;
+        EXPECT_TRUE(shape.FittedTo(k, 1).Validate().ok())
+            << "k=" << k << " n1=" << n1 << " n2=" << n2;
+      }
+    }
+  }
+}
+
 TEST(PartEnumParamsTest, EnumerateValidRespectsBudgetAndValidity) {
   std::vector<PartEnumParams> all =
       PartEnumParams::EnumerateValid(5, 100, 1);

@@ -103,9 +103,9 @@ TEST_F(RequestValidationTest, UnknownMode) {
 
 TEST_F(RequestValidationTest, InvalidOptionsRejectTheRequest) {
   JoinRequest request = ValidSelf();
-  request.options.bitmap_bits = 96;
+  request.options.spill.partitions = kMaxSpillPartitions + 1;
   ExpectRejected(request,
-                 "JoinOptions::bitmap_bits must be 0 (off), 64, 128, or 256");
+                 "SpillOptions::partitions must be at most 4096 (0 = default)");
 }
 
 // Field checks run in a fixed documented order — a request that is
@@ -116,7 +116,7 @@ TEST_F(RequestValidationTest, ChecksRunInDocumentedOrder) {
   request.left = nullptr;
   request.scheme = nullptr;
   request.right = nullptr;
-  request.options.bitmap_bits = 7;
+  request.options.spill.partitions = kMaxSpillPartitions + 1;
   ExpectRejected(request, "JoinRequest::left is required");
 
   request.left = &input_;
@@ -124,9 +124,9 @@ TEST_F(RequestValidationTest, ChecksRunInDocumentedOrder) {
 
   request.scheme = &scheme_;
   ExpectRejected(request,
-                 "JoinOptions::bitmap_bits must be 0 (off), 64, 128, or 256");
+                 "SpillOptions::partitions must be at most 4096 (0 = default)");
 
-  request.options.bitmap_bits = 0;
+  request.options.spill.partitions = 0;
   ExpectRejected(request,
                  "ExecutionMode::kBinaryJoin requires JoinRequest::right");
 }
@@ -137,26 +137,6 @@ TEST(ValidateJoinOptionsTest, DefaultOptionsAreValid) {
   JoinOptions options;
   Status st = ValidateJoinOptions(options);
   EXPECT_TRUE(st.ok()) << st.ToString();
-}
-
-TEST(ValidateJoinOptionsTest, EveryLegalBitmapWidthIsValid) {
-  for (uint32_t bits : {0u, 64u, 128u, 256u}) {
-    JoinOptions options;
-    options.bitmap_bits = bits;
-    Status st = ValidateJoinOptions(options);
-    EXPECT_TRUE(st.ok()) << "bits=" << bits << ": " << st.ToString();
-  }
-}
-
-TEST(ValidateJoinOptionsTest, RejectsBadBitmapWidth) {
-  for (uint32_t bits : {1u, 32u, 63u, 65u, 512u}) {
-    JoinOptions options;
-    options.bitmap_bits = bits;
-    Status st = ValidateJoinOptions(options);
-    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << "bits=" << bits;
-    EXPECT_EQ(st.message(),
-              "JoinOptions::bitmap_bits must be 0 (off), 64, 128, or 256");
-  }
 }
 
 TEST(ValidateJoinOptionsTest, RejectsAbsurdThreadCount) {

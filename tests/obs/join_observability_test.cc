@@ -177,7 +177,6 @@ TEST(ObsDeterminismTest, AutoSpillDegradesInOnePass) {
 
   JoinRequest request = SelfJoinRequest(input, *scheme, predicate);
   request.options.num_threads = 4;
-  request.options.bitmap_bits = 128;
   request.options.spill.policy = SpillPolicy::kAuto;
   request.options.guard = &guard;
   request.options.tracer = &tracer;

@@ -49,6 +49,15 @@ void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
   return std::malloc(size ? size : 1);
 }
 
+// GCC 12 inlines these replacements into call sites whose pointer came
+// from the replacement operator new above, sees std::free paired with
+// operator new, and warns -Wmismatched-new-delete. Both sides are this
+// file's malloc/free pair, so the pairing is correct; suppress the
+// warning for these definitions only.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -59,6 +68,9 @@ void operator delete(void* p, const std::nothrow_t&) noexcept {
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
   std::free(p);
 }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace ssjoin::obs {
 namespace {

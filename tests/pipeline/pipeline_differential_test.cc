@@ -3,8 +3,8 @@
 // The join's stage sequence (DESIGN.md Section 13) re-expresses the
 // earlier drivers under the hard constraint that pairs, legacy
 // JoinStats, and partial-trip accounting stay byte-identical at
-// any thread count, spill mode, and bitmap width. This suite is the
-// referee: every (execution mode × threads × spill × bitmap) cell is
+// any thread count and spill mode. This suite is the referee: every
+// (execution mode × threads × spill) cell is
 // fingerprinted — the ordered pair vector hashed, every legacy counter
 // listed — and compared against goldens committed from the pre-refactor
 // drivers (tests/pipeline/goldens/differential.golden).
@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "core/execution_guard.h"
+#include "core/kernels/bitmap_filter.h"
 #include "core/partenum_jaccard.h"
 #include "core/predicate.h"
 #include "core/ssjoin.h"
@@ -65,22 +66,22 @@ Result<PartEnumJaccardScheme> MakeScheme(const SetCollection& input,
   return PartEnumJaccardScheme::Create(params);
 }
 
-// One grid cell. Spill and bitmap are pinned explicitly (never
-// kDefault): the forced-spill CI job reruns the whole suite under
-// SSJOIN_SPILL=force, and the goldens must not move with the
-// environment.
+// One grid cell. Spill is pinned explicitly (never kDefault): the
+// forced-spill CI job reruns the whole suite under SSJOIN_SPILL=force,
+// and the goldens must not move with the environment.
 struct Cell {
   ExecutionMode mode;
   size_t threads;
   bool force_spill;
-  uint32_t bitmap_bits;
 };
 
+// The key still names the pre-filter's (fixed) width, so the golden
+// lines keep the keys they were committed under.
 std::string CellKey(const Cell& cell) {
   std::ostringstream os;
   os << ExecutionModeName(cell.mode) << " t" << cell.threads << " spill="
      << (cell.force_spill ? "force" : "off") << " bitmap="
-     << cell.bitmap_bits;
+     << kernels::kBitmapBits;
   return os.str();
 }
 
@@ -154,9 +155,7 @@ std::vector<Cell> Grid() {
        {ExecutionMode::kSelfJoin, ExecutionMode::kBinaryJoin}) {
     for (size_t threads : {size_t{1}, size_t{4}}) {
       for (bool force_spill : {false, true}) {
-        for (uint32_t bitmap_bits : {uint32_t{0}, uint32_t{128}}) {
-          cells.push_back({mode, threads, force_spill, bitmap_bits});
-        }
+        cells.push_back({mode, threads, force_spill});
       }
     }
   }
@@ -189,7 +188,6 @@ class PipelineDifferentialTest : public ::testing::Test {
     request.predicate = &predicate;
     request.mode = cell.mode;
     request.options.num_threads = cell.threads;
-    request.options.bitmap_bits = cell.bitmap_bits;
     request.options.spill.policy =
         cell.force_spill ? SpillPolicy::kForced : SpillPolicy::kDisabled;
     request.options.guard = guard;
@@ -200,8 +198,7 @@ class PipelineDifferentialTest : public ::testing::Test {
   static const SetCollection* right_;
 };
 
-// One trip-sweep cell: a 4-thread join with 128-bit bitmaps under a
-// pinned spill policy.
+// One trip-sweep cell: a 4-thread join under a pinned spill policy.
 struct TripCell {
   ExecutionMode mode;
   SpillPolicy policy;
@@ -248,8 +245,8 @@ TEST_F(PipelineDifferentialTest, MatchesPreRefactorGoldens) {
     std::ofstream out(regen);
     ASSERT_TRUE(out.good()) << "cannot write " << regen;
     out << "# Committed fingerprints of the pre-pipeline drivers; one\n"
-        << "# line per (mode x threads x spill x bitmap) cell. Regenerate\n"
-        << "# only from a known-good tree (see the test header).\n";
+        << "# line per (mode x threads x spill) cell. Regenerate only\n"
+        << "# from a known-good tree (see the test header).\n";
     for (const Cell& cell : cells) {
       JoinResult result = RunCell(cell, nullptr);
       ASSERT_TRUE(result.status.ok()) << CellKey(cell);
@@ -287,7 +284,7 @@ TEST_F(PipelineDifferentialTest, UntrippedGuardIsByteIdentical) {
   for (ExecutionMode mode :
        {ExecutionMode::kSelfJoin, ExecutionMode::kBinaryJoin}) {
     for (size_t threads : {size_t{1}, size_t{4}}) {
-      Cell cell{mode, threads, /*force_spill=*/false, /*bitmap_bits=*/128};
+      Cell cell{mode, threads, /*force_spill=*/false};
       JoinResult unguarded = RunCell(cell, nullptr);
       ASSERT_TRUE(unguarded.status.ok()) << CellKey(cell);
 
@@ -310,8 +307,8 @@ TEST_F(PipelineDifferentialTest, ThreadCountInvariantPerCell) {
   for (ExecutionMode mode :
        {ExecutionMode::kSelfJoin, ExecutionMode::kBinaryJoin}) {
     for (bool force_spill : {false, true}) {
-      Cell serial{mode, 1, force_spill, 128};
-      Cell parallel{mode, 4, force_spill, 128};
+      Cell serial{mode, 1, force_spill};
+      Cell parallel{mode, 4, force_spill};
       JoinResult a = RunCell(serial, nullptr);
       JoinResult b = RunCell(parallel, nullptr);
       ASSERT_TRUE(a.status.ok()) << CellKey(serial);
@@ -359,7 +356,6 @@ TEST_F(PipelineDifferentialTest, TripAtEveryCheckpoint) {
       request.predicate = &predicate;
       request.mode = cell.mode;
       request.options.num_threads = 4;
-      request.options.bitmap_bits = 128;
       request.options.spill.policy = cell.policy;
       request.options.guard = &guard;
       request.options.metrics = &metrics;

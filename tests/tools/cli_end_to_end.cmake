@@ -62,8 +62,6 @@ run_cli_expect_error(--typos generate --typos 4294967296 --out "${BAD}")
 run_cli_expect_error(--dup-fraction generate --dup-fraction 1.5 --out "${BAD}")
 run_cli_expect_error(--dup-fraction generate --dup-fraction -0.1
                      --out "${BAD}")
-run_cli_expect_error(--bitmap-bits jaccard --input "${DATA}" --gamma 0.8
-                     --bitmap-bits 4294967360 --out "${BAD}")
 # 2^44 MB: the byte count would wrap to 0, turning the limit off.
 run_cli_expect_error(--memory-budget-mb jaccard --input "${DATA}" --gamma 0.8
                      --memory-budget-mb 17592186044416 --out "${BAD}")

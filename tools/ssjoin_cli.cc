@@ -29,7 +29,6 @@
 #include "baselines/lsh.h"
 #include "baselines/prefix_filter.h"
 #include "baselines/probe_count.h"
-#include "core/kernels/bitmap_filter.h"
 #include "core/parameter_advisor.h"
 #include "core/partenum_jaccard.h"
 #include "core/ssjoin.h"
@@ -62,12 +61,12 @@ commands:
   stats    --input <file> [--format strings|sets|bin]
   jaccard  --input <file> --gamma <g> [--algo pen|pf|lsh|probecount|paircount]
            [--format strings|sets|bin] [--accuracy <f>] [--out <file>]
-           [--threads <n>] [--bitmap-bits <n>] [--time]
+           [--threads <n>] [--time]
            [guardrail flags] [observability flags]
   edit     --input <file> --k <n> [--algo pen|pf] [--q <n>] [--out <file>]
            [--time] [observability flags]
   weighted --input <file> --gamma <g> [--algo wen|wpf|wlsh] [--out <file>]
-           [--threads <n>] [--bitmap-bits <n>] [--time]
+           [--threads <n>] [--time]
            [guardrail flags] [observability flags]
   explain  --input <file> --gamma <g> [--format strings|sets|bin]
            [--sample <n>] [--threads <n>] [--explain-out <file>] [--dbms]
@@ -76,13 +75,6 @@ commands:
 algorithms (pen, pf, lsh, wen, wpf, wlsh): 1 = serial (default),
 0 = one thread per core, N = exactly N. Output is identical for every
 value.
-
---bitmap-bits <n> sets the width of the XOR bitmap pre-filter that
-screens candidates before exact verification (jaccard / weighted,
-signature-based algorithms): 64, 128 (default), or 256 bits per set;
-0 disables the filter. The join output is byte-identical for every
-value — the filter only prunes pairs whose exact verification would
-fail anyway (see DESIGN.md Section 11).
 
 guardrail flags (jaccard / weighted, signature-based algorithms only;
 0 = limit off, the default):
@@ -190,23 +182,15 @@ Result<SetCollection> LoadInput(Flags& flags) {
   return Status::InvalidArgument("--format must be strings, sets or bin");
 }
 
-// Reads --threads and --bitmap-bits into JoinOptions (see kUsage).
+// Reads --threads and the spill flags into JoinOptions (see kUsage).
 Result<JoinOptions> ThreadedJoinOptions(Flags& flags) {
   SSJOIN_ASSIGN_OR_RETURN(int64_t threads, flags.GetInt("threads", 1));
   if (threads < 0 || threads > static_cast<int64_t>(kMaxJoinThreads)) {
     return Status::InvalidArgument("--threads must be in [0, " +
                                    std::to_string(kMaxJoinThreads) + "]");
   }
-  SSJOIN_ASSIGN_OR_RETURN(int64_t bitmap_bits,
-                          flags.GetInt("bitmap-bits", 128));
-  if (bitmap_bits < 0 || bitmap_bits > std::numeric_limits<uint32_t>::max() ||
-      !kernels::IsValidBitmapBits(static_cast<uint32_t>(bitmap_bits))) {
-    return Status::InvalidArgument(
-        "--bitmap-bits must be 0 (off), 64, 128, or 256");
-  }
   JoinOptions options;
   options.num_threads = static_cast<size_t>(threads);
-  options.bitmap_bits = static_cast<uint32_t>(bitmap_bits);
   SSJOIN_ASSIGN_OR_RETURN(std::string spill, flags.GetString("spill", ""));
   if (spill == "off") {
     options.spill.policy = SpillPolicy::kDisabled;
