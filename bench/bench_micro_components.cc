@@ -214,9 +214,10 @@ void BM_QgramBags(benchmark::State& state) {
 }
 BENCHMARK(BM_QgramBags)->Arg(1)->Arg(3);
 
-// The advisor's full (n1, n2) search over a 2000-set Fig-14 sample
-// (50-element sets, γ = 0.8 equi-sized hamming threshold), capped at 64
-// signatures per set: the setup cost of the synthetic workload.
+// The advisor's bounded (n1, n2) search over a 2000-set Fig-14 sample
+// (50-element sets, γ = 0.8 equi-sized hamming threshold), capped at the
+// argument's signatures per set: 64 is the synthetic workload's setup
+// cost, 4096 the CLI default's.
 void BM_ChoosePartEnumParams(benchmark::State& state) {
   SetCollection sets = GenerateUniformSets({.num_sets = 2000,
                                             .set_size = 50,
@@ -227,14 +228,17 @@ void BM_ChoosePartEnumParams(benchmark::State& state) {
   uint32_t k = PartEnumJaccardScheme::EquisizedHammingThreshold(50, 0.8);
   AdvisorOptions advisor;
   advisor.sample_size = 2000;
-  advisor.max_signatures_per_set = 64;
+  advisor.max_signatures_per_set = static_cast<uint64_t>(state.range(0));
   for (auto _ : state) {
     auto choice = ChoosePartEnumParams(sets, k, 100000, advisor);
     benchmark::DoNotOptimize(choice.ok());
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ChoosePartEnumParams)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ChoosePartEnumParams)
+    ->Arg(64)
+    ->Arg(4096)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SortedIntersection(benchmark::State& state) {
   SetCollection sets = MakeSets(256, 50, 10000);

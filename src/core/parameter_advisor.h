@@ -14,14 +14,23 @@
 // signatures for a sample of n sets, computes the sample's signature count
 // S and collision count C (exactly, or via the AMS sketch), and
 // extrapolates to the full input of N sets as
-//     F2_est = 2 S (N/n) + 2 C (N/n)^2
+//     F2_est = 2 S (N/n) + C (N/n)^2
 // (signature terms scale linearly, pairwise collisions quadratically).
 // The argmin over settings is the chosen configuration.
+//
+// The search is bounded exactly. Settings are scored in enumeration
+// order against the best complete estimate so far. S and C only grow as
+// sample sets are added, so F2_est over a prefix of the sample is a lower
+// bound on the setting's full estimate: S is checked after every set and
+// the exact C after every 1/16 of the sample, and a setting is abandoned
+// as soon as its bound is strictly above the best. That is exactly the
+// set of settings whose full estimate exceeds the best before them, so
+// the choice is the exhaustive argmin; the trace keeps their rows,
+// marked pruned, at the bound where they stopped.
 
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "baselines/lsh.h"
 #include "core/execution_guard.h"
@@ -48,54 +57,44 @@ struct AdvisorOptions {
   /// route and is exercised by tests/benches.
   bool use_ams_sketch = false;
   uint64_t seed = 0x9E3779B9;
-  /// Optional EXPLAIN search-trace sink (obs/explain.h): every Evaluate*
-  /// call appends one AdvisorCandidate per setting it scored, and the
-  /// Choose* wrappers mark the winning row. Not owned; nullptr = no
-  /// trace (the null-sink contract: one pointer compare, zero cost).
+  /// Optional EXPLAIN search-trace sink (obs/explain.h): every Choose*
+  /// call appends one AdvisorCandidate per setting it scored, pruned or
+  /// not, and marks the winning row. Not owned; nullptr = no trace (the
+  /// null-sink contract: one pointer compare, zero cost).
   obs::AdvisorTrace* trace = nullptr;
 };
 
-/// One evaluated candidate setting.
+/// The chosen setting and its estimate.
 struct PartEnumChoice {
   PartEnumParams params;
   double estimated_f2 = 0;
   uint64_t signatures_per_set = 0;
 };
 
-/// Evaluates all valid (n1, n2) for a hamming PartEnum with threshold `k`
-/// against (a sample of) `input`, extrapolating to `target_input_size`
-/// sets. Returns candidates sorted by estimated F2 (best first).
-/// target_input_size = 0 means input.size().
-std::vector<PartEnumChoice> EvaluatePartEnumParams(
-    const SetCollection& input, uint32_t k, size_t target_input_size,
-    const AdvisorOptions& options = {});
-
-/// The best setting from EvaluatePartEnumParams.
+/// Scores the valid (n1, n2) for a hamming PartEnum with threshold `k`
+/// (PartEnumParams::EnumerateValid order) against a sample of `input`,
+/// extrapolating to `target_input_size` sets (0 means input.size()), and
+/// returns the lowest estimated F2; ties go to fewer signatures per set,
+/// then to the earlier setting. NotFound when no setting fits the
+/// signature budget.
 Result<PartEnumChoice> ChoosePartEnumParams(
     const SetCollection& input, uint32_t k, size_t target_input_size = 0,
     const AdvisorOptions& options = {});
 
-/// Estimated-F2 evaluation for LSH: for each g in [1, max_g], l is fixed
-/// by the accuracy target (LshParams::ForAccuracy) and the F2 estimate is
-/// computed as above. Returns candidates sorted by estimated F2.
 struct LshChoice {
   LshParams params;
   double estimated_f2 = 0;
 };
 
-std::vector<LshChoice> EvaluateLshParams(const SetCollection& input,
-                                         double gamma, double delta,
-                                         uint32_t max_g,
-                                         size_t target_input_size = 0,
-                                         const AdvisorOptions& options = {});
-
+/// The same search for LSH: for each g in [1, max_g], l is fixed by the
+/// accuracy target (LshParams::ForAccuracy), and ties go to fewer tables.
 Result<LshChoice> ChooseLshParams(const SetCollection& input, double gamma,
                                   double delta, uint32_t max_g = 8,
                                   size_t target_input_size = 0,
                                   const AdvisorOptions& options = {});
 
 /// Estimates the full-input F2 of an arbitrary scheme from a sample, the
-/// same estimate the Evaluate* searches rank settings by. Only tests call
+/// same estimate the Choose* searches rank settings by. Only tests call
 /// it: it is the seam that checks the estimate against a reference.
 double EstimateSchemeF2(const SetCollection& input,
                         const SignatureScheme& scheme,

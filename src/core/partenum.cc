@@ -93,22 +93,14 @@ std::vector<PartEnumParams> PartEnumParams::EnumerateValid(
     base.k = k;
     base.n1 = n1;
     base.seed = seed;
-    uint32_t prev_k2 = std::numeric_limits<uint32_t>::max();
     for (uint32_t n2 = min_n2;; ++n2) {
       PartEnumParams params = base;
       params.n2 = n2;
-      if (params.SignaturesPerSet() > max_signatures) {
-        // Signature count is monotonically nondecreasing in n2 for fixed
-        // k2; but k2 is fixed by n1 alone, so once we exceed the budget we
-        // are done with this n1.
-        break;
-      }
-      // Skip degenerate repeats where increasing n2 changed nothing
-      // structurally (k2 == 0 means one all-partitions subset; larger n2
-      // only fragments the set further, which *does* change filtering, so
-      // keep those).
-      (void)prev_k2;
-      prev_k2 = params.k2();
+      // k2 is fixed by n1 alone, and C(n2, k2) never shrinks as n2 grows,
+      // so the first n2 over the budget ends this n1. Every n2 under it is
+      // kept, k2 == 0 included: a larger n2 fragments the set further,
+      // which changes the filtering.
+      if (params.SignaturesPerSet() > max_signatures) break;
       if (params.Validate().ok()) out.push_back(params);
       if (n2 >= 31) break;  // PartEnumScheme's subset masks are 32-bit
     }

@@ -176,6 +176,7 @@ std::string ExplainJsonl(const ExplainReport& report) {
     AppendKeyDouble(&out, "predicted_collisions",
                     candidate.predicted_collisions);
     AppendKeyDouble(&out, "predicted_f2", candidate.predicted_f2);
+    AppendKeyBool(&out, "pruned", candidate.pruned);
     AppendKeyBool(&out, "chosen", candidate.chosen);
     out += "}\n";
   }
@@ -244,15 +245,20 @@ std::string ExplainText(const ExplainReport& report,
                   "", "setting", "sigs/set", "pred_sigs", "pred_coll",
                   "est_F2");
     out += buf;
+    // A pruned row's figures are the lower bound at which the search
+    // stopped scoring it, hence the ">" in front of its estimate.
     for (const AdvisorCandidate& candidate : advisor.candidates) {
       std::snprintf(buf, sizeof(buf),
-                    "    %-2s %-18s %10llu %14s %14s %14s\n",
+                    "    %-2s %-18s %10llu %14s %14s %14s%s\n",
                     candidate.chosen ? "->" : "", candidate.label.c_str(),
                     static_cast<unsigned long long>(
                         candidate.signatures_per_set),
                     FormatDouble(candidate.predicted_signatures).c_str(),
                     FormatDouble(candidate.predicted_collisions).c_str(),
-                    FormatDouble(candidate.predicted_f2).c_str());
+                    ((candidate.pruned ? ">" : "") +
+                     FormatDouble(candidate.predicted_f2))
+                        .c_str(),
+                    candidate.pruned ? "  pruned" : "");
       out += buf;
     }
   }

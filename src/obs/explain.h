@@ -64,13 +64,18 @@ struct AdvisorCandidate {
   /// The Section 3.2 estimate that ranked the candidate:
   /// predicted_signatures + predicted_collisions.
   double predicted_f2 = 0;
+  /// True when the search stopped scoring this setting early: its
+  /// estimate was already strictly above the best of the settings before
+  /// it, so it could not win. S, C and the predicted_* fields then hold
+  /// the partial lower bound at which it stopped.
+  bool pruned = false;
   /// True for the setting Choose*() returned.
   bool chosen = false;
 };
 
-/// The advisor's full search table for one Choose*/Evaluate* call
-/// sequence. Attach one to AdvisorOptions::trace to capture it; repeated
-/// searches append their candidates.
+/// The advisor's full search table for one Choose* call sequence.
+/// Attach one to AdvisorOptions::trace to capture it; repeated searches
+/// append their candidates.
 struct AdvisorTrace {
   /// "partenum" or "lsh" (the last search recorded).
   std::string method;

@@ -137,7 +137,9 @@ Result<Table> GroupByCount(const Table& input,
       Row orow;
       orow.reserve(gcols.size() + 1);
       for (int c : gcols) orow.push_back(row[c]);
-      orow.push_back(static_cast<int64_t>(1));
+      // In place: moving a temporary Value in makes gcc 12 warn that the
+      // variant's string member may be read uninitialized.
+      orow.emplace_back(int64_t{1});
       output.AppendUnchecked(std::move(orow));
       groups.emplace(h, output.num_rows() - 1);
     }

@@ -15,6 +15,7 @@
 #include "core/predicate.h"
 #include "core/ssjoin.h"
 #include "data/collection.h"
+#include "data/generators.h"
 #include "obs/explain.h"
 #include "util/random.h"
 #include "util/zipf.h"
@@ -65,8 +66,9 @@ TEST(AdvisorExplainTest, FullSamplePredictionsMatchActuals) {
   obs::AdvisorTrace trace;
   AdvisorOptions options;
   options.sample_size = input.size();  // sample == input: scale is 1
-  // The chosen (7,8) spends 7 signatures/set; the uncapped 4096 search
-  // only adds seconds.
+  // The chosen (7,8) spends 7 signatures/set. A cap of 128 keeps the
+  // table short; DefaultCapChoosesAsSmallCap checks, on a 100-set sample
+  // of this input, that the default cap of 4096 chooses as 128 does.
   options.max_signatures_per_set = 128;
   options.trace = &trace;
   auto choice = ChoosePartEnumParams(input, k, 0, options);
@@ -155,6 +157,62 @@ TEST(AdvisorExplainTest, SubsampledPredictionsStayInBand) {
     if (entry.has_predicted && entry.has_actual) {
       EXPECT_TRUE(std::isfinite(entry.Ratio())) << entry.name;
     }
+  }
+}
+
+// The default cap of 4096 signatures/set chooses what a cap of 128 does
+// on the advisor tests' inputs: every winner spends at most 18, and the
+// bounded search abandons the costly settings above them, so the
+// default-cap search is cheap enough to run here.
+TEST(AdvisorExplainTest, DefaultCapChoosesAsSmallCap) {
+  UniformSetOptions uniform;
+  uniform.set_size = 30;
+  uniform.domain_size = 2000;
+  uniform.similar_fraction = 0.05;
+  uniform.mutations = 2;
+  uniform.seed = 5;
+  uniform.num_sets = 400;
+  SetCollection uniform400 = GenerateUniformSets(uniform);
+  uniform.num_sets = 500;
+  SetCollection uniform500 = GenerateUniformSets(uniform);
+  SetCollection zipf = ZipfCollection(500, 24, 4000, 0.8, 17);
+  struct Case {
+    const SetCollection* input;
+    uint32_t k;
+    size_t target;
+  };
+  for (const Case& c : {Case{&uniform400, 6, 0}, Case{&uniform500, 8, 2000},
+                        Case{&uniform500, 8, 2000000}, Case{&zipf, 6, 0}}) {
+    SCOPED_TRACE("k=" + std::to_string(c.k) +
+                 " target=" + std::to_string(c.target));
+    AdvisorOptions options;
+    options.sample_size = 100;
+    options.max_signatures_per_set = 128;
+    auto small = ChoosePartEnumParams(*c.input, c.k, c.target, options);
+    obs::AdvisorTrace trace;
+    options.max_signatures_per_set = 4096;
+    options.trace = &trace;
+    auto full = ChoosePartEnumParams(*c.input, c.k, c.target, options);
+    ASSERT_TRUE(small.ok());
+    ASSERT_TRUE(full.ok());
+    EXPECT_EQ(full->params.n1, small->params.n1);
+    EXPECT_EQ(full->params.n2, small->params.n2);
+    EXPECT_EQ(full->estimated_f2, small->estimated_f2);
+
+    // Every valid setting keeps its row; the costly ones are pruned.
+    EXPECT_EQ(trace.candidates.size(),
+              PartEnumParams::EnumerateValid(c.k, 4096, options.seed).size());
+    size_t pruned = 0;
+    for (const obs::AdvisorCandidate& candidate : trace.candidates) {
+      if (!candidate.pruned) continue;
+      ++pruned;
+      EXPECT_FALSE(candidate.chosen) << candidate.label;
+      EXPECT_GT(candidate.predicted_f2, full->estimated_f2)
+          << candidate.label;
+    }
+    EXPECT_GT(pruned, trace.candidates.size() / 2);
+    ASSERT_NE(trace.Chosen(), nullptr);
+    EXPECT_FALSE(trace.Chosen()->pruned);
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -25,38 +26,12 @@ SetCollection Synthetic(size_t n, uint64_t seed = 5) {
   return GenerateUniformSets(options);
 }
 
-TEST(AdvisorTest, EvaluateReturnsSortedChoices) {
-  SetCollection input = Synthetic(400);
-  AdvisorOptions options;
-  options.sample_size = 200;
-  std::vector<PartEnumChoice> choices =
-      EvaluatePartEnumParams(input, 6, 0, options);
-  ASSERT_GT(choices.size(), 1u);
-  for (size_t i = 1; i < choices.size(); ++i) {
-    EXPECT_LE(choices[i - 1].estimated_f2, choices[i].estimated_f2);
-  }
-  for (const PartEnumChoice& c : choices) {
-    EXPECT_TRUE(c.params.Validate().ok());
-    EXPECT_EQ(c.signatures_per_set, c.params.SignaturesPerSet());
-  }
-}
-
 // The advisor tests below cap the search at 128 signatures/set: the
-// settings they choose spend at most 18, and the uncapped 4096 search
-// costs seconds per test for the same choice.
+// settings they choose spend at most 18, and the naive reference they
+// compare against scores every setting under the cap in full.
+// DefaultCapChoosesAsSmallCap (advisor_explain_test.cc) runs the same
+// inputs at the default cap of 4096.
 constexpr uint64_t kTestSignatureCap = 128;
-
-TEST(AdvisorTest, ChooseReturnsBest) {
-  SetCollection input = Synthetic(400);
-  AdvisorOptions options;
-  options.max_signatures_per_set = kTestSignatureCap;
-  auto best = ChoosePartEnumParams(input, 6, 0, options);
-  ASSERT_TRUE(best.ok());
-  std::vector<PartEnumChoice> all =
-      EvaluatePartEnumParams(input, 6, 0, options);
-  EXPECT_EQ(best->params.n1, all.front().params.n1);
-  EXPECT_EQ(best->params.n2, all.front().params.n2);
-}
 
 TEST(AdvisorTest, LargerTargetPrefersMoreSignatures) {
   // Table 1's trend: as input size grows, the optimal setting spends more
@@ -103,20 +78,6 @@ TEST(AdvisorTest, SketchModeApproximatesExactMode) {
   // perturbs the (small) collision estimate.
   EXPECT_GT(s, e * 0.5);
   EXPECT_LT(s, e * 1.5);
-}
-
-TEST(AdvisorTest, LshChoicesRespectAccuracy) {
-  SetCollection input = Synthetic(300);
-  std::vector<LshChoice> choices =
-      EvaluateLshParams(input, 0.8, 0.05, 6, 0, {});
-  ASSERT_FALSE(choices.empty());
-  for (const LshChoice& c : choices) {
-    // Every candidate must reach >= 95% recall at similarity 0.8.
-    EXPECT_GE(c.params.CollisionProbability(0.8), 0.95 - 1e-9);
-  }
-  auto best = ChooseLshParams(input, 0.8, 0.05);
-  ASSERT_TRUE(best.ok());
-  EXPECT_EQ(best->params.g, choices.front().params.g);
 }
 
 TEST(AdvisorTest, NoValidSettingIsNotFound) {
@@ -207,11 +168,215 @@ TEST(AdvisorTest, ExactF2MatchesNaiveReferenceWithDuplicatesAndZero) {
   ExpectExactF2MatchesReference(tiny, scheme);
 }
 
+// One setting of the exhaustive reference search: its trace label, its
+// signatures per set and its naive sample statistics.
+struct ReferenceRow {
+  std::string label;
+  uint64_t signatures_per_set = 0;
+  ReferenceStats stats;
+  double f2 = 0;
+};
+
+ReferenceRow ScoreReference(const SetCollection& sample,
+                            const SignatureScheme& scheme, std::string label,
+                            uint64_t signatures_per_set, double scale) {
+  ReferenceRow row;
+  row.label = std::move(label);
+  row.signatures_per_set = signatures_per_set;
+  row.stats = NaiveSampleStats(sample, scheme);
+  row.f2 = 2.0 * static_cast<double>(row.stats.signatures) * scale +
+           row.stats.collisions * scale * scale;
+  return row;
+}
+
+std::vector<ReferenceRow> PartEnumReference(const SetCollection& input,
+                                            uint32_t k, size_t target,
+                                            const AdvisorOptions& options) {
+  SetCollection sample = input.Sample(options.sample_size, options.seed);
+  const double scale =
+      static_cast<double>(target) / static_cast<double>(sample.size());
+  std::vector<ReferenceRow> rows;
+  for (const PartEnumParams& params : PartEnumParams::EnumerateValid(
+           k, options.max_signatures_per_set, options.seed)) {
+    auto scheme = PartEnumScheme::Create(params);
+    EXPECT_TRUE(scheme.ok()) << scheme.status().ToString();
+    if (!scheme.ok()) continue;
+    rows.push_back(ScoreReference(
+        sample, *scheme,
+        "n1=" + std::to_string(params.n1) + ",n2=" + std::to_string(params.n2),
+        params.SignaturesPerSet(), scale));
+  }
+  return rows;
+}
+
+// The exhaustive argmin: lowest F2, then fewest signatures per set, then
+// the first row.
+size_t ReferenceArgmin(const std::vector<ReferenceRow>& rows) {
+  size_t best = 0;
+  for (size_t i = 1; i < rows.size(); ++i) {
+    if (rows[i].f2 < rows[best].f2 ||
+        (rows[i].f2 == rows[best].f2 &&
+         rows[i].signatures_per_set < rows[best].signatures_per_set)) {
+      best = i;
+    }
+  }
+  return best;
+}
+
+// Checks a search's trace row by row against the exhaustive reference:
+// an unpruned row equals it exactly; a row is pruned exactly when its
+// reference F2 is strictly above the minimum of the earlier rows, and
+// then it holds a lower bound (S and C at most the reference's) whose F2
+// is above that minimum; the one chosen row is the reference argmin.
+void ExpectTraceMatchesReference(const obs::AdvisorTrace& trace,
+                                 const std::vector<ReferenceRow>& reference) {
+  ASSERT_EQ(trace.candidates.size(), reference.size());
+  ASSERT_FALSE(reference.empty());
+  double earlier_min = std::numeric_limits<double>::infinity();
+  size_t chosen_rows = 0;
+  for (size_t i = 0; i < reference.size(); ++i) {
+    const obs::AdvisorCandidate& row = trace.candidates[i];
+    const ReferenceRow& ref = reference[i];
+    EXPECT_EQ(row.label, ref.label);
+    EXPECT_EQ(row.signatures_per_set, ref.signatures_per_set) << ref.label;
+    EXPECT_EQ(row.pruned, ref.f2 > earlier_min) << ref.label;
+    if (row.pruned) {
+      EXPECT_LE(row.sample_signatures, ref.stats.signatures) << ref.label;
+      EXPECT_LE(row.sample_collisions, ref.stats.collisions) << ref.label;
+      EXPECT_GT(row.predicted_f2, earlier_min) << ref.label;
+      EXPECT_FALSE(row.chosen) << ref.label;
+    } else {
+      EXPECT_EQ(row.sample_signatures, ref.stats.signatures) << ref.label;
+      EXPECT_EQ(row.sample_collisions, ref.stats.collisions) << ref.label;
+      EXPECT_EQ(row.predicted_f2, ref.f2) << ref.label;
+    }
+    EXPECT_EQ(row.predicted_f2,
+              row.predicted_signatures + row.predicted_collisions)
+        << ref.label;
+    if (row.chosen) ++chosen_rows;
+    earlier_min = std::min(earlier_min, ref.f2);
+  }
+  ASSERT_EQ(chosen_rows, 1u);
+  ASSERT_NE(trace.Chosen(), nullptr);
+  EXPECT_EQ(trace.Chosen()->label, reference[ReferenceArgmin(reference)].label);
+}
+
+TEST(AdvisorTest, TraceRowsMatchTheValidSettingsInOrder) {
+  SetCollection input = Synthetic(400);
+  obs::AdvisorTrace trace;
+  AdvisorOptions options;
+  options.sample_size = 200;
+  options.max_signatures_per_set = kTestSignatureCap;
+  options.trace = &trace;
+  ASSERT_TRUE(ChoosePartEnumParams(input, 6, 0, options).ok());
+  std::vector<PartEnumParams> settings =
+      PartEnumParams::EnumerateValid(6, kTestSignatureCap, options.seed);
+  ASSERT_GT(settings.size(), 1u);
+  ASSERT_EQ(trace.candidates.size(), settings.size());
+  for (size_t i = 0; i < settings.size(); ++i) {
+    EXPECT_TRUE(settings[i].Validate().ok());
+    EXPECT_EQ(trace.candidates[i].label,
+              "n1=" + std::to_string(settings[i].n1) +
+                  ",n2=" + std::to_string(settings[i].n2));
+    EXPECT_EQ(trace.candidates[i].signatures_per_set,
+              settings[i].SignaturesPerSet());
+  }
+  EXPECT_EQ(trace.method, "partenum");
+  EXPECT_EQ(trace.sample_size, 200u);
+  EXPECT_EQ(trace.target_input_size, input.size());
+}
+
+// With the AMS sketch, C is known only once a setting's whole sample is
+// added, so the search prunes on the signature term alone: a pruned row
+// carries no collisions and its S already exceeds the best before it.
+TEST(AdvisorTest, SketchSearchPrunesOnSignaturesOnly) {
+  SetCollection input = Synthetic(400);
+  obs::AdvisorTrace trace;
+  AdvisorOptions options;
+  options.sample_size = 200;
+  options.max_signatures_per_set = kTestSignatureCap;
+  options.use_ams_sketch = true;
+  options.trace = &trace;
+  auto best = ChoosePartEnumParams(input, 6, 50000, options);
+  ASSERT_TRUE(best.ok());
+  std::vector<ReferenceRow> reference =
+      PartEnumReference(input, 6, 50000, options);
+  ASSERT_EQ(trace.candidates.size(), reference.size());
+  double earlier_best = std::numeric_limits<double>::infinity();
+  size_t pruned = 0;
+  for (size_t i = 0; i < reference.size(); ++i) {
+    const obs::AdvisorCandidate& row = trace.candidates[i];
+    if (row.pruned) {
+      ++pruned;
+      EXPECT_LE(row.sample_signatures, reference[i].stats.signatures);
+      EXPECT_EQ(row.sample_collisions, 0) << row.label;
+      EXPECT_GT(row.predicted_signatures, earlier_best) << row.label;
+    } else {
+      EXPECT_EQ(row.sample_signatures, reference[i].stats.signatures);
+      earlier_best = std::min(earlier_best, row.predicted_f2);
+    }
+  }
+  EXPECT_GT(pruned, 0u);
+  ASSERT_NE(trace.Chosen(), nullptr);
+  EXPECT_EQ(trace.Chosen()->predicted_f2, earlier_best);
+  EXPECT_EQ(best->estimated_f2, earlier_best);
+}
+
+TEST(AdvisorTest, ChooseReturnsBest) {
+  SetCollection input = Synthetic(400);
+  obs::AdvisorTrace trace;
+  AdvisorOptions options;
+  options.max_signatures_per_set = kTestSignatureCap;
+  options.trace = &trace;
+  auto best = ChoosePartEnumParams(input, 6, 0, options);
+  ASSERT_TRUE(best.ok());
+  std::vector<ReferenceRow> reference =
+      PartEnumReference(input, 6, input.size(), options);
+  const ReferenceRow& argmin = reference[ReferenceArgmin(reference)];
+  EXPECT_EQ("n1=" + std::to_string(best->params.n1) +
+                ",n2=" + std::to_string(best->params.n2),
+            argmin.label);
+  EXPECT_EQ(best->estimated_f2, argmin.f2);
+  EXPECT_EQ(best->signatures_per_set, argmin.signatures_per_set);
+  ExpectTraceMatchesReference(trace, reference);
+}
+
+TEST(AdvisorTest, LshChoicesRespectAccuracy) {
+  SetCollection input = Synthetic(300);
+  obs::AdvisorTrace trace;
+  AdvisorOptions options;
+  options.trace = &trace;
+  const uint32_t max_g = 6;
+  auto best = ChooseLshParams(input, 0.8, 0.05, max_g, 0, options);
+  ASSERT_TRUE(best.ok());
+
+  SetCollection sample = input.Sample(options.sample_size, options.seed);
+  const double scale =
+      static_cast<double>(input.size()) / static_cast<double>(sample.size());
+  std::vector<ReferenceRow> reference;
+  for (uint32_t g = 1; g <= max_g; ++g) {
+    LshParams params = LshParams::ForAccuracy(0.8, 0.05, g, options.seed);
+    // Every candidate must reach >= 95% recall at similarity 0.8.
+    EXPECT_GE(params.CollisionProbability(0.8), 0.95 - 1e-9);
+    auto scheme = LshScheme::Create(params);
+    ASSERT_TRUE(scheme.ok());
+    reference.push_back(ScoreReference(
+        sample, *scheme,
+        "g=" + std::to_string(params.g) + ",l=" + std::to_string(params.l),
+        params.l, scale));
+  }
+  EXPECT_EQ(trace.method, "lsh");
+  ExpectTraceMatchesReference(trace, reference);
+  EXPECT_EQ(best->params.g, ReferenceArgmin(reference) + 1);
+  EXPECT_GE(best->params.CollisionProbability(0.8), 0.95 - 1e-9);
+}
+
 TEST(AdvisorTest, PartEnumTraceRowsMatchNaiveReference) {
   SetCollection input = Synthetic(600);
   const uint32_t k = 6;
   const size_t target = 50000;
   for (uint64_t cap : {64u, 512u}) {
+    SCOPED_TRACE("cap " + std::to_string(cap));
     obs::AdvisorTrace trace;
     AdvisorOptions options;
     options.sample_size = 300;
@@ -219,43 +384,12 @@ TEST(AdvisorTest, PartEnumTraceRowsMatchNaiveReference) {
     options.trace = &trace;
     auto best = ChoosePartEnumParams(input, k, target, options);
     ASSERT_TRUE(best.ok());
-
-    SetCollection sample = input.Sample(options.sample_size, options.seed);
-    const double scale =
-        static_cast<double>(target) / static_cast<double>(sample.size());
-    std::vector<PartEnumParams> settings =
-        PartEnumParams::EnumerateValid(k, cap, options.seed);
-    ASSERT_EQ(trace.candidates.size(), settings.size()) << "cap " << cap;
-    const obs::AdvisorCandidate* best_row = nullptr;
-    size_t chosen_rows = 0;
-    for (size_t i = 0; i < settings.size(); ++i) {
-      auto scheme = PartEnumScheme::Create(settings[i]);
-      ASSERT_TRUE(scheme.ok());
-      ReferenceStats ref = NaiveSampleStats(sample, *scheme);
-      const obs::AdvisorCandidate& row = trace.candidates[i];
-      EXPECT_EQ(row.label, "n1=" + std::to_string(settings[i].n1) +
-                               ",n2=" + std::to_string(settings[i].n2));
-      EXPECT_EQ(row.sample_signatures, ref.signatures) << row.label;
-      EXPECT_EQ(row.sample_collisions, ref.collisions) << row.label;
-      EXPECT_EQ(row.predicted_f2,
-                2.0 * static_cast<double>(ref.signatures) * scale +
-                    ref.collisions * scale * scale)
-          << row.label;
-      if (row.chosen) ++chosen_rows;
-      if (best_row == nullptr || row.predicted_f2 < best_row->predicted_f2 ||
-          (row.predicted_f2 == best_row->predicted_f2 &&
-           row.signatures_per_set < best_row->signatures_per_set)) {
-        best_row = &row;
-      }
-    }
-    // The chosen row is the reference argmin (F2, then fewer signatures).
-    ASSERT_EQ(chosen_rows, 1u) << "cap " << cap;
-    const obs::AdvisorCandidate* chosen = trace.Chosen();
-    ASSERT_NE(chosen, nullptr);
-    EXPECT_EQ(chosen->predicted_f2, best_row->predicted_f2);
-    EXPECT_EQ(chosen->signatures_per_set, best_row->signatures_per_set);
-    EXPECT_EQ(chosen->label, "n1=" + std::to_string(best->params.n1) +
-                                 ",n2=" + std::to_string(best->params.n2));
+    ExpectTraceMatchesReference(trace,
+                                PartEnumReference(input, k, target, options));
+    ASSERT_NE(trace.Chosen(), nullptr);
+    EXPECT_EQ(trace.Chosen()->label,
+              "n1=" + std::to_string(best->params.n1) +
+                  ",n2=" + std::to_string(best->params.n2));
   }
 }
 

@@ -4,7 +4,8 @@
 //   * DriftEntry::Ratio edge cases (both-zero, actual-zero, one-sided);
 //   * ExplainReport accumulation semantics (Predict/Actual add, SetParam
 //     replaces in place);
-//   * AttachAdvisorTrace turns the chosen candidate into predictions;
+//   * AttachAdvisorTrace turns the chosen candidate into predictions, and
+//     both renderings mark a pruned candidate;
 //   * ExplainJsonl is byte-identical across thread counts, carries no
 //     wall-clock fields, and omits non-finite ratios;
 //   * the driver fills actuals + phase seconds through
@@ -279,14 +280,23 @@ TEST(ExplainTextTest, RendersParamsAdvisorAndDrift) {
   candidate.label = "n1=2,n2=6";
   candidate.predicted_f2 = 240;
   candidate.chosen = true;
-  trace.candidates = {candidate};
+  obs::AdvisorCandidate pruned;
+  pruned.label = "n1=3,n2=9";
+  pruned.predicted_f2 = 500;
+  pruned.pruned = true;
+  trace.candidates = {candidate, pruned};
   obs::AttachAdvisorTrace(&report, trace);
   report.Actual("join.signatures", 100);
   std::string text = obs::ExplainText(report);
   EXPECT_NE(text.find("gamma = 0.9"), std::string::npos);
   EXPECT_NE(text.find("n1=2,n2=6"), std::string::npos);
   EXPECT_NE(text.find("->"), std::string::npos) << "chosen row marker";
+  EXPECT_NE(text.find(">500  pruned\n"), std::string::npos)
+      << "a pruned row shows its estimate as a lower bound";
   EXPECT_NE(text.find("join.signatures"), std::string::npos);
+  std::string jsonl = obs::ExplainJsonl(report);
+  EXPECT_NE(jsonl.find("\"pruned\":false,\"chosen\":true"), std::string::npos);
+  EXPECT_NE(jsonl.find("\"pruned\":true,\"chosen\":false"), std::string::npos);
 }
 
 TEST(PlanExplainTest, JsonlIsDeterministicAndTimingFree) {

@@ -5,8 +5,8 @@
 #   2. --explain-out writes the stable JSONL report, byte-identical
 #      across --threads 1 and --threads 4;
 #   3. the `explain` subcommand (no pairs) prints the plan to stdout,
-#      exits 0, and its --dbms variant renders the relational operator
-#      tree.
+#      exits 0, marks the advisor's pruned settings in both renderings,
+#      and its --dbms variant renders the relational operator tree.
 # Usage: cmake -DSSJOIN_CLI=<binary> -DWORK_DIR=<dir> -P this_file
 
 file(MAKE_DIRECTORY "${WORK_DIR}")
@@ -91,6 +91,17 @@ endif()
 file(READ "${WORK_DIR}/explain_cmd.jsonl" cmd_jsonl)
 if(NOT cmd_jsonl MATCHES "advisor_candidate")
   message(FATAL_ERROR "explain subcommand JSONL has no advisor table")
+endif()
+# The default cap of 4096 signatures/set leaves most settings to the
+# bounded search's pruning; their rows stay in the table, marked.
+if(NOT cmd_jsonl MATCHES "\"pruned\":true")
+  message(FATAL_ERROR "explain subcommand JSONL marks no pruned setting")
+endif()
+if(NOT cmd_jsonl MATCHES "\"pruned\":false,\"chosen\":true")
+  message(FATAL_ERROR "explain subcommand JSONL has no unpruned chosen row")
+endif()
+if(NOT stdout_text MATCHES "  pruned\n")
+  message(FATAL_ERROR "explain subcommand text marks no pruned setting")
 endif()
 
 execute_process(
