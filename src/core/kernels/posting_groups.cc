@@ -1,6 +1,7 @@
 #include "core/kernels/posting_groups.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "util/check.h"
@@ -12,10 +13,14 @@ namespace {
 // Target postings per grouping bucket: a sorted bucket stays in L1.
 constexpr uint64_t kPostingsPerBucket = 512;
 
-// Target occurrences per dedup bucket: 4096 packed pairs (32 KiB), so a
-// bucket's sort+unique runs in L1/L2 and the scatter writes to at most
-// a few hundred streams at a time.
-constexpr uint64_t kPairsPerBucket = 4096;
+// Target occurrences per dedup bucket: 512 packed pairs, so a bucket's
+// dedup table (at most four slots per pair) stays in L1 and the scans
+// that rank its survivors stay short.
+constexpr uint64_t kPairsPerBucket = 512;
+
+// Survivors of one bucket up to which each is ranked by a scan of the
+// bucket's distinct pairs; above it the pairs are sorted instead.
+constexpr size_t kRankScanMax = 16;
 
 // A signature's shard and flat (shard, bucket) cell. The shard is the
 // hash modulo the shard count, which for the usual power-of-two counts
@@ -141,7 +146,7 @@ template <typename Fn>
 bool ForEachMatch(const PostingShard& shard_r, const PostingShard& shard_s,
                   const Fn& fn) {
   SSJOIN_CHECK(shard_r.buckets() == shard_s.buckets(),
-               "BinaryJoinShard: bucket counts differ ({} vs {})",
+               "CandidateBuckets::Add: bucket counts differ ({} vs {})",
                shard_r.buckets(), shard_s.buckets());
   for (size_t b = 0; b < shard_r.buckets(); ++b) {
     std::span<const Posting> r = shard_r.bucket(b);
@@ -166,65 +171,100 @@ bool ForEachMatch(const PostingShard& shard_r, const PostingShard& shard_s,
   return true;
 }
 
-// Dedup sink: one exact-size occurrence array, bucketed by ascending
-// ranges of the pair's first id (2^shift ids per bucket).
-class PairBuckets {
- public:
-  // `occurrences` (> 0) pairs will arrive; none has a first id above
-  // `max_first`.
-  PairBuckets(uint64_t occurrences, SetId max_first) {
-    uint64_t target = std::max<uint64_t>(1, occurrences / kPairsPerBucket);
-    while ((uint64_t{max_first} >> shift_) + 1 > target) ++shift_;
-    starts_.assign((uint64_t{max_first} >> shift_) + 2, 0);
+// Calls fn(first, partners) for every run of pairs one posting makes:
+// in the self-join (`r` null) with the later postings of its signature
+// group, in the binary join with the matching group of `r`. Each pair is
+// (first, partner id); within a self-join group ids ascend, so
+// first < partner. Polls `stop` once per 64 groups and returns false
+// when it fired.
+template <typename Fn>
+bool ForEachPairRun(const PostingShard& l, const PostingShard* r,
+                    const std::function<bool()>& stop, const Fn& fn) {
+  uint64_t groups = 0;
+  auto keep_going = [&] {
+    return !(stop && (groups++ & 63u) == 0 && stop());
+  };
+  if (r == nullptr) {
+    return ForEachGroup(l.postings, [&](std::span<const Posting> g) {
+      if (!keep_going()) return false;
+      for (size_t a = 0; a + 1 < g.size(); ++a) {
+        fn(g[a].second, g.subspan(a + 1));
+      }
+      return true;
+    });
   }
+  return ForEachMatch(l, *r,
+                      [&](std::span<const Posting> gl,
+                          std::span<const Posting> gr) {
+                        if (!keep_going()) return false;
+                        for (const Posting& a : gl) fn(a.second, gr);
+                        return true;
+                      });
+}
 
-  // Histogram pass: `n` pairs will have first id `first`.
-  void Count(SetId first, uint64_t n) { starts_[Bucket(first) + 1] += n; }
-
-  // Turns the histogram into bucket starts and sizes the array.
-  void Allocate() {
-    std::partial_sum(starts_.begin(), starts_.end(), starts_.begin());
-    cursors_.assign(starts_.begin(), starts_.end() - 1);
-    occurrences_.resize(starts_.back());
+// Splits buckets [0, prefix.size() - 1) into `ranges` contiguous ranges
+// of about equal weight; prefix[b] is the weight of the buckets before
+// b. Range c is [split[c], split[c + 1]). Low first ids hold most pairs,
+// so equal bucket counts would leave the last workers idle.
+std::vector<size_t> SplitByWeight(const std::vector<uint64_t>& prefix,
+                                  size_t ranges) {
+  const size_t buckets = prefix.size() - 1;
+  std::vector<size_t> split(ranges + 1, buckets);
+  split[0] = 0;
+  size_t b = 0;
+  for (size_t c = 1; c < ranges; ++c) {
+    const uint64_t target = prefix.back() / ranges * c +
+                            prefix.back() % ranges * c / ranges;
+    while (b < buckets && prefix[b] < target) ++b;
+    split[c] = b;
   }
+  return split;
+}
 
-  // Room for the next `n` pairs whose first id is `first`.
-  uint64_t* Claim(SetId first, uint64_t n) {
-    size_t& cursor = cursors_[Bucket(first)];
-    uint64_t* out = occurrences_.data() + cursor;
-    cursor += n;
-    return out;
+// The pair occurrences of one shard, from its group sizes alone.
+uint64_t Occurrences(const PostingShard& l, const PostingShard* r) {
+  uint64_t n = 0;
+  if (r == nullptr) {
+    ForEachGroup(l.postings, [&](std::span<const Posting> g) {
+      n += uint64_t{g.size()} * (g.size() - 1) / 2;
+      return true;
+    });
+  } else {
+    ForEachMatch(l, *r,
+                 [&](std::span<const Posting> gl, std::span<const Posting> gr) {
+                   n += uint64_t{gl.size()} * gr.size();
+                   return true;
+                 });
   }
+  return n;
+}
 
-  // Sorts and dedups each bucket in place and compacts the survivors:
-  // the result is globally sorted and duplicate-free.
-  std::vector<uint64_t> TakeSortedUnique() {
-    auto kept = occurrences_.begin();
-    for (size_t b = 0; b + 1 < starts_.size(); ++b) {
-      auto first = occurrences_.begin() + starts_[b];
-      auto last = occurrences_.begin() + starts_[b + 1];
-      std::sort(first, last);
-      last = std::unique(first, last);
-      kept = kept == first ? last : std::move(first, last, kept);
+// Dedups pairs[0, n) in place through an open-addressing table: the
+// distinct pairs move to the front, in first-seen order, and their count
+// is returned. A comparison sort of the same bucket costs several times
+// more, most of it in mispredicted branches. `absent` is a value no pair
+// of the bucket can take; it marks the empty slots.
+size_t HashUnique(uint64_t* pairs, size_t n, uint64_t absent,
+                  std::vector<uint64_t>* table) {
+  size_t slots = 16;
+  while (slots < 2 * n) slots <<= 1;
+  table->assign(slots, absent);
+  const int bits = std::countr_zero(slots);
+  size_t distinct = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t pair = pairs[i];
+    size_t h =
+        static_cast<size_t>((pair * 0x9e3779b97f4a7c15ull) >> (64 - bits));
+    while ((*table)[h] != pair) {
+      if ((*table)[h] == absent) {
+        (*table)[h] = pair;
+        pairs[distinct++] = pair;
+        break;
+      }
+      h = (h + 1) & (slots - 1);
     }
-    occurrences_.erase(kept, occurrences_.end());
-    return std::move(occurrences_);
   }
-
- private:
-  size_t Bucket(SetId first) const {
-    return static_cast<size_t>(uint64_t{first} >> shift_);
-  }
-
-  unsigned shift_ = 0;
-  std::vector<size_t> starts_;
-  std::vector<size_t> cursors_;
-  std::vector<uint64_t> occurrences_;
-};
-
-// False once `stop` fires; polled once per 64 signature groups.
-bool KeepGoing(const std::function<bool()>& stop, uint64_t* groups) {
-  return !(stop && ((*groups)++ & 63u) == 0 && stop());
+  return distinct;
 }
 
 }  // namespace
@@ -261,76 +301,248 @@ std::vector<PostingShard> GroupPostings(std::span<const Posting> postings,
   return Group(postings.size(), visit, buckets, pool, stop);
 }
 
-// Within a signature group ids ascend, so a < b already yields
-// first < second.
-ShardCandidates SelfJoinShard(const PostingShard& shard,
-                              const std::function<bool()>& stop) {
-  ShardCandidates out;
-  // Pre-scan: the exact occurrence count (== collisions >= distinct
-  // candidates) and the largest first id.
-  SetId max_first = 0;
-  ForEachGroup(shard.postings, [&](std::span<const Posting> g) {
-    if (g.size() > 1) {
-      out.collisions += uint64_t{g.size()} * (g.size() - 1) / 2;
-      max_first = std::max(max_first, g[g.size() - 2].second);
-    }
-    return true;
-  });
-  if (out.collisions == 0) return out;
-  PairBuckets dedup(out.collisions, max_first);
-  ForEachGroup(shard.postings, [&](std::span<const Posting> g) {
-    for (size_t a = 0; a + 1 < g.size(); ++a) {
-      dedup.Count(g[a].second, g.size() - 1 - a);
-    }
-    return true;
-  });
-  dedup.Allocate();
-  uint64_t groups = 0;
-  bool done = ForEachGroup(shard.postings, [&](std::span<const Posting> g) {
-    if (!KeepGoing(stop, &groups)) return false;
-    for (size_t a = 0; a + 1 < g.size(); ++a) {
-      uint64_t* dst = dedup.Claim(g[a].second, g.size() - 1 - a);
-      for (size_t b = a + 1; b < g.size(); ++b) {
-        *dst++ = PackPair(g[a].second, g[b].second);
-      }
-    }
-    return true;
-  });
-  if (done) out.packed = dedup.TakeSortedUnique();
-  return out;
+CandidateBuckets::CandidateBuckets(SetId max_first, uint32_t partitions)
+    : max_first_(max_first), partitions_(std::max(1u, partitions)) {}
+
+uint64_t CandidateBuckets::Absent(size_t b) const {
+  // Bucket b holds first ids [b << shift_, (b + 1) << shift_), at most
+  // 2^31 of them; flipping bit 31 of its lowest id leaves that range.
+  return PackPair(static_cast<SetId>(b << shift_) ^ 0x80000000u, 0);
 }
 
-ShardCandidates BinaryJoinShard(const PostingShard& shard_r,
-                                const PostingShard& shard_s,
-                                const std::function<bool()>& stop) {
-  ShardCandidates out;
-  SetId max_first = 0;
-  ForEachMatch(shard_r, shard_s,
-               [&](std::span<const Posting> r, std::span<const Posting> s) {
-                 out.collisions += uint64_t{r.size()} * s.size();
-                 max_first = std::max(max_first, r.back().second);
-                 return true;
-               });
-  if (out.collisions == 0) return out;
-  PairBuckets dedup(out.collisions, max_first);
-  ForEachMatch(shard_r, shard_s,
-               [&](std::span<const Posting> r, std::span<const Posting> s) {
-                 for (const Posting& a : r) dedup.Count(a.second, s.size());
-                 return true;
-               });
-  dedup.Allocate();
-  uint64_t groups = 0;
-  bool done = ForEachMatch(
-      shard_r, shard_s,
-      [&](std::span<const Posting> r, std::span<const Posting> s) {
-        if (!KeepGoing(stop, &groups)) return false;
-        for (const Posting& a : r) {
-          uint64_t* dst = dedup.Claim(a.second, s.size());
-          for (const Posting& b : s) *dst++ = PackPair(a.second, b.second);
+size_t CandidateBuckets::Bucket(SetId first) const {
+  SSJOIN_DCHECK(first <= max_first_, "pair first id {} above max {}", first,
+                max_first_);
+  return static_cast<size_t>(uint64_t{first} >> shift_);
+}
+
+bool CandidateBuckets::Add(std::vector<PostingShard>* left,
+                           std::vector<PostingShard>* right, ThreadPool& pool,
+                           const std::function<bool()>& stop,
+                           const ShardScope& scope) {
+  const size_t shards = left->size();
+  SSJOIN_CHECK(right == nullptr || right->size() == shards,
+               "CandidateBuckets::Add: shard counts differ ({} vs {})",
+               shards, right == nullptr ? 0 : right->size());
+  auto right_of = [&](size_t s) {
+    return right == nullptr ? nullptr : &(*right)[s];
+  };
+  auto free_postings = [&](size_t s) {
+    (*left)[s] = PostingShard();
+    if (right != nullptr) (*right)[s] = PostingShard();
+  };
+  // Pass 1: each shard's pair occurrences, which size the layout.
+  std::vector<uint64_t> occurrences(shards, 0);
+  ParallelFor(pool, shards, [&](size_t begin, size_t end, size_t) {
+    for (size_t s = begin; s < end; ++s) {
+      occurrences[s] = Occurrences((*left)[s], right_of(s));
+    }
+  });
+  uint64_t total = 0;
+  for (uint64_t n : occurrences) total += n;
+  if (total == 0) {
+    for (size_t s = 0; s < shards; ++s) free_postings(s);
+    return true;
+  }
+  if (buckets_ == 0) {
+    // At most 2^31 ids per bucket, so every bucket has an Absent() value.
+    const uint64_t target =
+        std::max<uint64_t>(1, total * partitions_ / kPairsPerBucket);
+    while (shift_ < 31 && (uint64_t{max_first_} >> shift_) + 1 > target) {
+      ++shift_;
+    }
+    buckets_ = static_cast<size_t>((uint64_t{max_first_} >> shift_) + 1);
+  }
+
+  // Pass 2: per-shard histograms over the global buckets.
+  std::vector<size_t> cursors(shards * buckets_, 0);
+  ParallelFor(pool, shards, [&](size_t begin, size_t end, size_t) {
+    for (size_t s = begin; s < end; ++s) {
+      size_t* hist = &cursors[s * buckets_];
+      ForEachPairRun((*left)[s], right_of(s), stop,
+                     [&](SetId first, std::span<const Posting> partners) {
+                       hist[Bucket(first)] += partners.size();
+                     });
+    }
+  });
+  if (stop && stop()) return false;
+
+  // Histograms -> write cursors, bucket-major and shard-minor, so every
+  // copy of a pair lands in its bucket's one slot range.
+  Run run;
+  run.starts.resize(buckets_ + 1);
+  size_t at = 0;
+  for (size_t b = 0; b < buckets_; ++b) {
+    run.starts[b] = at;
+    for (size_t s = 0; s < shards; ++s) {
+      size_t& slot = cursors[s * buckets_ + b];
+      const size_t count = slot;
+      slot = at;
+      at += count;
+    }
+  }
+  run.starts[buckets_] = at;
+  // Exact size, allocated here rather than in a worker's malloc arena,
+  // and not zero-filled: the scatter writes every slot.
+  run.pairs.reset(new uint64_t[at]);
+
+  // Pass 3: scatter, then free the shard's postings.
+  uint64_t* const pairs = run.pairs.get();
+  ParallelFor(pool, shards, [&](size_t begin, size_t end, size_t) {
+    for (size_t s = begin; s < end; ++s) {
+      auto scatter = [&] {
+        size_t* cursor = &cursors[s * buckets_];
+        ForEachPairRun((*left)[s], right_of(s), stop,
+                       [&](SetId first, std::span<const Posting> partners) {
+                         size_t& slot = cursor[Bucket(first)];
+                         uint64_t* dst = pairs + slot;
+                         slot += partners.size();
+                         for (const Posting& p : partners) {
+                           *dst++ = PackPair(first, p.second);
+                         }
+                       });
+      };
+      if (scope) {
+        scope(s, occurrences[s], scatter);
+      } else {
+        scatter();
+      }
+      free_postings(s);
+    }
+  });
+  if (stop && stop()) return false;
+  collisions_ += total;
+  if (partitions_ > 1) Compact(&run, pool);
+  runs_.push_back(std::move(run));
+  return true;
+}
+
+void CandidateBuckets::Compact(Run* run, ThreadPool& pool) {
+  std::vector<uint64_t> prefix(run->starts.begin(), run->starts.end());
+  const std::vector<size_t> split = SplitByWeight(prefix, pool.size());
+  std::vector<size_t> distinct(buckets_, 0);
+  ParallelFor(pool, pool.size(), [&](size_t begin, size_t end, size_t) {
+    std::vector<uint64_t> table;
+    for (size_t c = begin; c < end; ++c) {
+      for (size_t b = split[c]; b < split[c + 1]; ++b) {
+        distinct[b] =
+            HashUnique(run->pairs.get() + run->starts[b],
+                       run->starts[b + 1] - run->starts[b], Absent(b), &table);
+      }
+    }
+  });
+  Run compact;
+  compact.starts.resize(buckets_ + 1);
+  size_t at = 0;
+  for (size_t b = 0; b < buckets_; ++b) {
+    compact.starts[b] = at;
+    at += distinct[b];
+  }
+  compact.starts[buckets_] = at;
+  compact.pairs.reset(new uint64_t[at]);
+  ParallelFor(pool, pool.size(), [&](size_t begin, size_t end, size_t) {
+    for (size_t c = begin; c < end; ++c) {
+      for (size_t b = split[c]; b < split[c + 1]; ++b) {
+        std::copy_n(run->pairs.get() + run->starts[b], distinct[b],
+                    compact.pairs.get() + compact.starts[b]);
+      }
+    }
+  });
+  *run = std::move(compact);
+}
+
+Survivors CandidateBuckets::Filter(const PairFilter& keep, ThreadPool& pool,
+                                   const std::function<bool()>& stop) {
+  std::vector<Run> runs = std::move(runs_);
+  runs_.clear();
+  Survivors out;
+  if (runs.empty()) return out;
+  std::vector<uint64_t> prefix(buckets_ + 1, 0);
+  for (size_t b = 0; b < buckets_; ++b) {
+    prefix[b + 1] = prefix[b];
+    for (const Run& run : runs) {
+      prefix[b + 1] += run.starts[b + 1] - run.starts[b];
+    }
+  }
+  const size_t ranges = pool.size();
+  const std::vector<size_t> split = SplitByWeight(prefix, ranges);
+
+  // Per range: its survivors with offsets relative to the range's first
+  // distinct pair, and its distinct count.
+  struct Range {
+    Survivors survivors;
+    bool stopped = false;
+  };
+  std::vector<Range> per_range(ranges);
+  ParallelFor(pool, ranges, [&](size_t begin, size_t end, size_t) {
+    for (size_t c = begin; c < end; ++c) {
+      Range& range = per_range[c];
+      std::vector<uint64_t> merged;
+      std::vector<uint64_t> table;
+      std::vector<uint64_t> kept;
+      uint64_t& candidates = range.survivors.candidates;
+      for (size_t b = split[c]; b < split[c + 1]; ++b) {
+        if (stop && stop()) {
+          range.stopped = true;
+          return;
         }
-        return true;
-      });
-  if (done) out.packed = dedup.TakeSortedUnique();
+        // One run is deduplicated in place; several (one per partition,
+        // each already distinct) are merged in a scratch buffer first.
+        uint64_t* pairs;
+        size_t size;
+        if (runs.size() == 1) {
+          pairs = runs[0].pairs.get() + runs[0].starts[b];
+          size = runs[0].starts[b + 1] - runs[0].starts[b];
+        } else {
+          merged.clear();
+          for (const Run& run : runs) {
+            merged.insert(merged.end(), run.pairs.get() + run.starts[b],
+                          run.pairs.get() + run.starts[b + 1]);
+          }
+          pairs = merged.data();
+          size = merged.size();
+        }
+        size = HashUnique(pairs, size, Absent(b), &table);
+        kept.clear();
+        for (size_t i = 0; i < size; ++i) {
+          if (keep(pairs[i])) kept.push_back(pairs[i]);
+        }
+        // A survivor's offset is the bucket's base plus the number of
+        // the bucket's distinct pairs below it.
+        std::sort(kept.begin(), kept.end());
+        if (kept.size() > kRankScanMax) std::sort(pairs, pairs + size);
+        for (uint64_t pair : kept) {
+          uint64_t below = 0;
+          if (kept.size() > kRankScanMax) {
+            below = static_cast<uint64_t>(
+                std::lower_bound(pairs, pairs + size, pair) - pairs);
+          } else {
+            for (size_t i = 0; i < size; ++i) below += pairs[i] < pair;
+          }
+          range.survivors.pairs.push_back(pair);
+          range.survivors.offsets.push_back(candidates + below);
+        }
+        candidates += size;
+      }
+    }
+  });
+  runs.clear();
+  if (stop && stop()) return out;
+  size_t kept = 0;
+  for (const Range& range : per_range) {
+    if (range.stopped) return out;
+    kept += range.survivors.pairs.size();
+  }
+  out.pairs.reserve(kept);
+  out.offsets.reserve(kept);
+  for (const Range& range : per_range) {
+    out.pairs.insert(out.pairs.end(), range.survivors.pairs.begin(),
+                     range.survivors.pairs.end());
+    for (uint64_t offset : range.survivors.offsets) {
+      out.offsets.push_back(out.candidates + offset);
+    }
+    out.candidates += range.survivors.candidates;
+  }
   return out;
 }
 

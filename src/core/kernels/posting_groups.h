@@ -13,22 +13,31 @@
 //     shards or buckets, per-shard collision counts sum to exactly the
 //     serial total, and even small-integer signatures (the prefix
 //     filter's element ids) spread.
-//   * SelfJoinShard / BinaryJoinShard: the exact occurrence count of the
-//     pre-scan is extended with a histogram over each pair's first id;
-//     pairs are scattered into one exact-size occurrence array bucketed
-//     by ranges of the first id, and each bucket is sorted and
-//     deduplicated in place. Bucket ranges ascend, so the result is
-//     globally sorted without a final sort.
+//   * CandidateBuckets: pairs up the groups and filters the distinct
+//     pairs in the same pass, so the candidate set is never built. Each
+//     shard histograms its pair occurrences over one global layout of
+//     buckets by ranges of the pair's first id, so every copy of a pair,
+//     from any shard or spill partition, lands in one bucket. The shards
+//     scatter into one exact-size occurrence array (their postings are
+//     freed right after), and a bucket pass dedups each bucket in cache
+//     through a small hash table, counts the distinct candidates and
+//     applies the pre-filter (BitmapTable::MayMatch in the join). Only
+//     survivors leave, sorted, each with its offset in the sorted
+//     distinct sequence; nothing else is ever sorted.
+//     Spilled, each partition's run is deduplicated in place when it is
+//     added, and the one bucket pass merges the runs across partitions.
 //
-// Every output is a pure function of the posting multiset — bucket
-// contents are fully sorted — so it is byte-identical for every thread
-// count, producer split and input order.
+// Every output is a pure function of the posting multiset — grouped
+// buckets are fully sorted, survivors are sorted and their offsets are
+// exact counts — so it is byte-identical for every thread count,
+// producer split, partition count and input order.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -75,23 +84,92 @@ std::vector<PostingShard> GroupPostings(std::span<const Posting> postings,
                                         size_t buckets, ThreadPool& pool,
                                         const std::function<bool()>& stop);
 
-/// One shard's candidate output: packed pairs, sorted and duplicate-free
-/// within the shard (a pair can still surface in two shards via two
-/// different signatures; the caller's union removes those).
-struct ShardCandidates {
-  std::vector<uint64_t> packed;
-  uint64_t collisions = 0;
+/// Whether one distinct candidate pair (packed) survives the pre-filter.
+/// The bucket pass calls it from the pool's workers, so it may only read
+/// shared state.
+using PairFilter = std::function<bool(uint64_t)>;
+
+/// Runs one shard's scatter on that shard's worker and must call
+/// `scatter()` exactly once; `occurrences` is the shard's pair count. The
+/// join wraps each shard in a runtime trace sample through it.
+using ShardScope = std::function<void(
+    size_t shard, uint64_t occurrences, const std::function<void()>& scatter)>;
+
+/// The bucket pass's output: the distinct candidates that passed the
+/// filter, ascending, each with its pre-filter offset (how many distinct
+/// candidates precede it), and the distinct candidate count.
+struct Survivors {
+  std::vector<uint64_t> pairs;
+  std::vector<uint64_t> offsets;
+  uint64_t candidates = 0;
 };
 
-/// Self-join candidate generation over one grouped shard. On a stop the
-/// packed output is empty.
-ShardCandidates SelfJoinShard(const PostingShard& shard,
-                              const std::function<bool()>& stop);
+/// Candidate generation fused with the pre-filter. Every pair occurrence
+/// of every shard (and, spilled, of every partition) lands in one global
+/// layout of buckets over ascending ranges of the pair's first id, so all
+/// copies of a pair share a bucket and each bucket dedups on its own.
+///
+///   CandidateBuckets buckets(max_first, partitions);
+///   for each partition: buckets.Add(&shards_l, &shards_r or null, ...);
+///   Survivors out = buckets.Filter(keep, ...);
+///
+/// Neither step builds the candidate set: Add scatters occurrences into
+/// one exact-size array per partition, and Filter dedups, counts and
+/// filters bucket by bucket. Every output is a pure function of the
+/// posting multisets, byte-identical at every thread count, shard split
+/// and partition count.
+class CandidateBuckets {
+ public:
+  /// No pair's first id exceeds `max_first`. `partitions` is the number
+  /// of Add calls to come; the layout is sized from the first one that
+  /// has pairs, for about 512 occurrences per bucket over all of them.
+  CandidateBuckets(SetId max_first, uint32_t partitions);
 
-/// Binary-join candidate generation: both sides were grouped with the
-/// same bucket count, so the merge-join runs bucket by bucket.
-ShardCandidates BinaryJoinShard(const PostingShard& shard_r,
-                                const PostingShard& shard_s,
-                                const std::function<bool()>& stop);
+  /// Pairs up one partition's grouped postings: the self-join of `left`
+  /// when `right` is null, otherwise the bucket-by-bucket merge join of
+  /// shard i of both sides (grouped with the same bucket count). Each
+  /// shard histograms its pairs over the global buckets, one exact-size
+  /// array is allocated on the calling thread, the shards scatter into it
+  /// in parallel (through `scope` when set) and their postings are freed.
+  /// With more than one partition the partition's run is deduplicated
+  /// bucket by bucket and compacted, so only distinct pairs wait for
+  /// Filter. Returns false on a stop; the caller discards the
+  /// object then.
+  bool Add(std::vector<PostingShard>* left, std::vector<PostingShard>* right,
+           ThreadPool& pool, const std::function<bool()>& stop,
+           const ShardScope& scope = {});
+
+  /// Pair occurrences added so far: the signature collision count.
+  uint64_t collisions() const { return collisions_; }
+
+  /// The bucket pass: buckets are split into pool.size() contiguous
+  /// ranges of about equal occurrence counts; each range merges its
+  /// buckets' runs, dedups them, counts the distinct pairs and keeps
+  /// those `keep` accepts, ranked among the bucket's distinct pairs.
+  /// Consumes the runs. On a stop the output is empty.
+  Survivors Filter(const PairFilter& keep, ThreadPool& pool,
+                   const std::function<bool()>& stop);
+
+ private:
+  // One partition's occurrences: bucket b is pairs[starts[b], starts[b+1]).
+  struct Run {
+    std::unique_ptr<uint64_t[]> pairs;
+    std::vector<size_t> starts;
+  };
+
+  size_t Bucket(SetId first) const;
+  // A pair value no pair of bucket `b` can take.
+  uint64_t Absent(size_t b) const;
+  // Dedups each bucket of `run` in place, then moves the distinct pairs
+  // into an exact-size array.
+  void Compact(Run* run, ThreadPool& pool);
+
+  SetId max_first_;
+  uint32_t partitions_;
+  unsigned shift_ = 0;
+  size_t buckets_ = 0;  // 0 until the layout is fixed
+  uint64_t collisions_ = 0;
+  std::vector<Run> runs_;
+};
 
 }  // namespace ssjoin::kernels

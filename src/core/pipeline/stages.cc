@@ -1,7 +1,7 @@
 #include "core/pipeline/stages.h"
 
 #include <algorithm>
-#include <iterator>
+#include <functional>
 #include <utility>
 
 #include "core/execution_guard.h"
@@ -41,39 +41,6 @@ kernels::BitmapTable BuildBitmap(const SetCollection& input,
                 table.BuildRange(input, begin, end);
               });
   return table;
-}
-
-// Survivors and bitmap tallies of one contiguous range of a span.
-struct RangeTally {
-  size_t kept = 0;
-  BitmapTally bitmap;
-};
-
-// Compacts `range` to the pairs the bitmaps cannot rule out (the first
-// `kept` slots). Pruned pairs are provably non-matching; verify counts
-// them as false positives, so results/false_positives equal those of
-// verifying every candidate.
-RangeTally FilterRange(const ExecContext& ctx, const BitmapTables& tables,
-                       std::span<uint64_t> range) {
-  const SetCollection& r = *ctx.left;
-  const SetCollection& s = RightSide(ctx);
-  const kernels::BitmapTable& bm_r = tables.left;
-  const kernels::BitmapTable& bm_s =
-      ctx.right != nullptr ? tables.right : tables.left;
-  RangeTally tally;
-  for (uint64_t pair : range) {
-    auto [id_r, id_s] = UnpackPair(pair);
-    ++tally.bitmap.checked;
-    if (!kernels::BitmapTable::MayMatch(
-            *ctx.predicate, bm_r.row(id_r), bm_s.row(id_s),
-            static_cast<uint32_t>(r.set(id_r).size()),
-            static_cast<uint32_t>(s.set(id_s).size()))) {
-      ++tally.bitmap.pruned;
-      continue;
-    }
-    range[tally.kept++] = pair;
-  }
-  return tally;
 }
 
 }  // namespace
@@ -126,34 +93,6 @@ SignatureTable GenerateAll(const SetCollection& input, size_t begin,
   return table;
 }
 
-std::vector<uint64_t> UnionSorted(std::vector<std::vector<uint64_t>> lists,
-                                  ThreadPool& pool,
-                                  const std::function<bool()>& stop) {
-  while (lists.size() > 1) {
-    const size_t pairs = lists.size() / 2;
-    // Each round's outputs are sized and allocated here, on the calling
-    // thread: buffers a pool worker allocated would land in that
-    // worker's malloc arena, which keeps the freed rounds resident.
-    std::vector<std::vector<uint64_t>> next(pairs + lists.size() % 2);
-    for (size_t p = 0; p < pairs; ++p) {
-      next[p].reserve(lists[2 * p].size() + lists[2 * p + 1].size());
-    }
-    ParallelFor(pool, pairs, [&](size_t begin, size_t end, size_t) {
-      for (size_t p = begin; p < end; ++p) {
-        if (stop && stop()) return;
-        const std::vector<uint64_t>& a = lists[2 * p];
-        const std::vector<uint64_t>& b = lists[2 * p + 1];
-        std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                       std::back_inserter(next[p]));
-      }
-    });
-    if (lists.size() % 2) next.back() = std::move(lists.back());
-    lists = std::move(next);
-    if (stop && stop()) break;
-  }
-  return std::move(lists[0]);
-}
-
 Status GenerateSignatures(const ExecContext& ctx, obs::Stage* stage,
                           SignatureTable* left, SignatureTable* right) {
   obs::Stage::Timed timed(stage);
@@ -192,56 +131,54 @@ bool ExceedsSpillBudget(const ExecContext& ctx, const SignatureTable& left,
          guard->budget().memory_budget_bytes;
 }
 
-std::vector<uint64_t> GenerateCandidates(
-    const std::vector<kernels::PostingShard>& shards_l,
-    const std::vector<kernels::PostingShard>* shards_r, ThreadPool& pool,
-    const std::function<bool()>& stop, JoinStats* stats,
-    obs::JoinTelemetry* telem) {
-  size_t shards = pool.size();
-  std::vector<kernels::ShardCandidates> per_shard(shards);
-  obs::Histogram* shard_candidates =
-      telem->metrics() != nullptr
-          ? &telem->metrics()->histogram("join.shard.candidates")
-          : nullptr;
-  obs::Histogram* shard_micros =
-      telem->metrics() != nullptr
-          ? &telem->metrics()->histogram("join.shard.micros")
-          : nullptr;
-  pool.RunOnAll([&](size_t shard) {
+kernels::PairFilter BitmapFilter(const ExecContext& ctx,
+                                 const BitmapTables& tables) {
+  const SetCollection& r = *ctx.left;
+  const SetCollection& s = RightSide(ctx);
+  const kernels::BitmapTable& bm_r = tables.left;
+  const kernels::BitmapTable& bm_s =
+      ctx.right != nullptr ? tables.right : tables.left;
+  const Predicate& predicate = *ctx.predicate;
+  // Pruned pairs are provably non-matching; verify counts them as false
+  // positives, so results/false_positives equal those of verifying every
+  // candidate.
+  return [&r, &s, &bm_r, &bm_s, &predicate](uint64_t pair) {
+    auto [id_r, id_s] = UnpackPair(pair);
+    return kernels::BitmapTable::MayMatch(
+        predicate, bm_r.row(id_r), bm_s.row(id_s),
+        static_cast<uint32_t>(r.set(id_r).size()),
+        static_cast<uint32_t>(s.set(id_s).size()));
+  };
+}
+
+kernels::ShardScope ShardSamples(obs::JoinTelemetry* telem) {
+  obs::MetricsRegistry* metrics = telem->metrics();
+  if (metrics == nullptr && !telem->tracing()) return {};
+  obs::Histogram* occurrences =
+      metrics != nullptr ? &metrics->histogram("join.shard.candidates")
+                         : nullptr;
+  obs::Histogram* micros =
+      metrics != nullptr ? &metrics->histogram("join.shard.micros") : nullptr;
+  return [telem, occurrences, micros](size_t shard, uint64_t pairs,
+                                      const std::function<void()>& scatter) {
     {
       // Runtime span per shard (lane = shard + 1; lane 0 is the control
       // thread), excluded from the deterministic export.
-      auto sample = telem->Sample("shard", shard_micros,
-                                  static_cast<uint32_t>(shard) + 1);
-      per_shard[shard] =
-          shards_r == nullptr
-              ? kernels::SelfJoinShard(shards_l[shard], stop)
-              : kernels::BinaryJoinShard(shards_l[shard], (*shards_r)[shard],
-                                         stop);
+      auto sample =
+          telem->Sample("shard", micros, static_cast<uint32_t>(shard) + 1);
+      scatter();
       if (sample.span() != obs::kNoSpan) {
-        telem->tracer()->SetAttr(
-            sample.span(), "candidates",
-            static_cast<uint64_t>(per_shard[shard].packed.size()));
+        telem->tracer()->SetAttr(sample.span(), "signature_collisions",
+                                 pairs);
       }
     }
-    if (shard_candidates != nullptr) {
-      shard_candidates->Record(per_shard[shard].packed.size());
-    }
-  });
-  std::vector<std::vector<uint64_t>> lists;
-  lists.reserve(shards);
-  for (kernels::ShardCandidates& sc : per_shard) {
-    stats->signature_collisions += sc.collisions;
-    lists.push_back(std::move(sc.packed));
-  }
-  std::vector<uint64_t> candidates = UnionSorted(std::move(lists), pool, stop);
-  stats->candidates = candidates.size();
-  return candidates;
+    if (occurrences != nullptr) occurrences->Record(pairs);
+  };
 }
 
 Status PairCandidates(const ExecContext& ctx, obs::Stage* stage,
-                      SignatureTable* left, SignatureTable* right,
-                      std::vector<uint64_t>* candidates) {
+                      const BitmapTables& bitmaps, SignatureTable* left,
+                      SignatureTable* right, kernels::Survivors* survivors) {
   obs::Stage::Timed timed(stage);
   ExecutionGuard* guard = ctx.guard;
   JoinStats& stats = ctx.result->stats;
@@ -263,29 +200,35 @@ Status PairCandidates(const ExecContext& ctx, obs::Stage* stage,
     *table = SignatureTable();
     return shards;
   };
-  {  // the grouped postings are freed before the candidates are charged
-    std::vector<kernels::PostingShard> shards_l = group(left);
-    std::vector<kernels::PostingShard> shards_r;
-    if (binary) shards_r = group(right);
-    *candidates = GenerateCandidates(shards_l, binary ? &shards_r : nullptr,
-                                     pool, stop, &stats, ctx.telem);
+  std::vector<kernels::PostingShard> shards_l = group(left);
+  std::vector<kernels::PostingShard> shards_r;
+  if (binary) shards_r = group(right);
+  kernels::CandidateBuckets candidates(MaxFirstId(ctx), 1);
+  if (candidates.Add(&shards_l, binary ? &shards_r : nullptr, pool, stop,
+                     ShardSamples(ctx.telem))) {
+    stats.signature_collisions = candidates.collisions();
+    *survivors = candidates.Filter(BitmapFilter(ctx, bitmaps), pool, stop);
+    stats.candidates = survivors->candidates;
   }
   if (guard != nullptr && guard->tripped()) {
     // Stopped mid-CandGen: its counters are partial garbage, drop them.
     stats.signature_collisions = 0;
     stats.candidates = 0;
+    *survivors = kernels::Survivors();
     return guard->trip_status();
   }
   if (guard != nullptr) {
-    guard->ChargeMemory(candidates->size() * sizeof(uint64_t));
+    guard->ChargeMemory(stats.candidates * sizeof(uint64_t));
   }
   stage->rows_out = stats.candidates;
-  timed.Produced(SpanCount(candidates->size()));
+  timed.Produced(SpanCount(stats.candidates));
   return Status::OK();
 }
 
 Status PartitionCandidates(const ExecContext& ctx, obs::Stage* stage,
-                           std::vector<uint64_t>* candidates) {
+                           const BitmapTables& bitmaps, SignatureTable* left,
+                           SignatureTable* right,
+                           kernels::Survivors* survivors) {
   obs::Stage::Timed timed(stage);
   ExecutionGuard* guard = ctx.guard;
   JoinStats& stats = ctx.result->stats;
@@ -301,7 +244,8 @@ Status PartitionCandidates(const ExecContext& ctx, obs::Stage* stage,
   uint64_t retries = 0;
   while (true) {
     JoinStats attempt;
-    Status st = spill::RunAttempt(ctx, partitions, &attempt, candidates);
+    Status st = spill::RunAttempt(ctx, partitions, bitmaps, left, right,
+                                  &attempt, survivors);
     // I/O bytes accumulate across attempts: failed work was still disk
     // traffic the join paid for.
     stats.spill_bytes_written += attempt.spill_bytes_written;
@@ -339,10 +283,10 @@ Status PartitionCandidates(const ExecContext& ctx, obs::Stage* stage,
     partitions = std::max(1u, partitions / 2);
   }
   if (guard != nullptr) {
-    guard->ChargeMemory(candidates->size() * sizeof(uint64_t));
+    guard->ChargeMemory(stats.candidates * sizeof(uint64_t));
   }
   stage->rows_out = stats.candidates;
-  timed.Produced(SpanCount(candidates->size()));
+  timed.Produced(SpanCount(stats.candidates));
   return Status::OK();
 }
 
@@ -351,40 +295,14 @@ void BuildBitmaps(const ExecContext& ctx, obs::Stage* stage,
   obs::Stage::Timed timed(stage);
   tables->left = BuildBitmap(*ctx.left, *ctx.pool);
   if (ctx.right != nullptr) tables->right = BuildBitmap(*ctx.right, *ctx.pool);
-  if (ctx.guard != nullptr) {
-    ctx.guard->ChargeMemory(tables->left.size_bytes() +
-                            tables->right.size_bytes());
-  }
 }
 
-size_t FilterSpan(const ExecContext& ctx, obs::Stage* stage,
-                  const BitmapTables& tables, std::span<uint64_t> span,
-                  BitmapTally* tally) {
+BitmapTally TallySpan(obs::Stage* stage, uint64_t checked, uint64_t kept) {
   obs::Stage::Timed timed(stage);
-  stage->rows_in += span.size();
-  const size_t ranges = ctx.pool->size();
-  std::vector<RangeTally> tallies(ranges);
-  ParallelFor(*ctx.pool, span.size(),
-              [&](size_t begin, size_t end, size_t c) {
-                tallies[c] = FilterRange(ctx, tables,
-                                         span.subspan(begin, end - begin));
-              });
-  // Sum the tallies and compact the survivors in range order, so the
-  // span and the stats are byte-identical at every thread count.
-  size_t kept = 0;
-  for (size_t c = 0; c < ranges; ++c) {
-    size_t begin = ChunkOf(span.size(), ranges, c).begin;
-    if (kept != begin) {
-      std::copy(span.begin() + begin, span.begin() + begin + tallies[c].kept,
-                span.begin() + kept);
-    }
-    kept += tallies[c].kept;
-    tally->checked += tallies[c].bitmap.checked;
-    tally->pruned += tallies[c].bitmap.pruned;
-  }
+  stage->rows_in += checked;
   stage->rows_out += kept;
   timed.Produced();
-  return kept;
+  return {checked, checked - kept};
 }
 
 Status VerifySpan(const ExecContext& ctx, obs::Stage* stage, size_t start,
@@ -408,27 +326,31 @@ Status VerifySpan(const ExecContext& ctx, obs::Stage* stage, size_t start,
   stats.false_positives += tally.pruned;
   stage->rows_in += survivors.size();
 
-  // Evaluate range-parallel. The span is a contiguous slice of a
-  // deterministically ordered candidate sequence, so the per-range
+  // Evaluate in contiguous ranges. The span is a contiguous slice of a
+  // deterministically ordered survivor sequence, so the per-range
   // outputs, read in range order, are in candidate order at any thread
   // count.
   const SetCollection& r = *ctx.left;
   const SetCollection& s = RightSide(ctx);
-  const size_t ranges = ctx.pool->size();
-  verified->resize(ranges);
+  const bool parallel = survivors.size() >= kParallelVerifyMin;
+  verified->resize(parallel ? ctx.pool->size() : 1);
   for (std::vector<SetPair>& range : *verified) range.clear();
+  auto evaluate_range = [&](size_t begin, size_t end, size_t c) {
+    std::vector<SetPair>& mine = (*verified)[c];
+    mine.reserve((end - begin) / 4 + 1);
+    for (size_t i = begin; i < end; ++i) {
+      auto [id_r, id_s] = UnpackPair(survivors[i]);
+      if (ctx.predicate->Evaluate(r.set(id_r), s.set(id_s))) {
+        mine.emplace_back(id_r, id_s);
+      }
+    }
+  };
   auto evaluate = [&] {
-    ParallelFor(*ctx.pool, survivors.size(),
-                [&](size_t begin, size_t end, size_t c) {
-                  std::vector<SetPair>& mine = (*verified)[c];
-                  mine.reserve((end - begin) / 4 + 1);
-                  for (size_t i = begin; i < end; ++i) {
-                    auto [id_r, id_s] = UnpackPair(survivors[i]);
-                    if (ctx.predicate->Evaluate(r.set(id_r), s.set(id_s))) {
-                      mine.emplace_back(id_r, id_s);
-                    }
-                  }
-                });
+    if (parallel) {
+      ParallelFor(*ctx.pool, survivors.size(), evaluate_range);
+    } else {
+      evaluate_range(0, survivors.size(), 0);
+    }
   };
   if (guard != nullptr) {
     obs::MetricsRegistry* metrics = ctx.telem->metrics();

@@ -7,14 +7,18 @@
 //   spilled    spill_partition -> bitmap_filter -> verify -> dedup_emit
 //
 // An auto spill switches source after siggen, in the same pass and chain
-// (siggen -> candgen -> spill_partition -> ...). The spill layer reuses
-// GenerateAll, GenerateCandidates and UnionSorted below.
+// (siggen -> candgen -> spill_partition -> ...), and hands the spill
+// layer the tables siggen already generated. The spill layer reuses
+// GenerateAll and the candgen kernel (kernels::CandidateBuckets).
 //
-// The source (candgen or spill_partition) materializes the whole sorted,
-// duplicate-free candidate vector. The driver builds the bitmap tables,
-// then walks the vector in kVerifySpan-candidate spans: each span is
-// filtered in place, verified behind its guard barrier, and its pairs
-// are appended to the result.
+// The driver builds the bitmap tables before the source runs. The source
+// (candgen or spill_partition) pairs up, dedups and bitmap-filters in
+// one bucket pass, so it yields only the survivors, each with its offset
+// in the sorted distinct candidate sequence; the candidate set itself is
+// never built. The driver then walks that sequence in
+// kVerifySpan-candidate spans: each span's filter rows are committed,
+// its survivors are verified behind its guard barrier, and its pairs are
+// appended to the result.
 //
 // Every stage function keeps its obs::Stage ledger (obs/join_telemetry.h):
 // it times itself with a Stage::Timed scope and maintains the stage's
@@ -78,6 +82,16 @@ struct SignatureTable {
 /// pins.
 inline constexpr size_t kVerifySpan = 16384;
 
+/// Survivors a span needs before verify fans out over the pool: below
+/// it, a fork-join costs more than it saves.
+inline constexpr size_t kParallelVerifyMin = 1024;
+
+/// The largest first id a candidate pair can have: the left side's last
+/// set id (0 for an empty side).
+inline SetId MaxFirstId(const ExecContext& ctx) {
+  return ctx.left->size() == 0 ? 0 : static_cast<SetId>(ctx.left->size() - 1);
+}
+
 /// The SigGen routine: the signatures of sets [begin, end) of `input` as
 /// a CSR table, generated range-parallel and stitched in set order (the
 /// same at any thread count). A tripped guard stops it early; the caller
@@ -101,45 +115,6 @@ Status GenerateSignatures(const ExecContext& ctx, obs::Stage* stage,
 bool ExceedsSpillBudget(const ExecContext& ctx, const SignatureTable& left,
                         const SignatureTable& right);
 
-/// candgen: charges the tables, Checkpoint(kCandGen), groups each
-/// table's postings (freeing the table), pairs them up and unions the
-/// shards into the sorted candidate vector, then charges it. A trip
-/// zeroes the partial collision and candidate counters.
-Status PairCandidates(const ExecContext& ctx, obs::Stage* stage,
-                      SignatureTable* left, SignatureTable* right,
-                      std::vector<uint64_t>* candidates);
-
-/// The one candidate union, of candgen's shards and of the spill layer's
-/// partitions: merges the (one or more) sorted duplicate-free `lists` in
-/// pairwise set_union rounds on the pool, an odd list carried over. A
-/// stop abandons the merges; the caller discards the partial result.
-std::vector<uint64_t> UnionSorted(std::vector<std::vector<uint64_t>> lists,
-                                  ThreadPool& pool,
-                                  const std::function<bool()>& stop);
-
-/// The pair-up-and-union step of candgen, shared with the spill layer's
-/// per-partition loop (core/spill/spill_join.cc): pairs up every pool
-/// shard (self-join over `shards_l` when `shards_r` is null, otherwise
-/// the binary merge of the two sides), then merges the sorted shard
-/// outputs with UnionSorted. Adds into stats->signature_collisions,
-/// sets stats->candidates, and returns the global sorted duplicate-free
-/// candidate vector.
-std::vector<uint64_t> GenerateCandidates(
-    const std::vector<kernels::PostingShard>& shards_l,
-    const std::vector<kernels::PostingShard>* shards_r, ThreadPool& pool,
-    const std::function<bool()>& stop, JoinStats* stats,
-    obs::JoinTelemetry* telem);
-
-/// spill_partition: the out-of-core source (DESIGN.md Section 12).
-/// Checkpoint(kSigGen), then the retry loop around spill::RunAttempt,
-/// halving the partition count after a transient I/O failure. Guard
-/// trips are final; exhausted retries surrender with the
-/// completed-signature counts but no candidate accounting. Signature
-/// generation happens inside the attempts, so the stage's whole time
-/// feeds candpair_seconds.
-Status PartitionCandidates(const ExecContext& ctx, obs::Stage* stage,
-                           std::vector<uint64_t>* candidates);
-
 /// bitmap_filter's XOR bitmap tables. The self-join leaves `right` empty
 /// and uses `left` for both sides.
 struct BitmapTables {
@@ -147,30 +122,65 @@ struct BitmapTables {
   kernels::BitmapTable right;
 };
 
+/// The candgen kernel's filter: BitmapTable::MayMatch of a packed pair
+/// under ctx's predicate. `tables` must outlive the returned function.
+kernels::PairFilter BitmapFilter(const ExecContext& ctx,
+                                 const BitmapTables& tables);
+
+/// The candgen kernel's per-shard scope: a runtime "shard" trace sample
+/// (lane = shard + 1) timing the shard's scatter, and its occurrences
+/// recorded into the join.shard.candidates histogram. Empty when the
+/// join has neither a tracer nor a metrics registry.
+kernels::ShardScope ShardSamples(obs::JoinTelemetry* telem);
+
+/// candgen: charges the tables, Checkpoint(kCandGen), groups each
+/// table's postings (freeing the table), then pairs them up, dedups and
+/// bitmap-filters them in one kernels::CandidateBuckets pass; commits
+/// the collision and candidate counts and charges candidates x 8 bytes
+/// (what the sorted candidate vector would hold). A trip zeroes the
+/// partial collision and candidate counters.
+Status PairCandidates(const ExecContext& ctx, obs::Stage* stage,
+                      const BitmapTables& bitmaps, SignatureTable* left,
+                      SignatureTable* right, kernels::Survivors* survivors);
+
+/// spill_partition: the out-of-core source (DESIGN.md Section 12).
+/// Checkpoint(kSigGen), then the retry loop around spill::RunAttempt,
+/// halving the partition count after a transient I/O failure. Guard
+/// trips are final; exhausted retries surrender with the
+/// completed-signature counts but no candidate accounting. A degraded
+/// join passes the tables siggen generated in `left`/`right` (both empty
+/// otherwise): the first attempt writes them and frees them before it
+/// reads a partition; a later attempt generates the signatures. The
+/// stage's whole time feeds candpair_seconds.
+Status PartitionCandidates(const ExecContext& ctx, obs::Stage* stage,
+                           const BitmapTables& bitmaps, SignatureTable* left,
+                           SignatureTable* right,
+                           kernels::Survivors* survivors);
+
+/// bitmap_filter, once: builds the tables range-parallel, before the
+/// source filters with them. The driver charges them to the guard once
+/// the source has succeeded.
+void BuildBitmaps(const ExecContext& ctx, obs::Stage* stage,
+                  BitmapTables* tables);
+
 /// The bitmap pre-filter tallies of one span.
 struct BitmapTally {
   uint64_t checked = 0;
   uint64_t pruned = 0;
 };
 
-/// bitmap_filter, once: builds the tables range-parallel and charges
-/// them to the guard.
-void BuildBitmaps(const ExecContext& ctx, obs::Stage* stage,
-                  BitmapTables* tables);
-
-/// bitmap_filter, per span: compacts `span` in place to the candidates
-/// the bitmaps cannot rule out, preserving candidate order, and returns
-/// how many survived. Fills `tally` but never touches JoinStats: verify
-/// commits it after the span's barrier.
-size_t FilterSpan(const ExecContext& ctx, obs::Stage* stage,
-                  const BitmapTables& tables, std::span<uint64_t> span,
-                  BitmapTally* tally);
+/// bitmap_filter, per span: commits the rows of one span the source
+/// already filtered, `checked` candidates of which `kept` survived, and
+/// returns the span's tally. It never touches JoinStats: verify commits
+/// the tally after the span's barrier.
+BitmapTally TallySpan(obs::Stage* stage, uint64_t checked, uint64_t kept);
 
 /// verify, per span: the span's guard barrier (Checkpoint(kVerify), then
 /// CheckBreaker at `start`, the span's pre-filter offset, against the
 /// results so far), then commits `tally`, then evaluates `survivors`
-/// range-parallel into `verified` (one vector per range, in candidate
-/// order) and charges the pairs.
+/// into `verified` (one vector per range, in candidate order) and
+/// charges the pairs. Spans with fewer than kParallelVerifyMin survivors
+/// are evaluated on the calling thread, in one range.
 Status VerifySpan(const ExecContext& ctx, obs::Stage* stage, size_t start,
                   std::span<const uint64_t> survivors,
                   const BitmapTally& tally,
@@ -183,7 +193,7 @@ Status FinishVerify(const ExecContext& ctx, obs::Stage* stage,
                     size_t candidates);
 
 /// dedup_emit: appends the span's `verified` pairs to the result in
-/// range order. Both sources emit sorted, duplicate-free candidates, so
+/// range order. Both sources yield sorted, duplicate-free survivors, so
 /// appending yields the final sorted pair vector.
 void EmitPairs(const ExecContext& ctx, obs::Stage* stage,
                const std::vector<std::vector<SetPair>>& verified);

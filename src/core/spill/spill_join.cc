@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -83,16 +84,17 @@ uint64_t WriterBytes(const std::vector<SpillFileWriter>& writers) {
 }
 
 // Write stage for one input side: streams Sign(set) postings into the
-// partition writers. Each chunk's signatures come from the in-memory
-// SigGen routine (pipeline::GenerateAll, pool-parallel); the append pass
-// is sequential in set order, so the file bytes are identical for every
-// thread count. `*signatures` is only meaningful when the function
-// returns OK (a stopped chunk leaves it partial; the caller commits it
-// to stats only on success).
+// partition writers. Each chunk's signatures come from `table` when it
+// holds one (a degraded join's siggen output), otherwise from the
+// in-memory SigGen routine (pipeline::GenerateAll, pool-parallel); the
+// append pass is sequential in set order, so the file bytes are
+// identical for every thread count and either source. `*signatures` is
+// only meaningful when the function returns OK (a stopped chunk leaves
+// it partial; the caller commits it to stats only on success).
 Status WriteSide(const pipeline::ExecContext& ctx, const SetCollection& input,
-                 ChargeLedger* ledger, uint32_t partitions,
-                 const util::ScopedTempDir& tmp, const char* prefix,
-                 std::vector<SpillFileWriter>* writers,
+                 const pipeline::SignatureTable& table, ChargeLedger* ledger,
+                 uint32_t partitions, const util::ScopedTempDir& tmp,
+                 const char* prefix, std::vector<SpillFileWriter>* writers,
                  uint64_t* signatures) {
   ExecutionGuard* guard = ctx.guard;
   writers->resize(partitions);
@@ -113,13 +115,24 @@ Status WriteSide(const pipeline::ExecContext& ctx, const SetCollection& input,
     }
     size_t c1 = std::min(static_cast<size_t>(input.size()),
                          c0 + kWriteChunkSets);
-    pipeline::SignatureTable chunk =
-        pipeline::GenerateAll(input, c0, c1, *ctx.scheme, *ctx.pool, guard);
-    if (guard != nullptr && guard->tripped()) return guard->trip_status();
-    *signatures += chunk.total();
-    for (size_t i = 0; i + 1 < chunk.offsets.size(); ++i) {
-      for (size_t k = chunk.offsets[i]; k < chunk.offsets[i + 1]; ++k) {
-        Signature sig = chunk.values[k];
+    pipeline::SignatureTable generated;
+    std::span<const Signature> values;
+    // Chunk set i owns values[offsets[i], offsets[i + 1]).
+    std::span<const size_t> offsets;
+    if (table.offsets.empty()) {
+      generated =
+          pipeline::GenerateAll(input, c0, c1, *ctx.scheme, *ctx.pool, guard);
+      if (guard != nullptr && guard->tripped()) return guard->trip_status();
+      values = generated.values;
+      offsets = generated.offsets;
+    } else {
+      values = table.values;
+      offsets = std::span<const size_t>(table.offsets).subspan(c0, c1 - c0 + 1);
+    }
+    *signatures += offsets.back() - offsets.front();
+    for (size_t i = 0; i + 1 < offsets.size(); ++i) {
+      for (size_t k = offsets[i]; k < offsets[i + 1]; ++k) {
+        Signature sig = values[k];
         SSJOIN_RETURN_NOT_OK((*writers)[PartitionOf(sig, partitions)].Append(
             sig, static_cast<SetId>(c0 + i)));
       }
@@ -136,8 +149,11 @@ Status WriteSide(const pipeline::ExecContext& ctx, const SetCollection& input,
 }  // namespace
 
 Status RunAttempt(const pipeline::ExecContext& ctx, uint32_t partitions,
-                  JoinStats* stats, std::vector<uint64_t>* candidates) {
-  const SetCollection* right = ctx.right;
+                  const pipeline::BitmapTables& bitmaps,
+                  pipeline::SignatureTable* left,
+                  pipeline::SignatureTable* right, JoinStats* stats,
+                  kernels::Survivors* survivors) {
+  const SetCollection* right_input = ctx.right;
   ThreadPool& pool = *ctx.pool;
   ExecutionGuard* guard = ctx.guard;
   util::ScopedTempDir tmp;
@@ -149,18 +165,18 @@ Status RunAttempt(const pipeline::ExecContext& ctx, uint32_t partitions,
   std::vector<SpillFileWriter> writers_r;
   uint64_t signatures_l = 0;
   uint64_t signatures_r = 0;
-  Status write_status = WriteSide(ctx, *ctx.left, &ledger, partitions, tmp,
-                                  "part-r-", &writers_l, &signatures_l);
-  if (write_status.ok() && right != nullptr) {
-    write_status = WriteSide(ctx, *right, &ledger, partitions, tmp, "part-s-",
-                             &writers_r, &signatures_r);
+  Status write_status = WriteSide(ctx, *ctx.left, *left, &ledger, partitions,
+                                  tmp, "part-r-", &writers_l, &signatures_l);
+  if (write_status.ok() && right_input != nullptr) {
+    write_status = WriteSide(ctx, *right_input, *right, &ledger, partitions,
+                             tmp, "part-s-", &writers_r, &signatures_r);
   }
   // Bytes any writer durably handed off count into the attempt's I/O
   // accounting even when the stage failed mid-file.
   stats->spill_bytes_written += WriterBytes(writers_l) + WriterBytes(writers_r);
   SSJOIN_RETURN_NOT_OK(write_status);
   stats->signatures_r = signatures_l;
-  stats->signatures_s = right != nullptr ? signatures_r : signatures_l;
+  stats->signatures_s = right_input != nullptr ? signatures_r : signatures_l;
   if (guard != nullptr) {
     // Deterministic post-write barrier: the disk-budget check sees the
     // attempt's full footprint here, and injected kCandGen trips land
@@ -169,16 +185,20 @@ Status RunAttempt(const pipeline::ExecContext& ctx, uint32_t partitions,
     SSJOIN_RETURN_NOT_OK(guard->Checkpoint(JoinPhase::kSpill));
     SSJOIN_RETURN_NOT_OK(guard->Checkpoint(JoinPhase::kCandGen));
   }
+  // The files hold the signatures now; a retry regenerates them.
+  *left = pipeline::SignatureTable();
+  *right = pipeline::SignatureTable();
 
   std::function<bool()> stop = StopFn(guard, JoinPhase::kCandGen);
-  std::vector<std::vector<uint64_t>> lists(partitions);
+  const kernels::ShardScope scope = pipeline::ShardSamples(ctx.telem);
+  kernels::CandidateBuckets candidates(pipeline::MaxFirstId(ctx), partitions);
   for (uint32_t p = 0; p < partitions; ++p) {
     std::vector<Posting> postings_l;
     std::vector<Posting> postings_r;
     SSJOIN_ASSIGN_OR_RETURN(
         postings_l, SpillFileReader::ReadAll(writers_l[p].path(),
                                              &stats->spill_bytes_read));
-    if (right != nullptr) {
+    if (right_input != nullptr) {
       SSJOIN_ASSIGN_OR_RETURN(
           postings_r, SpillFileReader::ReadAll(writers_r[p].path(),
                                                &stats->spill_bytes_read));
@@ -203,19 +223,20 @@ Status RunAttempt(const pipeline::ExecContext& ctx, uint32_t partitions,
     };
     std::vector<kernels::PostingShard> shards_l = group(&postings_l);
     std::vector<kernels::PostingShard> shards_r;
-    if (right != nullptr) shards_r = group(&postings_r);
-    lists[p] = pipeline::GenerateCandidates(
-        shards_l, right != nullptr ? &shards_r : nullptr, pool, stop, stats,
-        ctx.telem);
+    if (right_input != nullptr) shards_r = group(&postings_r);
+    // The partition's pairs join the global first-id layout, deduplicated
+    // within the partition; a pair reachable via signatures in two
+    // partitions dedups in the final bucket pass below.
+    candidates.Add(&shards_l, right_input != nullptr ? &shards_r : nullptr,
+                   pool, stop, scope);
     if (guard != nullptr && guard->tripped()) return guard->trip_status();
     ledger.ReleaseMemory(partition_bytes);
   }
-  // The in-memory union over the partitions' lists: a pair reachable via
-  // signatures in two partitions dedups here, exactly as the in-memory
-  // shard union dedups it.
-  *candidates = pipeline::UnionSorted(std::move(lists), pool, stop);
+  stats->signature_collisions = candidates.collisions();
+  *survivors =
+      candidates.Filter(pipeline::BitmapFilter(ctx, bitmaps), pool, stop);
   if (guard != nullptr && guard->tripped()) return guard->trip_status();
-  stats->candidates = candidates->size();
+  stats->candidates = survivors->candidates;
   return Status::OK();
 }
 

@@ -189,31 +189,35 @@ void MarkSpilled(const pipeline::ExecContext& ctx, std::string_view how) {
   }
 }
 
-// The stage sequence (DESIGN.md Section 13): candidates from the source,
-// the bitmap tables, then per kVerifySpan-candidate span the filter, the
-// verify barrier and evaluation, and the append; the final verify
-// barrier last. When the auto-spill budget check fires after SigGen,
-// before the guard could latch, the same pass degrades: it frees the
-// tables and siggen's signature counts, and binds spill_partition into
-// `chain` after candgen as its source. siggen and candgen keep their
+// The stage sequence (DESIGN.md Section 13): the bitmap tables, then the
+// source, which pairs up and filters in one pass and yields only the
+// survivors with their pre-filter offsets; then per
+// kVerifySpan-candidate span the filter rows, the verify barrier and
+// evaluation, and the append; the final verify barrier last. When the
+// auto-spill budget check fires after SigGen, before the guard could
+// latch, the same pass degrades: it resets siggen's signature counts,
+// binds spill_partition into `chain` after candgen as its source and
+// hands it the tables siggen generated. siggen and candgen keep their
 // rows and time, so the one chain reports all the join paid for.
 Status RunStages(const pipeline::ExecContext& ctx, std::string_view mode,
                  Stages& stages, std::vector<obs::Stage*>* chain) {
   const JoinOptions& options = *ctx.options;
-  std::vector<uint64_t> candidates;
+  pipeline::BitmapTables bitmaps;
+  pipeline::SignatureTable left, right;
+  kernels::Survivors survivors;
   if (options.spill.policy == SpillPolicy::kForced) {
-    SSJOIN_RETURN_NOT_OK(
-        pipeline::PartitionCandidates(ctx, &stages.partition, &candidates));
+    pipeline::BuildBitmaps(ctx, &stages.filter, &bitmaps);
+    SSJOIN_RETURN_NOT_OK(pipeline::PartitionCandidates(
+        ctx, &stages.partition, bitmaps, &left, &right, &survivors));
   } else {
-    pipeline::SignatureTable left, right;
     SSJOIN_RETURN_NOT_OK(
         pipeline::GenerateSignatures(ctx, &stages.siggen, &left, &right));
     stages.candgen.rows_in = left.total() + right.total();
+    pipeline::BuildBitmaps(ctx, &stages.filter, &bitmaps);
     if (!pipeline::ExceedsSpillBudget(ctx, left, right)) {
       SSJOIN_RETURN_NOT_OK(pipeline::PairCandidates(
-          ctx, &stages.candgen, &left, &right, &candidates));
+          ctx, &stages.candgen, bitmaps, &left, &right, &survivors));
     } else {
-      left = right = pipeline::SignatureTable();
       ctx.result->stats.signatures_r = ctx.result->stats.signatures_s = 0;
       obs::LogEvent(options.log, obs::LogLevel::kWarn, "spill_degrade",
                     {{"mode", mode}});
@@ -221,26 +225,33 @@ Status RunStages(const pipeline::ExecContext& ctx, std::string_view mode,
       chain->insert(chain->begin() + 2, &stages.partition);
       stages.partition.Bind(ctx.telem,
                             static_cast<uint32_t>(chain->size() - 1));
-      SSJOIN_RETURN_NOT_OK(
-          pipeline::PartitionCandidates(ctx, &stages.partition, &candidates));
+      SSJOIN_RETURN_NOT_OK(pipeline::PartitionCandidates(
+          ctx, &stages.partition, bitmaps, &left, &right, &survivors));
     }
   }
-  pipeline::BitmapTables bitmaps;
-  pipeline::BuildBitmaps(ctx, &stages.filter, &bitmaps);
-  std::vector<std::vector<SetPair>> verified;
-  for (size_t start = 0; start < candidates.size();
-       start += pipeline::kVerifySpan) {
-    std::span<uint64_t> span(
-        candidates.data() + start,
-        std::min(pipeline::kVerifySpan, candidates.size() - start));
-    pipeline::BitmapTally tally;
-    span = span.first(
-        pipeline::FilterSpan(ctx, &stages.filter, bitmaps, span, &tally));
-    SSJOIN_RETURN_NOT_OK(pipeline::VerifySpan(ctx, &stages.verify, start,
-                                              span, tally, &verified));
-    pipeline::EmitPairs(ctx, &stages.emit, verified);
+  if (ctx.guard != nullptr) {
+    ctx.guard->ChargeMemory(bitmaps.left.size_bytes() +
+                            bitmaps.right.size_bytes());
   }
-  return pipeline::FinishVerify(ctx, &stages.verify, candidates.size());
+  // Survivors [next, last) are those of the span [start, end).
+  const std::span<const uint64_t> pairs(survivors.pairs);
+  size_t next = 0;
+  std::vector<std::vector<SetPair>> verified;
+  for (uint64_t start = 0; start < survivors.candidates;
+       start += pipeline::kVerifySpan) {
+    const uint64_t end =
+        std::min<uint64_t>(start + pipeline::kVerifySpan, survivors.candidates);
+    size_t last = next;
+    while (last < pairs.size() && survivors.offsets[last] < end) ++last;
+    pipeline::BitmapTally tally =
+        pipeline::TallySpan(&stages.filter, end - start, last - next);
+    SSJOIN_RETURN_NOT_OK(pipeline::VerifySpan(ctx, &stages.verify, start,
+                                              pairs.subspan(next, last - next),
+                                              tally, &verified));
+    pipeline::EmitPairs(ctx, &stages.emit, verified);
+    next = last;
+  }
+  return pipeline::FinishVerify(ctx, &stages.verify, survivors.candidates);
 }
 
 // The driver, once per Join(). `request` is validated and its spill

@@ -111,7 +111,12 @@ inline constexpr std::string_view kJoinIntersectScalar =
 inline constexpr std::string_view kJoinIntersectGalloping =
     "join.intersect.galloping";
 inline constexpr std::string_view kJoinSecondsTotal = "join.seconds.total";
-inline constexpr std::string_view kJoinShardCandidates =
+// Per candgen shard, per (spill) partition: "join.shard.candidates"
+// records the shard's pair occurrences (its signature collisions, copies
+// of a pair included: a shard never sees its distinct candidates, which
+// are counted only in the bucket pass), kJoinShardMicros its scatter
+// time. Both runtime.
+inline constexpr std::string_view kJoinShardOccurrences =
     "join.shard.candidates";
 inline constexpr std::string_view kJoinShardMicros = "join.shard.micros";
 inline constexpr std::string_view kJoinVerifyChunkMicros =

@@ -1,9 +1,10 @@
 // Differential tests for partitioned candidate generation
 // (core/kernels/posting_groups.h) against a std::sort reference: the
 // grouping must be a partition of the postings into sorted, shard- and
-// bucket-disjoint signature groups, and the union of the per-shard
-// candidates must equal sort+unique over every group's pairs, with the
-// same collision count — at 1–4 shards and several bucket counts, for
+// bucket-disjoint signature groups, and CandidateBuckets' survivors must
+// be exactly the filtered sort+unique of every group's pairs, each at its
+// offset in that sequence, with the same distinct and collision counts —
+// at 1–5 shards, several bucket counts and 1 or 3 spill partitions, for
 // CSR and flat (spill) input, self and binary joins.
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 
 #include "core/kernels/posting_groups.h"
 #include "core/types.h"
+#include "util/hashing.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -142,22 +144,81 @@ void ExpectValidGroups(const std::vector<PostingShard>& shards,
   EXPECT_EQ(seen, expected);
 }
 
-// Per-shard outputs must be strictly ascending; their union and summed
-// collisions are the join's candidates.
-Candidates Union(const std::vector<ShardCandidates>& per_shard) {
-  Candidates out;
-  for (const ShardCandidates& shard : per_shard) {
-    EXPECT_TRUE(std::adjacent_find(shard.packed.begin(), shard.packed.end(),
-                                   std::greater_equal<uint64_t>()) ==
-                shard.packed.end());
-    out.packed.insert(out.packed.end(), shard.packed.begin(),
-                      shard.packed.end());
-    out.collisions += shard.collisions;
+// Test filters: a hash keeps about two thirds of the pairs, so survivors
+// and their offsets interleave with pruned pairs.
+bool KeepSome(uint64_t pair) { return Mix64(pair) % 3 != 0; }
+bool KeepAll(uint64_t) { return true; }
+
+// The reference bucket pass: every distinct candidate in order, the
+// survivors at their offsets.
+Survivors ReferenceFilter(const Candidates& all, const PairFilter& keep) {
+  Survivors out;
+  for (size_t i = 0; i < all.packed.size(); ++i) {
+    if (keep(all.packed[i])) {
+      out.pairs.push_back(all.packed[i]);
+      out.offsets.push_back(i);
+    }
   }
-  std::sort(out.packed.begin(), out.packed.end());
-  out.packed.erase(std::unique(out.packed.begin(), out.packed.end()),
-                   out.packed.end());
+  out.candidates = all.packed.size();
   return out;
+}
+
+void ExpectSameSurvivors(const Survivors& got, const Survivors& want) {
+  EXPECT_EQ(got.candidates, want.candidates);
+  EXPECT_EQ(got.pairs, want.pairs);
+  EXPECT_EQ(got.offsets, want.offsets);
+}
+
+// The postings split into `partitions` spill partitions by signature, as
+// the spill layer routes them.
+std::vector<std::vector<Posting>> Partition(const std::vector<Posting>& all,
+                                            uint32_t partitions) {
+  std::vector<std::vector<Posting>> out(partitions);
+  for (const Posting& p : all) {
+    out[Mix64(p.first ^ 77) % partitions].push_back(p);
+  }
+  return out;
+}
+
+SetId MaxId(const std::vector<Posting>& postings) {
+  SetId max_id = 0;
+  for (const Posting& p : postings) max_id = std::max(max_id, p.second);
+  return max_id;
+}
+
+// Runs the kernel over the partitions of `r` (self-join when `s` is
+// null), grouping each with `buckets` buckets, and checks the survivors
+// and collisions under both filters against the reference.
+void ExpectKernelMatches(const std::vector<Posting>& r,
+                         const std::vector<Posting>* s, size_t buckets,
+                         ThreadPool& pool, const Candidates& expected) {
+  for (uint32_t partitions : {1u, 3u}) {
+    for (bool some : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "partitions " << partitions
+                                      << (some ? " keep some" : " keep all"));
+      const PairFilter keep = some ? PairFilter(KeepSome) : KeepAll;
+      std::vector<std::vector<Posting>> parts_r = Partition(r, partitions);
+      std::vector<std::vector<Posting>> parts_s;
+      if (s != nullptr) parts_s = Partition(*s, partitions);
+      CandidateBuckets kernel(MaxId(r), partitions);
+      for (uint32_t p = 0; p < partitions; ++p) {
+        std::vector<PostingShard> shards_r =
+            GroupPostings(parts_r[p], buckets, pool, {});
+        std::vector<PostingShard> shards_s;
+        if (s != nullptr) {
+          shards_s = GroupPostings(parts_s[p], buckets, pool, {});
+        }
+        ASSERT_TRUE(kernel.Add(&shards_r, s != nullptr ? &shards_s : nullptr,
+                               pool, {}));
+        for (const PostingShard& shard : shards_r) {
+          EXPECT_TRUE(shard.postings.empty()) << "postings not freed";
+        }
+      }
+      EXPECT_EQ(kernel.collisions(), expected.collisions);
+      ExpectSameSurvivors(kernel.Filter(keep, pool, {}),
+                          ReferenceFilter(expected, keep));
+    }
+  }
 }
 
 // Bucket counts to try at `threads` shards for `postings` postings: one
@@ -167,30 +228,29 @@ std::vector<size_t> BucketCounts(size_t postings, size_t threads) {
 }
 
 // Self join of `table` through both input forms (CSR when ids start at
-// 0, flat from `base`) at 1–4 shards, against the reference.
+// 0, flat from `base`) at 1–5 shards, against the reference.
 void ExpectSelfJoinMatches(const Table& table, SetId base) {
   const std::vector<Posting> postings = table.Postings(base);
   const Candidates expected = ReferenceSelf(postings);
-  for (size_t threads = 1; threads <= 4; ++threads) {
+  for (size_t threads = 1; threads <= 5; ++threads) {
     ThreadPool pool(threads);
     for (size_t buckets : BucketCounts(postings.size(), threads)) {
       SCOPED_TRACE(testing::Message() << "threads " << threads << " buckets "
                                       << buckets << " base " << base);
-      std::vector<std::vector<PostingShard>> groupings;
-      groupings.push_back(GroupPostings(postings, buckets, pool, {}));
+      ExpectValidGroups(GroupPostings(postings, buckets, pool, {}), buckets,
+                        postings);
       if (base == 0) {
-        groupings.push_back(GroupPostings(table.values, table.offsets,
-                                          buckets, pool, {}));
-      }
-      for (const std::vector<PostingShard>& shards : groupings) {
+        std::vector<PostingShard> shards = GroupPostings(
+            table.values, table.offsets, buckets, pool, {});
         ASSERT_EQ(shards.size(), threads);
         ExpectValidGroups(shards, buckets, postings);
-        std::vector<ShardCandidates> per_shard;
-        for (const PostingShard& shard : shards) {
-          per_shard.push_back(SelfJoinShard(shard, {}));
-        }
-        EXPECT_EQ(Union(per_shard), expected);
+        CandidateBuckets kernel(MaxId(postings), 1);
+        ASSERT_TRUE(kernel.Add(&shards, nullptr, pool, {}));
+        EXPECT_EQ(kernel.collisions(), expected.collisions);
+        ExpectSameSurvivors(kernel.Filter(KeepSome, pool, {}),
+                            ReferenceFilter(expected, KeepSome));
       }
+      ExpectKernelMatches(postings, nullptr, buckets, pool, expected);
     }
   }
 }
@@ -200,24 +260,17 @@ void ExpectBinaryJoinMatches(const Table& r, SetId base_r, const Table& s,
   const std::vector<Posting> postings_r = r.Postings(base_r);
   const std::vector<Posting> postings_s = s.Postings(base_s);
   const Candidates expected = ReferenceBinary(postings_r, postings_s);
-  for (size_t threads = 1; threads <= 4; ++threads) {
+  for (size_t threads = 1; threads <= 5; ++threads) {
     ThreadPool pool(threads);
     size_t larger = std::max(postings_r.size(), postings_s.size());
     for (size_t buckets : BucketCounts(larger, threads)) {
       SCOPED_TRACE(testing::Message() << "threads " << threads << " buckets "
                                       << buckets);
-      std::vector<PostingShard> shards_r =
-          GroupPostings(postings_r, buckets, pool, {});
-      std::vector<PostingShard> shards_s =
-          GroupPostings(postings_s, buckets, pool, {});
-      ExpectValidGroups(shards_r, buckets, postings_r);
-      ExpectValidGroups(shards_s, buckets, postings_s);
-      std::vector<ShardCandidates> per_shard;
-      for (size_t shard = 0; shard < threads; ++shard) {
-        per_shard.push_back(BinaryJoinShard(shards_r[shard], shards_s[shard],
-                                            {}));
-      }
-      EXPECT_EQ(Union(per_shard), expected);
+      ExpectValidGroups(GroupPostings(postings_r, buckets, pool, {}), buckets,
+                        postings_r);
+      ExpectValidGroups(GroupPostings(postings_s, buckets, pool, {}), buckets,
+                        postings_s);
+      ExpectKernelMatches(postings_r, &postings_s, buckets, pool, expected);
     }
   }
 }
@@ -308,7 +361,7 @@ TEST(PostingGroups, StopDiscardsOutput) {
   Table table = RandomTable(rng, 200, 6, 60);
   std::vector<Posting> postings = table.Postings(0);
   auto stop = [] { return true; };
-  for (size_t threads = 1; threads <= 4; ++threads) {
+  for (size_t threads = 1; threads <= 5; ++threads) {
     ThreadPool pool(threads);
     std::vector<PostingShard> stopped =
         GroupPostings(table.values, table.offsets, 5, pool, stop);
@@ -317,11 +370,48 @@ TEST(PostingGroups, StopDiscardsOutput) {
       EXPECT_EQ(shard.buckets(), 5u);
       EXPECT_TRUE(shard.postings.empty());
     }
+    // A stop during Add, then one during the bucket pass of a kernel
+    // whose pairs were all added.
     std::vector<PostingShard> shards = GroupPostings(postings, 5, pool, {});
-    for (const PostingShard& shard : shards) {
-      EXPECT_TRUE(SelfJoinShard(shard, stop).packed.empty());
-      EXPECT_TRUE(BinaryJoinShard(shard, shard, stop).packed.empty());
+    CandidateBuckets add_stopped(MaxId(postings), 1);
+    EXPECT_FALSE(add_stopped.Add(&shards, nullptr, pool, stop));
+    shards = GroupPostings(postings, 5, pool, {});
+    CandidateBuckets filter_stopped(MaxId(postings), 1);
+    ASSERT_TRUE(filter_stopped.Add(&shards, nullptr, pool, {}));
+    ASSERT_GT(filter_stopped.collisions(), 0u);
+    Survivors out = filter_stopped.Filter(KeepAll, pool, stop);
+    EXPECT_EQ(out.candidates, 0u);
+    EXPECT_TRUE(out.pairs.empty());
+    EXPECT_TRUE(out.offsets.empty());
+  }
+}
+
+TEST(PostingGroups, ShardScopeWrapsEveryShardOnce) {
+  Rng rng(17);
+  Table table = RandomTable(rng, 300, 8, 50);
+  std::vector<Posting> postings = table.Postings(0);
+  const Candidates expected = ReferenceSelf(postings);
+  for (size_t threads = 1; threads <= 4; ++threads) {
+    ThreadPool pool(threads);
+    std::vector<PostingShard> shards = GroupPostings(postings, 7, pool, {});
+    std::vector<uint64_t> seen(threads, 0);
+    std::vector<int> calls(threads, 0);
+    CandidateBuckets kernel(MaxId(postings), 1);
+    ASSERT_TRUE(kernel.Add(&shards, nullptr, pool, {},
+                           [&](size_t shard, uint64_t occurrences,
+                               const std::function<void()>& scatter) {
+                             ++calls[shard];
+                             seen[shard] = occurrences;
+                             scatter();
+                           }));
+    uint64_t total = 0;
+    for (size_t shard = 0; shard < threads; ++shard) {
+      EXPECT_EQ(calls[shard], 1) << "shard " << shard;
+      total += seen[shard];
     }
+    EXPECT_EQ(total, expected.collisions);
+    ExpectSameSurvivors(kernel.Filter(KeepAll, pool, {}),
+                        ReferenceFilter(expected, KeepAll));
   }
 }
 

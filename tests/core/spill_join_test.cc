@@ -4,7 +4,8 @@
 //     the in-memory join for every driver, thread count, and partition
 //     count;
 //   - SpillPolicy::kAuto degrades to disk where kDisabled trips the
-//     memory budget, and still produces the reference output;
+//     memory budget, and still produces the reference output, writing
+//     the signature tables siggen already generated;
 //   - every injected I/O fault surfaces as a structured Status, retries
 //     halve the partition count, and no spill file outlives the join on
 //     any path — success, trip, or exhausted retries.
@@ -14,6 +15,7 @@
 
 #include <dirent.h>
 
+#include <atomic>
 #include <optional>
 #include <string>
 #include <vector>
@@ -76,6 +78,24 @@ void ExpectSameOutput(const JoinResult& got, const JoinResult& want,
   EXPECT_EQ(got.stats.results, want.stats.results) << label;
   EXPECT_EQ(got.stats.false_positives, want.stats.false_positives) << label;
 }
+
+// Counts Generate calls on the wrapped scheme; the pool's workers call it
+// concurrently.
+class CountingScheme final : public SignatureScheme {
+ public:
+  explicit CountingScheme(const SignatureScheme& base) : base_(base) {}
+  std::string Name() const override { return base_.Name(); }
+  void Generate(std::span<const ElementId> set,
+                std::vector<Signature>* out) const override {
+    calls_.fetch_add(1, std::memory_order_relaxed);
+    base_.Generate(set, out);
+  }
+  uint64_t calls() const { return calls_.load(std::memory_order_relaxed); }
+
+ private:
+  const SignatureScheme& base_;
+  mutable std::atomic<uint64_t> calls_{0};
+};
 
 size_t DirEntryCount(const std::string& path) {
   DIR* dir = ::opendir(path.c_str());
@@ -212,6 +232,55 @@ TEST_F(SpillJoinTest, AutoDegradesWhereDisabledTrips) {
       ExpectSameOutput(degraded, reference, "auto degrade " + label);
       EXPECT_FALSE(degrade_guard.tripped()) << label;
       EXPECT_GT(degraded.stats.spill_partitions, 0u) << label;
+    }
+  }
+  EXPECT_EQ(DirEntryCount(spill_base_.path()), 0u);
+}
+
+// A degraded join writes the tables siggen generated instead of
+// generating every signature again, keeps them through a retry of the
+// write stage, and frees them before it reads a partition, so a retry
+// after a read fault generates them once more.
+TEST_F(SpillJoinTest, DegradedJoinGeneratesEachSetOnce) {
+  SetCollection input = SparseWorkload();
+  ExecutionBudget budget;
+  budget.memory_budget_bytes = input.total_elements() * 7;
+  JoinResult reference =
+      Join(Request(input, ExecutionMode::kSelfJoin, SpillPolicy::kDisabled));
+  ASSERT_TRUE(reference.status.ok()) << reference.status.ToString();
+  struct Case {
+    const char* name;
+    std::optional<fault::FaultSpec> fault;
+    uint64_t generated;  // Generate calls, in sets
+    uint64_t retries;
+  };
+  const uint64_t n = input.size();
+  std::vector<Case> cases = {{"no fault", std::nullopt, n, 0}};
+  if (fault::Enabled()) {
+    cases.push_back({"write fault",
+                     fault::IoFaultAfter(IoOp::kWrite, IoFault::kEnospc), n,
+                     1});
+    cases.push_back({"read fault",
+                     fault::IoFaultAfter(IoOp::kRead, IoFault::kCorruptRead),
+                     2 * n, 1});
+  }
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    for (const Case& c : cases) {
+      const std::string label =
+          std::string(c.name) + " threads=" + std::to_string(threads);
+      CountingScheme counting(scheme_);
+      ExecutionGuard guard(budget);
+      JoinRequest request =
+          Request(input, ExecutionMode::kSelfJoin, SpillPolicy::kAuto, threads);
+      request.scheme = &counting;
+      request.options.guard = &guard;
+      if (c.fault) fault::SetPlan({{*c.fault}});
+      JoinResult degraded = Join(request);
+      fault::Clear();
+      ExpectSameOutput(degraded, reference, label);
+      EXPECT_GT(degraded.stats.spill_partitions, 0u) << label;
+      EXPECT_EQ(degraded.stats.spill_retries, c.retries) << label;
+      EXPECT_EQ(counting.calls(), c.generated) << label;
     }
   }
   EXPECT_EQ(DirEntryCount(spill_base_.path()), 0u);
